@@ -2,17 +2,24 @@
 
     python3 bench/run.py --workload survey --seed 1 --seconds 20 --trace 0
 
-runs the workload's round of CLI jobs (see workloads.py) through
+runs rounds of the workload's CLI jobs (see workloads.py) through
 ``nichols_dm.cli.main(argv)`` one at a time, in a closed loop with one
-client, and checks every job's JSON output (checks.py).  It repeats whole
-rounds until ``--seconds`` have passed and at least enough jobs were timed
-for the workload's tail percentile.  The last line of standard output is a
+client, and checks every job's JSON output (checks.py).  It runs whole
+rounds, each drawn afresh from the seed, until ``--seconds`` have passed
+and at least enough jobs were timed for the workload's tail percentile.  The last line of standard output is a
 JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``.
 
-``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs each round
-twice, untraced and then with tracing.py's spans installed, reports the
-per-layer metrics (per traced job) with the tracing overhead, and writes
-the spans to ``bench/out/``.  The package is imported from
+``--trace 0`` reports the end-to-end metrics.  Their times are scaled to a
+fixed host speed: every job is bracketed by a fixed reference loop of the
+benchmark's own (``reference_loop``), and a job's time is its wall time
+times ``REFERENCE_S`` over the mean time of the two loops beside it.  The
+host of this benchmark switches between speeds about 1.8x apart for
+seconds to minutes at a time; the loop slows with the job, so the scaled
+time follows the program, not the host (see README.md, Noise).
+
+``--trace 1`` runs each round twice, untraced and then with tracing.py's
+spans installed, reports the per-layer metrics (per traced job, unscaled)
+with the tracing overhead, and writes the spans to ``bench/out/``.  The package is imported from
 ``src/`` next to this directory; without it the run exits with code 2.
 """
 
@@ -40,7 +47,10 @@ import workloads
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 OUT = HERE / "out"
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 7
+# seconds the reference loop takes at the nominal host speed, to which every
+# end-to-end time is scaled (the faster regime of the development host)
+REFERENCE_S = 0.008
 
 # Per-layer metrics, each per traced job: the self time of every span name,
 # the calls of the span names below, and the counters below.
@@ -69,7 +79,8 @@ def parse_args(argv=None):
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
     p.add_argument("--setup-probe", action="store_true",
-                   help="do the set-up of a run, print the monotonic clock and exit")
+                   help="do the set-up of a run, print the monotonic clock and two "
+                        "reference-loop times, and exit")
     return p.parse_args(argv)
 
 
@@ -99,8 +110,32 @@ def call_cli(main, argv):
     return code, buf.getvalue(), elapsed
 
 
+def reference_loop() -> int:
+    """Fixed work of the kind the program does: tuple keys, dict updates, int arithmetic."""
+    table: dict = {}
+    for i in range(20000):
+        key = ((i * 7919) % 1009, i & 7)
+        table[key] = table.get(key, 0) + i * i % 97
+    return sum(table.values())
+
+
+def time_reference() -> float:
+    start = time.perf_counter()
+    reference_loop()
+    return time.perf_counter() - start
+
+
+def scaled(elapsed, ref_before, ref_after) -> float:
+    """`elapsed` at the nominal host speed, from the reference loops run beside it."""
+    return elapsed * REFERENCE_S * 2 / (ref_before + ref_after)
+
+
 def measure_setup(args) -> list[float]:
-    """Launch-to-first-job times of fresh interpreters doing this run's set-up."""
+    """Launch-to-first-job times of fresh interpreters doing this run's set-up, scaled.
+
+    Each probe reads the clock when its set-up is done, then times the
+    reference loop twice in its own process, on the CPU it ran on.
+    """
     cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--setup-probe"]
     samples = []
@@ -109,40 +144,52 @@ def measure_setup(args) -> list[float]:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
             raise SystemExit(f"set-up probe failed:\n{proc.stderr}")
-        samples.append(float(proc.stdout.split()[-1]) - launched)
+        done, *refs = map(float, proc.stdout.split()[-3:])
+        samples.append(scaled(done - launched, *refs))
     return samples
 
 
 class Runner:
-    """Runs whole rounds of jobs, timing and checking each one."""
+    """Runs whole rounds of jobs, timing and checking each one.
+
+    `times` holds the wall time of every timed job, `scaled_times` the same
+    times scaled to the nominal host speed, and `ref_times` every reference
+    loop, one after each job and one before the first.
+    """
 
     def __init__(self, main, workload, rng):
         self.main, self.workload, self.rng = main, workload, rng
         self.times: list[float] = []
-        self.attempted = self.failed = 0
+        self.scaled_times: list[float] = []
+        self.ref_times: list[float] = []
+        self.attempted = self.failed = self.rounds_drawn = 0
         self.problems: list[str] = []
 
-    def run_round(self, order, tracer=None) -> float:
-        """Run the jobs in `order`; return the summed wall time of the timed jobs."""
+    def run_round(self, jobs, tracer=None) -> float:
+        """Run `jobs` in order; return the summed wall time of the timed jobs."""
         main = self.main if tracer is None else functools.partial(tracer.call, "cli.main", self.main)
         busy = 0.0
-        for idx in order:
-            job = self.workload.jobs[idx]
+        if not self.ref_times:
+            self.ref_times.append(time_reference())
+        for job in jobs:
             self.attempted += 1
             if tracer is not None:
                 tracer.job = self.attempted
             try:
                 code, out, elapsed = call_cli(main, job["argv"])
             except (Exception, SystemExit):
+                self.ref_times.append(time_reference())
                 self.failed += 1
                 print(f"# job failed: {job['argv']}\n{traceback.format_exc()}", file=sys.stderr)
                 continue
+            self.ref_times.append(time_reference())
             if code != 0:
                 self.failed += 1
                 print(f"# job exited {code}: {job['argv']}\n{out}", file=sys.stderr)
                 continue
             busy += elapsed
             self.times.append(elapsed)
+            self.scaled_times.append(scaled(elapsed, *self.ref_times[-2:]))
             try:
                 checks.check(job, code, json.loads(out))
             except (checks.CheckFailure, ValueError, KeyError, TypeError) as exc:
@@ -153,14 +200,19 @@ class Runner:
         """Whole rounds until `seconds` have passed and `min_rounds` are done."""
         start, rounds = time.perf_counter(), 0
         while rounds < min_rounds or time.perf_counter() - start < seconds:
-            self.run_round(self.shuffled_round())
+            self.run_round(self.next_round())
             rounds += 1
         return rounds
 
-    def shuffled_round(self) -> list[int]:
-        order = list(range(len(self.workload.jobs)))
-        self.rng.shuffle(order)
-        return order
+    def next_round(self) -> list[dict]:
+        """The workload's first round, then fresh ones drawn from the seed's generator."""
+        if self.rounds_drawn:
+            jobs = workloads.draw(self.workload.name, self.rng)
+        else:
+            jobs = list(self.workload.jobs)
+            self.rng.shuffle(jobs)
+        self.rounds_drawn += 1
+        return jobs
 
 
 def tail_percentile(times, pct):
@@ -172,12 +224,16 @@ def tail_percentile(times, pct):
 def end_to_end(args, runner, setup_samples):
     wl = runner.workload
     rounds = runner.run_for(args.seconds, wl.min_rounds)
-    times = runner.times
+    times = runner.scaled_times
     beyond = len(times) - math.ceil(wl.tail_pct / 100 * len(times))
     print(f"# {wl.name} seed {args.seed}: {len(times)} timed jobs in "
           f"{rounds} rounds of {len(wl.jobs)}; "
           f"job_tail_s is p{wl.tail_pct} with {beyond} samples beyond it; "
-          f"setup samples {[round(s, 4) for s in setup_samples]}")
+          f"scaled setup samples {[round(s, 4) for s in setup_samples]}")
+    print(f"# unscaled: job p50 {statistics.median(runner.times):.4f} s, "
+          f"{len(times) / sum(runner.times):.3f} jobs/s; reference loop median "
+          f"{statistics.median(runner.ref_times) * 1e3:.2f} ms (nominal "
+          f"{REFERENCE_S * 1e3:g} ms)")
     return {
         "setup_s": (statistics.median(setup_samples), "s"),
         "jobs_per_s": (len(times) / sum(times), "1/s"),
@@ -195,11 +251,11 @@ def per_layer(args, runner):
     # pairs of rounds in one order, untraced then traced, so that both see
     # the same state of the host
     while rounds == 0 or time.perf_counter() - start < args.seconds:
-        order = runner.shuffled_round()
-        untraced += runner.run_round(order)
+        jobs = runner.next_round()
+        untraced += runner.run_round(jobs)
         tracer.install()
         try:
-            traced += runner.run_round(order, tracer)
+            traced += runner.run_round(jobs, tracer)
         finally:
             tracer.uninstall()
         rounds += 1
@@ -237,7 +293,8 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(SRC), str(HERE)]
     if args.setup_probe:
         set_up(args)
-        print(repr(time.clock_gettime(time.CLOCK_MONOTONIC)))
+        done = time.clock_gettime(time.CLOCK_MONOTONIC)
+        print(repr(done), repr(time_reference()), repr(time_reference()))
         return 0
     # import once here, so that every probe finds compiled bytecode
     import nichols_dm.cli  # noqa: F401

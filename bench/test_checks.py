@@ -121,10 +121,17 @@ def test_wrong_witness_unit(outputs, family):
 
 def test_workloads_are_deterministic_per_seed():
     for name in workloads.WORKLOADS:
-        first, _ = workloads.make(name, 7)
-        again, _ = workloads.make(name, 7)
+        first, rng = workloads.make(name, 7)
+        again, rng_again = workloads.make(name, 7)
         assert first.jobs == again.jobs
         assert len(first.jobs) * first.min_rounds * (100 - first.tail_pct) >= 1000
+        for _ in range(2):
+            fresh = workloads.draw(name, rng)
+            assert fresh == workloads.draw(name, rng_again)
+            # a fresh round keeps the make-up of the first one
+            assert len(fresh) == len(first.jobs)
+            assert sorted((job["kind"], job.get("m"), job.get("family")) for job in fresh) == \
+                sorted((job["kind"], job.get("m"), job.get("family")) for job in first.jobs)
 
 
 def test_tracer_spans_and_restores_the_package():
@@ -149,3 +156,21 @@ def test_tracer_spans_and_restores_the_package():
     spans = {span[0]: span for span in tracer.spans}
     assert tracer.spans[spans["rewrite.compile"][3]][0] == "cli.main"
     assert all(value >= 0 for value in self_s.values())
+
+
+def test_scaling_to_the_nominal_host_speed():
+    nominal = run.REFERENCE_S
+    assert run.scaled(0.5, nominal, nominal) == pytest.approx(0.5)
+    # a host running the reference loop at half speed ran the job at half speed
+    assert run.scaled(1.0, 2 * nominal, 2 * nominal) == pytest.approx(0.5)
+    assert run.scaled(0.9, 2 * nominal, nominal) == pytest.approx(0.6)
+
+
+def test_runner_scales_every_timed_job():
+    workload, rng = workloads.make("survey", 1)
+    runner = run.Runner(cli.main, workload, rng)
+    runner.run_round(workload.jobs[:2])
+    assert runner.attempted == 2 and runner.failed == 0 and not runner.problems
+    assert len(runner.ref_times) == 3 and len(runner.scaled_times) == 2
+    for k, (wall, scaled) in enumerate(zip(runner.times, runner.scaled_times)):
+        assert scaled == pytest.approx(run.scaled(wall, *runner.ref_times[k:k + 2]))
