@@ -1,11 +1,11 @@
 """Combinatorics of the finite-dimensional classification over D_m, m = 4t.
 
 The support set J = {(i, k) : w^(ik) = -1} indexes the two-dimensional
-modules M_{i,k} over the rotation pair classes; the equivalence
-(i,k) ~ (p,q) <=> w^(iq+pk) = 1 controls which direct sums stay
-finite-dimensional.  Families:
+modules M_{i,k} over the rotation pair classes; the relation
+(i,k) ~ (p,q) <=> w^(iq+pk) = 1 (transitive only when m is a power of two)
+controls which direct sums stay finite-dimensional.  Families:
 
-  I-families: multisets of pairwise-equivalent J-pairs          (dim 4^|I|)
+  I-families: multisets of pairwise-related J-pairs             (dim 4^|I|)
   L-families: multisets of odd l with 1 <= l < n                (dim 4^|L|)
   K-families: (I, L) with every k odd and (i, l) in J throughout (dim 4^(|I|+|L|))
 

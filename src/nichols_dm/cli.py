@@ -133,16 +133,6 @@ def _require_classification(m: int) -> DihedralGroup:
     return G
 
 
-def _threads(args) -> int:
-    value = args.threads
-    if value is None:
-        value = os.environ.get("NICHOLS_DM_THREADS", "1")
-    threads = int(value)
-    if threads < 1:
-        raise DomainError(f"--threads must be >= 1, got {threads}")
-    return threads
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -353,14 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, classification=True):
+    def common(p):
         p.add_argument("--m", type=int, required=True, help="dihedral parameter m")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads (NICHOLS_DM_THREADS fallback); computations are deterministic",
-        )
 
     p = sub.add_parser("classify", help="full classification report for D_m")
     common(p)
@@ -405,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("rack", help="conjugation rack and type-D verdict for a class")
-    common(p, classification=False)
+    common(p)
     p.add_argument("--class", dest="cls", required=True, help="e, s, sr or r^i")
     p.set_defaults(func=cmd_rack)
 
     p = sub.add_parser("reps", help="irreducible representation tables")
-    common(p, classification=False)
+    common(p)
     p.set_defaults(func=cmd_reps)
 
     return parser
@@ -420,7 +404,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads(args)
         payload, code = args.func(args)
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

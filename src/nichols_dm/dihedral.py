@@ -4,6 +4,24 @@ Elements are kept in the normal form s^eps r^rot (reflection first), with
 s^2 = 1 = r^m and s r s = r^-1.  Group operations work for any m >= 3;
 the classification pipeline elsewhere additionally requires m = 4t with
 t >= 3.
+
+Classes and centralizers come from closed forms, not from a search of the
+group; they hold for every m >= 3.  Conjugation acts by
+r^j (s r^b) r^-j = s r^(b-2j) and s (r^a) s = r^-a, so:
+
+  classes        {e}, {r^a, r^-a} for 1 <= a <= m/2 (a single element when
+                 2a = 0 mod m), and the reflections s r^b with b of one
+                 parity (m even: {s r^even}, {s r^odd}; m odd: all of them).
+                 The canonical representative is the least element:
+                 e, r^a with a <= m/2, s, s r.
+  centralizers   all of D_m for r^a with 2a = 0 mod m, <r> for the other
+                 rotations, and {r^j, s r^(b+j) : 2j = 0 mod m} for s r^b,
+                 i.e. {e, r^n, s r^b, s r^(b+n)} when m = 2n.
+  coset reps     the least g in (eps, rot) order with g sigma g^-1 = tau,
+                 used by ydmod.induce: e for tau = sigma and s otherwise when
+                 sigma is a rotation; r^j with 2j = b - c mod m when
+                 sigma = s r^b and tau = s r^c, i.e. j = d/2 for even
+                 d = (b - c) mod m and j = (d + m)/2 for odd d (odd m only).
 """
 
 from __future__ import annotations
@@ -168,44 +186,32 @@ class ConjugacyClass:
         return iter(self.elements)
 
 
+def _require_member(G: DihedralGroup, sigma: GroupElement):
+    if sigma.m != G.m:
+        raise DomainError("elements of different dihedral groups")
+
+
 def class_of(G: DihedralGroup, sigma: GroupElement) -> ConjugacyClass:
     """Conjugacy class of sigma, with the canonical representative first."""
-    orbit = sorted({sigma.conjugated_by(g) for g in G.elements()})
-    rep = _canonical_representative(G, orbit)
-    return ConjugacyClass(rep, tuple(orbit))
-
-
-def _canonical_representative(G, orbit) -> GroupElement:
-    # canonical choices: e, r^i with 1 <= i <= n (m even), s, s r
-    rotations = [g for g in orbit if g.eps == 0]
-    if rotations:
-        if G.m % 2 == 0:
-            preferred = [g for g in rotations if 1 <= g.rot <= G.m // 2]
-            if preferred:
-                return min(preferred)
-        return min(rotations)
-    return min(orbit)
+    _require_member(G, sigma)
+    if sigma.eps == 0:
+        elems = tuple(G.r(b) for b in sorted({sigma.rot, -sigma.rot % G.m}))
+    else:
+        step = 2 - G.m % 2
+        elems = tuple(G.s(b) for b in range(sigma.rot % step, G.m, step))
+    return ConjugacyClass(elems[0], elems)
 
 
 def conjugacy_classes(G: DihedralGroup) -> list[ConjugacyClass]:
     """All conjugacy classes, identity first, then rotations, then reflections."""
-    seen: set[GroupElement] = set()
-    classes = []
-    for g in sorted(G.elements()):
-        if g in seen:
-            continue
-        cls = class_of(G, g)
-        seen.update(cls.elements)
-        classes.append(cls)
-    classes.sort(key=lambda c: (c.representative.eps, c.representative.rot))
-    return classes
+    rotations = [class_of(G, G.r(a)) for a in range(G.m // 2 + 1)]
+    return rotations + [class_of(G, G.s(b)) for b in range(2 - G.m % 2)]
 
 
 @dataclass(frozen=True)
 class Centralizer:
     sigma: GroupElement
     elements: tuple[GroupElement, ...]
-    generators: tuple[GroupElement, ...]
 
     @property
     def order(self) -> int:
@@ -216,41 +222,17 @@ class Centralizer:
 
 
 def centralizer(G: DihedralGroup, sigma: GroupElement) -> Centralizer:
-    elems = tuple(sorted(g for g in G.elements() if g * sigma == sigma * g))
-    gens = _minimal_generators(elems)
-    return Centralizer(sigma, elems, gens)
-
-
-def _minimal_generators(elems: tuple[GroupElement, ...]) -> tuple[GroupElement, ...]:
-    chosen: list[GroupElement] = []
-    span = {e for e in elems if e.is_identity}
-    for g in sorted(elems, key=lambda x: (-x.order(), x)):
-        if g in span:
-            continue
-        chosen.append(g)
-        span = _closure(span | {g})
-        if len(span) == len(elems):
-            break
-    return tuple(chosen)
-
-
-def _closure(gens: set[GroupElement]) -> set[GroupElement]:
-    elems = set(gens)
-    if not elems:
-        return elems
-    m = next(iter(elems)).m
-    elems.add(GroupElement(m, 0, 0))
-    frontier = list(elems)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(elems):
-                for c in (a * b, b * a):
-                    if c not in elems:
-                        elems.add(c)
-                        new.append(c)
-        frontier = new
-    return elems
+    """Centralizer of sigma, its elements in sorted order."""
+    _require_member(G, sigma)
+    if sigma.eps == 0 and 2 * sigma.rot % G.m == 0:
+        elems = tuple(G.elements())
+    elif sigma.eps == 0:
+        elems = tuple(G.r(b) for b in range(G.m))
+    else:
+        halves = (0, G.m // 2) if G.m % 2 == 0 else (0,)  # the j with r^2j = e
+        reflections = sorted((sigma.rot + j) % G.m for j in halves)
+        elems = tuple(G.r(j) for j in halves) + tuple(G.s(b) for b in reflections)
+    return Centralizer(sigma, elems)
 
 
 # -- irreducible representations --------------------------------------------

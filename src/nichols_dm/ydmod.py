@@ -135,13 +135,18 @@ def induce(G: DihedralGroup, cls: ConjugacyClass, rep) -> YDModule:
         )
     sigma = cls.representative
     sigmas = (sigma,) + tuple(x for x in cls.elements if x != sigma)
-    coset_reps = []
-    for target in sigmas:
-        g = next(g for g in sorted(G.elements()) if g * sigma * g.inverse() == target)
-        coset_reps.append(g)
+    coset_reps = tuple(_coset_rep(G, sigma, target) for target in sigmas)
     label = f"M({cls.name}, {rep.name})"
-    summand = YDSummand(cls, rep, sigmas, tuple(coset_reps), label)
+    summand = YDSummand(cls, rep, sigmas, coset_reps, label)
     return YDModule(G, (summand,))
+
+
+def _coset_rep(G: DihedralGroup, sigma: GroupElement, target: GroupElement) -> GroupElement:
+    """The least g (in sorted order) with g sigma g^-1 = target, in closed form."""
+    if sigma.eps == 0:
+        return G.identity if target == sigma else G.s()
+    d = (sigma.rot - target.rot) % G.m
+    return G.r(d // 2 if d % 2 == 0 else (d + G.m) // 2)
 
 
 def direct_sum(modules: Sequence[YDModule]) -> YDModule:

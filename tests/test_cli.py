@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nichols_dm.cli import main
 
 
@@ -136,13 +138,17 @@ def test_output_is_byte_deterministic(capsys):
     assert out1 == out2
 
 
-def test_threads_flag_and_env(capsys, monkeypatch):
-    code, _ = run_cli(capsys, "reps", "--m", "12", "--threads", "2")
-    assert code == 0
-    monkeypatch.setenv("NICHOLS_DM_THREADS", "0")
+def test_threads_flag_removed(capsys, monkeypatch):
+    # --threads did nothing and is gone; argparse rejects it with exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["reps", "--m", "12", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    # the environment variable it read is ignored
+    monkeypatch.setenv("NICHOLS_DM_THREADS", "abc")
     code, doc = run_cli(capsys, "reps", "--m", "12")
-    assert code == 2
-    assert "threads" in doc["error"]["message"]
+    assert code == 0
+    assert doc["counts"] == {"linear": 4, "two_dim": 5}
 
 
 def test_invalid_module_spec(capsys):

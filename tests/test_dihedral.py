@@ -13,6 +13,7 @@ from nichols_dm.dihedral import (
     irreps,
 )
 from nichols_dm.errors import DomainError
+from nichols_dm.ydmod import induce
 
 
 @pytest.fixture
@@ -86,6 +87,87 @@ def test_centralizers_d12(d12):
     assert set(cent_r.elements) == {d12.r(b) for b in range(12)}
     cent_s = centralizer(d12, d12.s())
     assert set(cent_s.elements) == {d12.identity, d12.s(), d12.r(6), d12.s(6)}
+
+
+# -- closed forms against brute force over the whole group --------------------
+
+ORACLE_MS = list(range(3, 25)) + [48]
+
+
+def _brute_class(G, sigma):
+    # the canonical representative (e, r^i with i <= m/2, s, s r) is the least element
+    return tuple(sorted({g * sigma * g.inverse() for g in G.elements()}))
+
+
+def _brute_centralizer(G, sigma):
+    return tuple(g for g in sorted(G.elements()) if g * sigma == sigma * g)
+
+
+def _brute_coset_rep(G, sigma, target):
+    return next(g for g in sorted(G.elements()) if g * sigma * g.inverse() == target)
+
+
+class _TrivialCharacter:
+    """The trivial character of a centralizer, for inducing from any class."""
+
+    degree = 1
+    name = "1"
+
+    def __init__(self, elements):
+        self.elements = set(elements)
+
+    def domain_matches(self, elements):
+        return set(elements) == self.elements
+
+    def monomial_action(self, a):
+        return ((0, RootPower(a.m, 0)),)
+
+
+@pytest.mark.parametrize("m", ORACLE_MS)
+def test_classes_match_brute_force(m):
+    G = DihedralGroup(m)
+    orbits = []
+    for sigma in sorted(G.elements()):
+        orbit = _brute_class(G, sigma)
+        cls = class_of(G, sigma)
+        assert (cls.representative, cls.elements) == (orbit[0], orbit), sigma
+        if orbit not in orbits:
+            orbits.append(orbit)
+    orbits.sort(key=lambda orbit: orbit[0])
+    got = [(c.representative, c.elements) for c in conjugacy_classes(G)]
+    assert got == [(orbit[0], orbit) for orbit in orbits]
+
+
+@pytest.mark.parametrize("m", ORACLE_MS)
+def test_centralizers_match_brute_force(m):
+    G = DihedralGroup(m)
+    for sigma in G.elements():
+        assert centralizer(G, sigma).elements == _brute_centralizer(G, sigma), sigma
+
+
+def test_closed_forms_reject_elements_of_another_group(d12):
+    # r^14 of D_16 must not be read as r^2 of D_12
+    for closed_form in (class_of, centralizer):
+        with pytest.raises(DomainError):
+            closed_form(d12, DihedralGroup(16).r(14))
+
+
+@pytest.mark.parametrize("m", ORACLE_MS)
+def test_induced_cosets_match_brute_force(m):
+    G = DihedralGroup(m)
+    for cls in conjugacy_classes(G):
+        sigma = cls.representative
+        orbit = _brute_class(G, sigma)
+        sigmas = (sigma,) + tuple(x for x in orbit if x != sigma)
+        coset_reps = tuple(_brute_coset_rep(G, sigma, x) for x in sigmas)
+        reps = [_TrivialCharacter(_brute_centralizer(G, sigma))]
+        if m % 2 == 0:
+            reps += centralizer_representations(G, cls)
+        elif not cls.is_reflection_class and not sigma.is_identity:
+            reps += [CyclicCharacter(G, k) for k in range(m)]
+        for rep in reps:
+            (summand,) = induce(G, cls, rep).summands
+            assert (summand.sigmas, summand.coset_reps) == (sigmas, coset_reps), (cls.name, rep)
 
 
 def test_irrep_inventory_and_dimension_count(d12):
