@@ -2,10 +2,13 @@
 
 A unit l acts on J-pairs by (i,k) -> (li, l^-1 k), folded into the range
 1 <= i < n by i -> m - i when li lands at or above n, and on odd l-labels
-through l^-1 with the same folding.  Two presentations in one family are
-isomorphic exactly when some unit matches the index data and the
-delta-guarded parameter identities (with lambda/gamma and theta/mu
-crossing over according to which side of n the indices land on).
+through l^-1 with the same folding.  `act_datum` carries a whole lifting
+datum along: each parameter entry moves to the image of its indices, with
+lambda/gamma and theta/mu crossing over according to which side of n the
+indices land on.  Two presentations in one family are isomorphic exactly
+when some unit carries one datum onto the other; the orbits of
+`iso_classes` are the images under the units, and a member's witness is
+the least unit that reaches it.
 """
 
 from __future__ import annotations
@@ -16,14 +19,15 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .classify import Pair, enumerate_I, enumerate_K, enumerate_L, in_J
-from .cyclo import CycloNumber
+from .cyclo import format_scalar
 from .errors import DomainError
-from .lifting import LiftingDatum, free_parameter_keys
+from .lifting import LiftingDatum, free_parameter_keys, parameter_shape
 
 __all__ = [
     "UnitModM",
     "act_I",
     "act_L",
+    "act_datum",
     "act_ell",
     "act_pair",
     "is_isomorphic_A",
@@ -91,112 +95,73 @@ def act_L(unit: UnitModM, L: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(act_ell(unit, r) for r in L))
 
 
-def _as_datum(m, I, L, lam, gamma, theta=None, mu=None) -> LiftingDatum:
-    if isinstance(lam, LiftingDatum):
-        return lam
-    return LiftingDatum.build(m, I, L, lam=lam, gamma=gamma, theta=theta, mu=mu)
+def act_datum(unit: UnitModM, datum: LiftingDatum) -> Optional[LiftingDatum]:
+    """l . (I, L, datum): every entry moves to the image of its indices.
 
-
-def _lambda_gamma_match(
-    m: int, I, unit: UnitModM, d1: LiftingDatum, d2: LiftingDatum
-) -> bool:
-    n = m // 2
-    zero = CycloNumber.zero(m)
-    for pq in set(I):
-        for ik in set(I):
-            p, q = pq
-            i, k = ik
-            img = act_pair(unit, pq) + act_pair(unit, ik)
-            same_side = (((unit.value * p) % m) < n) == (((unit.value * i) % m) < n)
-            guard_l = (q + k) % m == 0  # delta_{q, m-k}
-            guard_g = (q - k) % m == 0  # delta_{q, k}
-            lam = d1.lam_value(pq + ik) if guard_l else zero
-            gam = d1.gam_value(pq + ik) if guard_g else zero
-            lam2 = d2.lam_value(img) if guard_l else zero
-            gam2 = d2.gam_value(img) if guard_g else zero
-            if same_side:
-                if lam != lam2 or gam != gam2:
-                    return False
+    A lambda/gamma entry keyed (p,q,i,k) moves to l.(p,q) + l.(i,k), a
+    theta/mu entry keyed (p,q,r) to l.(p,q) + (l.r,).  lambda and gamma
+    (theta and mu) cross over when the two indices fold to opposite sides
+    of n.  Returns None when a nonzero entry lands on an entry that
+    `parameter_shape` forces to zero: no datum of the image family matches.
+    """
+    m, n = unit.m, unit.m // 2
+    I, L = act_I(unit, datum.I), act_L(unit, datum.L)
+    moved: dict[str, dict] = {"lambda": {}, "gamma": {}, "theta": {}, "mu": {}}
+    for name, other, items in (
+        ("lambda", "gamma", datum.lam),
+        ("gamma", "lambda", datum.gam),
+        ("theta", "mu", datum.theta),
+        ("mu", "theta", datum.mu),
+    ):
+        for key, value in items:
+            p_low = (unit.value * key[0]) % m < n
+            if len(key) == 4:
+                img = act_pair(unit, key[:2]) + act_pair(unit, key[2:])
+                same_side = p_low == ((unit.value * key[2]) % m < n)
             else:
-                if lam != gam2 or gam != lam2:
-                    return False
-    return True
+                img = act_pair(unit, key[:2]) + (act_ell(unit, key[2]),)
+                same_side = p_low == ((unit.inverse * key[2]) % m < n)
+            moved[name if same_side else other][img] = value
+    if any(moved.values()):
+        shape = parameter_shape(m, I, L)
+        if any(shape[name][key] == "zero" for name in moved for key in moved[name]):
+            return None
+    lam, gam, theta, mu = (tuple(sorted(moved[name].items())) for name in moved)
+    return LiftingDatum(m, I, L, lam, gam, theta, mu)
 
 
-def _theta_mu_match(
-    m: int, I, L, unit: UnitModM, d1: LiftingDatum, d2: LiftingDatum
-) -> bool:
-    n = m // 2
-    zero = CycloNumber.zero(m)
-    for pq in set(I):
-        for r in set(L):
-            p, q = pq
-            img = act_pair(unit, pq) + (act_ell(unit, r),)
-            p_low = ((unit.value * p) % m) < n
-            r_low = ((unit.inverse * r) % m) < n
-            guard_t = (q + r) % m == 0  # delta_{q, m-r}
-            guard_m = (q - r) % m == 0  # delta_{q, r}
-            th = d1.theta_value(pq + (r,)) if guard_t else zero
-            mu = d1.mu_value(pq + (r,)) if guard_m else zero
-            th2 = d2.theta_value(img)
-            mu2 = d2.mu_value(img)
-            if p_low and r_low:
-                ok = th == (th2 if guard_t else zero) and mu == (mu2 if guard_m else zero)
-            elif not p_low and not r_low:
-                ok = th == (th2 if guard_m else zero) and mu == (mu2 if guard_t else zero)
-            elif p_low and not r_low:
-                ok = th == (mu2 if guard_t else zero) and mu == (th2 if guard_m else zero)
-            else:
-                ok = th == (mu2 if guard_m else zero) and mu == (th2 if guard_t else zero)
-            if not ok:
-                return False
-    return True
+def _first_unit(d1: LiftingDatum, d2: LiftingDatum) -> tuple[bool, Optional[UnitModM]]:
+    for unit in units(d1.m):
+        if act_datum(unit, d1) == d2:
+            return True, unit
+    return False, None
 
 
 def is_isomorphic_A(
     m: int, I, lam, gamma, I2, lam2, gamma2
 ) -> tuple[bool, Optional[UnitModM]]:
-    """Lemma-style criterion for A-type presentations; returns the first witness unit."""
-    I = tuple(sorted(I))
-    I2 = tuple(sorted(I2))
-    d1 = _as_datum(m, I, (), lam, gamma)
-    d2 = _as_datum(m, I2, (), lam2, gamma2)
-    for unit in units(m):
-        if act_I(unit, I) != I2:
-            continue
-        if _lambda_gamma_match(m, I, unit, d1, d2):
-            return True, unit
-    return False, None
+    """A-type presentations: the least unit carrying the first datum onto the second."""
+    def datum(I, lam, gamma) -> LiftingDatum:
+        if isinstance(lam, LiftingDatum):
+            return lam
+        return LiftingDatum.build(m, I, lam=lam, gamma=gamma)
+
+    return _first_unit(datum(I, lam, gamma), datum(I2, lam2, gamma2))
 
 
 def is_isomorphic_B(
     m: int, first: tuple, second: tuple
 ) -> tuple[bool, Optional[UnitModM]]:
-    """Criterion for B-type data (I, L, datum) vs (I', L', datum')."""
-    I, L, d1 = first
-    I2, L2, d2 = second
-    I, L = tuple(sorted(I)), tuple(sorted(L))
-    I2, L2 = tuple(sorted(I2)), tuple(sorted(L2))
+    """B-type data (I, L, datum) vs (I', L', datum'): the least unit carrying one to the other."""
+    d1, d2 = first[2], second[2]
     if not isinstance(d1, LiftingDatum) or not isinstance(d2, LiftingDatum):
         raise DomainError("B-type comparison expects LiftingDatum instances")
-    for unit in units(m):
-        if act_I(unit, I) != I2 or act_L(unit, L) != L2:
-            continue
-        if _lambda_gamma_match(m, I, unit, d1, d2) and _theta_mu_match(
-            m, I, L, unit, d1, d2
-        ):
-            return True, unit
-    return False, None
+    return _first_unit(d1, d2)
 
 
 def is_isomorphic_L(m: int, L, L2) -> tuple[bool, Optional[UnitModM]]:
     """Bosonizations of M_L are isomorphic iff some unit carries L to L'."""
-    L = tuple(sorted(L))
-    L2 = tuple(sorted(L2))
-    for unit in units(m):
-        if act_L(unit, L) == L2:
-            return True, unit
-    return False, None
+    return _first_unit(LiftingDatum.zero(m, (), L), LiftingDatum.zero(m, (), L2))
 
 
 # -- orbit enumeration --------------------------------------------------------
@@ -225,10 +190,8 @@ def _grid_data(m: int, I, L, grid) -> list[LiftingDatum]:
     return out
 
 
-def _datum_desc(d: LiftingDatum) -> dict:
-    from .cyclo import format_scalar
-
-    out = {}
+def _entry(d: LiftingDatum) -> dict:
+    params = {}
     for name, items in (
         ("lambda", d.lam),
         ("gamma", d.gam),
@@ -236,10 +199,10 @@ def _datum_desc(d: LiftingDatum) -> dict:
         ("mu", d.mu),
     ):
         if items:
-            out[name] = {
+            params[name] = {
                 ",".join(str(x) for x in key): format_scalar(v) for key, v in items
             }
-    return out
+    return {"I": [list(p) for p in d.I], "L": list(d.L), "parameters": params}
 
 
 def iso_classes(
@@ -251,72 +214,54 @@ def iso_classes(
     """Orbit decomposition of the graded family instances under the unit action.
 
     The parameter grid is applied to the free parameters of each family
-    member; members are grouped by pairwise isomorphism and reported with
-    a canonical representative, the orbit size and witnessing units.
+    member.  Orbits come from the action itself: the first instance not yet
+    placed is the representative, and the images of it under the units,
+    taken in ascending order, claim the unplaced instances they hit.  Each
+    member's witness is therefore the least unit carrying the representative
+    onto it; members are listed in instance order, and repeated grid values
+    give repeated members.
     """
     n = m // 2
-    instances: list[tuple] = []
+    instances: list[tuple[str, LiftingDatum]] = []
     if "a" in families:
         for I in enumerate_I(m, 1):
             if I[0][1] % m != n:
-                instances.append(("a", I, (), LiftingDatum.zero(m, I, ())))
+                instances.append(("a", LiftingDatum.zero(m, I, ())))
     if "b" in families:
         for L in enumerate_L(m, r_max):
-            instances.append(("b", (), L, LiftingDatum.zero(m, (), L)))
+            instances.append(("b", LiftingDatum.zero(m, (), L)))
     if "c" in families:
         for I in enumerate_I(m, r_max):
             if len(I) == 1 and I[0][1] % m != n:
                 continue
-            for datum in _grid_data(m, I, (), parameter_grid):
-                instances.append(("c", I, (), datum))
+            instances.extend(("c", d) for d in _grid_data(m, I, (), parameter_grid))
     if "d" in families:
         for I, L in enumerate_K(m, r_max):
-            for datum in _grid_data(m, I, L, parameter_grid):
-                instances.append(("d", I, L, datum))
+            instances.extend(("d", d) for d in _grid_data(m, I, L, parameter_grid))
 
-    def related(a, b) -> tuple[bool, Optional[UnitModM]]:
-        fam, I, L, d1 = a
-        fam2, I2, L2, d2 = b
-        if fam != fam2:
-            return False, None
-        if fam == "b":
-            return is_isomorphic_L(m, L, L2)
-        if fam in ("a", "c"):
-            return is_isomorphic_A(m, I, d1, None, I2, d2, None)
-        return is_isomorphic_B(m, (I, L, d1), (I2, L2, d2))
-
-    orbits: list[dict] = []
-    assigned = [False] * len(instances)
+    positions: dict[tuple, list[int]] = {}
     for idx, inst in enumerate(instances):
-        if assigned[idx]:
+        positions.setdefault(inst, []).append(idx)
+    witness: list[Optional[UnitModM]] = [None] * len(instances)
+    orbits: list[dict] = []
+    for idx, (fam, datum) in enumerate(instances):
+        if witness[idx] is not None:
             continue
-        members = [(inst, UnitModM(m, 1))]
-        assigned[idx] = True
-        for jdx in range(idx + 1, len(instances)):
-            if assigned[jdx]:
-                continue
-            verdict, witness = related(inst, instances[jdx])
-            if verdict:
-                members.append((instances[jdx], witness))
-                assigned[jdx] = True
-        fam, I, L, datum = inst
+        members = []
+        for unit in units(m):
+            for jdx in positions.get((fam, act_datum(unit, datum)), ()):
+                if witness[jdx] is None:
+                    witness[jdx] = unit
+                    members.append(jdx)
+        members.sort()
         orbits.append(
             {
                 "family": fam,
-                "representative": {
-                    "I": [list(p) for p in I],
-                    "L": list(L),
-                    "parameters": _datum_desc(datum),
-                },
+                "representative": _entry(datum),
                 "orbit_size": len(members),
                 "members": [
-                    {
-                        "I": [list(p) for p in mem_inst[1]],
-                        "L": list(mem_inst[2]),
-                        "parameters": _datum_desc(mem_inst[3]),
-                        "witness_unit": unit.value,
-                    }
-                    for mem_inst, unit in members
+                    {**_entry(instances[jdx][1]), "witness_unit": witness[jdx].value}
+                    for jdx in members
                 ],
             }
         )

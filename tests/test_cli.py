@@ -1,8 +1,12 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nichols_dm.cli import main
+from nichols_dm.cli import _parse_module, _parse_param, main
+from nichols_dm.errors import DomainError
 
 
 def run_cli(capsys, *argv):
@@ -156,3 +160,90 @@ def test_invalid_module_spec(capsys):
     assert code == 2
     code, doc = run_cli(capsys, "nichols", "--m", "12", "--module", "I:(9,6)")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a dropped closing parenthesis used to lose the pair (dimension 4)
+        ["nichols", "--m", "12", "--module", "I:(1,6)+(5,6"],
+        ["nichols", "--m", "12", "--module", "I:(1,6)junk(5,6)"],
+        ["nichols", "--m", "12", "--module", "L:1x3"],
+        ["liftings", "--m", "12", "--family", "c", "--I", "(1,6)+(5,6)",
+         "--lambda", "1,6,5,6junk=1"],
+    ],
+    ids=["unclosed-pair", "junk-between-pairs", "junk-between-ells", "junk-in-key"],
+)
+def test_malformed_spec_is_a_validation_error(capsys, argv):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "validation"
+    assert "cannot parse" in doc["error"]["message"]
+
+
+def test_specs_allow_whitespace_and_lowercase_prefix():
+    assert _parse_module(12, " k : ( 2 , 3 ) + (2,3) | 3 + 5 ") == ([(2, 3), (2, 3)], [3, 5])
+    assert _parse_param(12, " 1 , 6 , 5 , 6 = 1 ")[(1, 6, 5, 6)] == 1
+
+
+def _canonical(kind, pairs, ells):
+    text = "+".join(f"({i},{k})" for i, k in pairs)
+    if kind == "K":
+        text += "|" + "+".join(str(ell) for ell in ells)
+    elif kind == "L":
+        text = "+".join(str(ell) for ell in ells)
+    return f"{kind}:{text}"
+
+
+_KINDS = st.sampled_from(["I", "L", "K"])
+_PAIR_LISTS = st.lists(st.sampled_from([(1, 6), (2, 3), (2, 9), (3, 2), (5, 6)]), max_size=3)
+_ELL_LISTS = st.lists(st.sampled_from([1, 3, 5]), max_size=3)
+
+
+def _spec(kind, pairs, ells):
+    return _canonical(kind, pairs if kind != "L" else [], ells if kind != "I" else [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_KINDS, _PAIR_LISTS, _ELL_LISTS, st.sampled_from(["", " ", "  "]))
+def test_generated_module_spec_parses(kind, pairs, ells, pad):
+    text = _spec(kind, pairs, ells)
+    spaced = pad + re.sub(r"([():+,|])", pad + r"\1" + pad, text) + pad
+    assert _canonical(kind, *_parse_module(12, spaced)) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _KINDS,
+    _PAIR_LISTS,
+    _ELL_LISTS,
+    st.integers(0, 40),
+    st.integers(0, 2),
+    st.sampled_from(["(", ")", "+", ",", "|", " ", "0", "1", "3", "x", ":", "i"]),
+)
+def test_accepted_module_spec_round_trips(kind, pairs, ells, at, cut, token):
+    # one edit of a valid spec; if the result is accepted it is the canonical
+    # rendering of what it parsed to, up to whitespace, leading zeros and the
+    # case of the prefix: nothing is skipped
+    text = _spec(kind, pairs, ells)
+    at = min(at, len(text))
+    text = text[:at] + token + text[at + cut:]
+    try:
+        parsed = _parse_module(12, text)
+    except DomainError:
+        return
+    normal = re.sub(r"\d+", lambda d: str(int(d.group())), re.sub(r"\s", "", text))
+    kind = normal.partition(":")[0].upper()
+    assert kind + normal[len(kind):] == _canonical(kind, *parsed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["1", "6", "0", ",", " ", "x", "("]), max_size=12).map("".join))
+def test_accepted_parameter_key_round_trips(key_text):
+    try:
+        (key,) = _parse_param(12, f"{key_text}=1")
+    except DomainError:
+        return
+    digits = re.findall(r"\d+", key_text)
+    assert re.sub(r"\s", "", key_text) == ",".join(digits)
+    assert key == tuple(int(x) for x in digits)

@@ -1,9 +1,18 @@
 import pytest
 
-from nichols_dm.classify import are_equivalent, support_J
+from nichols_dm.classify import (
+    are_equivalent,
+    enumerate_I,
+    enumerate_K,
+    enumerate_L,
+    support_J,
+)
+from nichols_dm.cyclo import CycloNumber
 from nichols_dm.errors import DomainError
 from nichols_dm.iso import (
     UnitModM,
+    _grid_data,
+    act_datum,
     act_I,
     act_L,
     act_ell,
@@ -130,17 +139,119 @@ def test_stabilizer_of_K_instance():
     d1 = LiftingDatum.build(12, I, L, mu=1)
     ok, w = is_isomorphic_B(12, (I, L, d0), (I, L, d0))
     assert ok and w.value == 1
-    from nichols_dm.iso import _lambda_gamma_match, _theta_mu_match
+    assert [u.value for u in units(12) if act_datum(u, d0) == d0] == [1, 5]
+    assert [u.value for u in units(12) if act_datum(u, d1) == d1] == [1]
+    # l = 5 folds (2,3) and keeps 3 low, so mu(2,3,3) crosses over to
+    # theta(2,3,3), which the delta guard forces to zero: no image datum
+    assert act_datum(UnitModM(12, 5), d1) is None
 
-    fixing_d1 = [
-        u.value
-        for u in units(12)
-        if act_I(u, I) == I
-        and act_L(u, L) == L
-        and _lambda_gamma_match(12, I, u, d1, d1)
-        and _theta_mu_match(12, I, L, u, d1, d1)
-    ]
-    assert fixing_d1 == [1]
+
+# -- the pairwise criterion the unit action replaced, kept as an oracle -------
+
+
+def _lambda_gamma_match(
+    m: int, I, unit: UnitModM, d1: LiftingDatum, d2: LiftingDatum
+) -> bool:
+    n = m // 2
+    zero = CycloNumber.zero(m)
+    for pq in set(I):
+        for ik in set(I):
+            p, q = pq
+            i, k = ik
+            img = act_pair(unit, pq) + act_pair(unit, ik)
+            same_side = (((unit.value * p) % m) < n) == (((unit.value * i) % m) < n)
+            guard_l = (q + k) % m == 0  # delta_{q, m-k}
+            guard_g = (q - k) % m == 0  # delta_{q, k}
+            lam = d1.lam_value(pq + ik) if guard_l else zero
+            gam = d1.gam_value(pq + ik) if guard_g else zero
+            lam2 = d2.lam_value(img) if guard_l else zero
+            gam2 = d2.gam_value(img) if guard_g else zero
+            if same_side:
+                if lam != lam2 or gam != gam2:
+                    return False
+            else:
+                if lam != gam2 or gam != lam2:
+                    return False
+    return True
+
+
+def _theta_mu_match(
+    m: int, I, L, unit: UnitModM, d1: LiftingDatum, d2: LiftingDatum
+) -> bool:
+    n = m // 2
+    zero = CycloNumber.zero(m)
+    for pq in set(I):
+        for r in set(L):
+            p, q = pq
+            img = act_pair(unit, pq) + (act_ell(unit, r),)
+            p_low = ((unit.value * p) % m) < n
+            r_low = ((unit.inverse * r) % m) < n
+            guard_t = (q + r) % m == 0  # delta_{q, m-r}
+            guard_m = (q - r) % m == 0  # delta_{q, r}
+            th = d1.theta_value(pq + (r,)) if guard_t else zero
+            mu = d1.mu_value(pq + (r,)) if guard_m else zero
+            th2 = d2.theta_value(img)
+            mu2 = d2.mu_value(img)
+            if p_low and r_low:
+                ok = th == (th2 if guard_t else zero) and mu == (mu2 if guard_m else zero)
+            elif not p_low and not r_low:
+                ok = th == (th2 if guard_m else zero) and mu == (mu2 if guard_t else zero)
+            elif p_low and not r_low:
+                ok = th == (mu2 if guard_t else zero) and mu == (th2 if guard_m else zero)
+            else:
+                ok = th == (mu2 if guard_m else zero) and mu == (th2 if guard_t else zero)
+            if not ok:
+                return False
+    return True
+
+
+def _grid_instances(m: int, grid, r_max: int = 2) -> list[LiftingDatum]:
+    """Every datum of the families (a)-(d) up to size r_max on the grid."""
+    families = [(I, ()) for I in enumerate_I(m, r_max)]
+    families += list(enumerate_K(m, r_max))
+    families += [((), L) for L in enumerate_L(m, r_max)]
+    return [d for I, L in families for d in _grid_data(m, I, L, grid)]
+
+
+@pytest.mark.parametrize(
+    "m, grid",
+    [
+        (12, ("0", "1")),
+        (12, ("0", "w^3")),
+        (12, ("0", "1", "-1")),
+        (16, ("0", "1")),
+        (20, ("0", "1")),
+    ],
+)
+def test_act_datum_agrees_with_pairwise_oracle(m, grid):
+    data = _grid_instances(m, grid)
+    by_family: dict = {}
+    for d in data:
+        by_family.setdefault((d.I, d.L), []).append(d)
+    accepted = 0
+    for a in data:
+        for u in units(m):
+            image = act_datum(u, a)
+            for b in by_family[(act_I(u, a.I), act_L(u, a.L))]:
+                oracle = _lambda_gamma_match(m, a.I, u, a, b) and _theta_mu_match(
+                    m, a.I, a.L, u, a, b
+                )
+                assert (image == b) == oracle, (u.value, a, b)
+                accepted += oracle
+    assert accepted > len(data)
+
+
+@pytest.mark.parametrize("m, grid", [(12, ("0", "1", "-1")), (20, ("0", "1"))])
+def test_act_datum_is_group_action(m, grid):
+    us = units(m)
+    for x in _grid_instances(m, grid):
+        assert act_datum(us[0], x) == x
+        for u2 in us:
+            y = act_datum(u2, x)
+            if y is None:
+                continue
+            for u1 in us:
+                assert act_datum(u1, y) == act_datum(u1 * u2, x)
 
 
 def test_is_isomorphic_L_orbits():
