@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -154,6 +155,60 @@ def test_hopf_check_B():
         P = presentation_B(12, [(2, 3)], [3], mu=mu)
         report = hopf_check(P, compile_presentation(P))
         assert report.all_ok, report.failures
+
+
+def _with_rhs(P, prefix, rhs):
+    """P with the right-hand side of its relation labelled `prefix...` replaced."""
+    relations = tuple(
+        dataclasses.replace(rel, rhs=rhs) if rel.label.startswith(prefix) else rel
+        for rel in P.relations
+    )
+    return dataclasses.replace(P, relations=relations)
+
+
+def test_hopf_check_reports_corrupted_relations():
+    # each corrupted relation still compiles; the report is pinned line by line
+    one = CycloNumber.one(12)
+    A = presentation_A(12, [(1, 6)], lam=1)
+    B = presentation_B(12, [(2, 3)], [3], theta=1)
+    cases = [
+        # x^2 = 1: Delta, the counit and S all fail
+        (
+            _with_rhs(A, "quad:xx", ((one, (0, 0)),)),
+            (False, False, False, (
+                "delta:quad:xx:x(1,6)|x(1,6):(1)*[((), 2)(x)((), 0)]",
+                "counit:quad:xx:x(1,6)|x(1,6):-1",
+                "antipode:quad:xx:x(1,6)|x(1,6):(-1)*1*e + (-1)*1*r^10",
+                "antipode:antimultiplicative:generator pair",
+            )),
+        ),
+        # x^2 = 1 - h^4 instead of 1 - h^2: the counit still vanishes
+        (
+            _with_rhs(A, "quad:xx", ((one, (0, 0)), (-one, (0, 4)))),
+            (False, True, False, (
+                "delta:quad:xx:x(1,6)|x(1,6):(1)*[((), 2)(x)((), 0)]"
+                " + (-1)*[((), 2)(x)((), 4)] + (-1)*[((), 4)(x)((), 0)]"
+                " + (1)*[((), 4)(x)((), 4)]",
+                "antipode:quad:xx:x(1,6)|x(1,6):(-1)*1*e + (1)*1*r^2"
+                " + (1)*1*r^8 + (-1)*1*r^10",
+                "antipode:antimultiplicative:generator pair",
+            )),
+        ),
+        # xz + zx = 1 in a B-type presentation: the z/w letters
+        (
+            _with_rhs(B, "quad:xz", ((one, (0, 0)),)),
+            (False, False, False, (
+                "delta:quad:xz:x(2,3)|z(3):(1)*[((), 8)(x)((), 0)]",
+                "counit:quad:xz:x(2,3)|z(3):-1",
+                "antipode:quad:xz:x(2,3)|z(3):(-1)*1*e + (-1)*1*r^4",
+                "antipode:antimultiplicative:generator pair",
+            )),
+        ),
+    ]
+    for P, expected in cases:
+        report = hopf_check(P, compile_presentation(P))
+        assert (report.delta_ok, report.counit_ok, report.antipode_ok, report.failures) == expected
+        assert not report.all_ok
 
 
 def test_skew_primitives_group_algebra():
