@@ -427,34 +427,42 @@ def format_scalar(a: CycloNumber) -> str:
     return out
 
 
-_TERM_RE = re.compile(
-    r"^(?:(?P<coef>-?\d+(?:/\d+)?)\s*\*?\s*)?(?P<w>w(?:\^(?P<exp>\d+))?)?$"
-)
+_COEF = r"[0-9]+(?:/[0-9]+)?"
+_POWER = r"w(?:\^[0-9]+)?"
+_TERM = rf"(?:{_COEF}(?:\s*\*\s*{_POWER}|{_POWER})?|{_POWER})"
+# whitespace only around the signs between terms, after a leading sign and
+# around '*'; never inside a number or a power of w
+_SCALAR_RE = re.compile(rf"[+-]?\s*{_TERM}(?:\s*[+-]\s*{_TERM})*")
+_TERM_RE = re.compile(rf"([+-]?)(?:({_COEF})\*?)?(w(?:\^([0-9]+))?)?")
 
 
 def parse_scalar(m: int, text: str) -> CycloNumber:
-    """Parse the syntax emitted by format_scalar back into a CycloNumber."""
+    """Parse the syntax emitted by format_scalar back into a CycloNumber.
+
+    A scalar is a signed sum of terms ``c``, ``c*w^e``, ``cw^e`` or ``w^e``
+    with ``c`` a non-negative integer or fraction and ``w`` alone meaning
+    ``w^1``; the whole text must match.
+    """
     s = text.strip().replace("−", "-")
-    if not s:
-        raise DomainError("empty scalar")
-    chunks = re.split(r"(?=[+-])", s.replace(" ", ""))
+    if not _SCALAR_RE.fullmatch(s):
+        raise DomainError(f"cannot parse scalar {text!r}; expected e.g. 1/2*w^2 - w + 3")
     total = CycloNumber.zero(m)
-    for chunk in chunks:
+    for chunk in re.split(r"(?=[+-])", re.sub(r"\s+", "", s)):
         if not chunk:
             continue
-        sign = 1
-        if chunk[0] == "+":
-            chunk = chunk[1:]
-        elif chunk[0] == "-":
-            sign, chunk = -1, chunk[1:]
-        match = _TERM_RE.match(chunk)
-        if not match or (match.group("coef") is None and match.group("w") is None):
-            raise DomainError(f"cannot parse scalar term {chunk!r} in {text!r}")
-        coef = Fraction(match.group("coef")) if match.group("coef") else Fraction(1)
-        if match.group("w"):
-            exp = int(match.group("exp")) if match.group("exp") else 1
-            term = CycloNumber.root(m, exp) * (sign * coef)
+        sign, coef, power, exp = _TERM_RE.fullmatch(chunk).groups()
+        try:
+            value = Fraction(coef or 1)
+            exp = int(exp or 1)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in scalar {text!r}") from None
+        except ValueError as exc:  # more digits than int() reads
+            raise DomainError(f"cannot read scalar {text!r}: {exc}") from None
+        if sign == "-":
+            value = -value
+        if power:
+            term = CycloNumber.root(m, exp) * value
         else:
-            term = CycloNumber.from_rational(m, sign * coef)
+            term = CycloNumber.from_rational(m, value)
         total = total + term
     return total

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .classify import (
     Pair,
-    entry_str,
+    _occurrence_names,
     is_valid_I,
     is_valid_K,
     is_valid_L,
@@ -330,16 +330,6 @@ class Presentation:
         }
 
 
-def _skew_names(entries, bases):
-    counts: dict = {}
-    out = []
-    for entry in entries:
-        counts[entry] = counts.get(entry, 0) + 1
-        suffix = "" if counts[entry] == 1 else f"#{counts[entry]}"
-        out.append(tuple(f"{b}{entry_str(entry)}{suffix}" for b in bases))
-    return out
-
-
 def _build(m: int, I: Sequence[Pair], L: Sequence[int], datum: LiftingDatum) -> Presentation:
     G = DihedralGroup(m)
     G.require_classification_modulus()
@@ -349,11 +339,11 @@ def _build(m: int, I: Sequence[Pair], L: Sequence[int], datum: LiftingDatum) -> 
     one = CycloNumber.one(m)
 
     gens: list[SkewGenerator] = []
-    xy_names = _skew_names(I, ("x", "y"))
+    xy_names = _occurrence_names(I, ("x", "y"))
     for (p, q), (xn, yn) in zip(I, xy_names):
         gens.append(SkewGenerator(xn, "x", (p, q), yn, q % m, p % m))
         gens.append(SkewGenerator(yn, "y", (p, q), xn, -q % m, -p % m))
-    zw_names = _skew_names(L, ("z", "w"))
+    zw_names = _occurrence_names(L, ("z", "w"))
     for ell, (zn, wn) in zip(L, zw_names):
         gens.append(SkewGenerator(zn, "z", (ell,), wn, ell % m, n))
         gens.append(SkewGenerator(wn, "w", (ell,), zn, -ell % m, n))

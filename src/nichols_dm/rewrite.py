@@ -11,6 +11,11 @@ declared generator precedence, so reduction terminates and Bergman's
 diamond lemma applies: once every overlap/inclusion ambiguity reduces to
 zero, the irreducible monomials (square-free sorted words times group
 elements) form a basis and their count certifies the dimension.
+
+hopf_check applies Delta and the antipode S to the element of each
+relation in the same monomial model and reduces the image; the
+structural relations are the zero element there, so only the quadratic
+relations carry a condition.
 """
 
 from __future__ import annotations
@@ -43,6 +48,15 @@ Monomial = tuple[Word, int]  # (skew word, encoded group element eps*m + rot)
 Element = dict  # Monomial -> CycloNumber
 
 
+def _add(acc: dict, key, coeff: CycloNumber) -> None:
+    """acc[key] += coeff, dropping the key when the sum is zero."""
+    new = acc[key] + coeff if key in acc else coeff
+    if new:
+        acc[key] = new
+    else:
+        acc.pop(key, None)
+
+
 @dataclass(frozen=True)
 class CompletionCertificate:
     rule_count: int
@@ -70,10 +84,6 @@ class RewriteSystem:
         self._nf_cache: dict[Monomial, Element] = {}
 
     # -- group element encoding ------------------------------------------
-
-    @property
-    def group_order(self) -> int:
-        return 2 * self.m
 
     def g_encode(self, eps: int, rot: int) -> int:
         return (eps & 1) * self.m + rot % self.m
@@ -111,17 +121,10 @@ class RewriteSystem:
     def monomial(self, word: Iterable, eps: int = 0, rot: int = 0) -> Element:
         return {(tuple(word), self.g_encode(eps, rot)): CycloNumber.one(self.m)}
 
-    def add_into(self, acc: Element, mono: Monomial, coeff: CycloNumber):
-        new = acc.get(mono, CycloNumber.zero(self.m)) + coeff
-        if new:
-            acc[mono] = new
-        else:
-            acc.pop(mono, None)
-
     def el_add(self, a: Element, b: Element, scale=None) -> Element:
         out = dict(a)
         for mono, coeff in b.items():
-            self.add_into(out, mono, coeff if scale is None else coeff * scale)
+            _add(out, mono, coeff if scale is None else coeff * scale)
         return out
 
     def el_scale(self, a: Element, scale: CycloNumber) -> Element:
@@ -137,7 +140,7 @@ class RewriteSystem:
                 coeff = c1 * c2
                 if exp:
                     coeff = coeff * CycloNumber.root(self.m, exp)
-                self.add_into(out, (w1 + moved, self.g_mul(g1, g2)), coeff)
+                _add(out, (w1 + moved, self.g_mul(g1, g2)), coeff)
         return out
 
     # -- reduction ---------------------------------------------------------
@@ -176,7 +179,7 @@ class RewriteSystem:
                     coeff = coeff * CycloNumber.root(self.m, exp)
                 new_mono = (prefix + v + moved, self.g_mul(delta, g))
                 for m3, c3 in self.normal_form_monomial(new_mono).items():
-                    self.add_into(result, m3, coeff * c3)
+                    _add(result, m3, coeff * c3)
         self._nf_cache[mono] = result
         return result
 
@@ -184,7 +187,7 @@ class RewriteSystem:
         out: Element = {}
         for mono, coeff in el.items():
             for m2, c2 in self.normal_form_monomial(mono).items():
-                self.add_into(out, m2, coeff * c2)
+                _add(out, m2, coeff * c2)
         return out
 
     def reduce_with_strategy(self, el: Element, rightmost: bool) -> Element:
@@ -197,7 +200,7 @@ class RewriteSystem:
                 continue
             match = self._find_redex(word, rightmost=rightmost)
             if match is None:
-                self.add_into(out, (word, g), coeff)
+                _add(out, (word, g), coeff)
                 continue
             pos, lhs = match
             prefix, suffix = word[:pos], word[pos + len(lhs) :]
@@ -231,7 +234,7 @@ class RewriteSystem:
             if w == lead:
                 continue
             # divide on the right by coeff * gamma
-            self.add_into(rhs, (w, self.g_mul(g, inv_gamma)), -(c * inv_coeff))
+            _add(rhs, (w, self.g_mul(g, inv_gamma)), -(c * inv_coeff))
         for w, _ in rhs:
             if (len(w), w) >= (len(lead), lead):
                 raise CompletionError(
@@ -274,7 +277,7 @@ def _relation_element(sys: RewriteSystem, rel: Relation) -> Element:
             term = sys.el_mul(term, factor)
         el = sys.el_add(el, term, scale=coeff)
     for coeff, (eps, rot) in rel.rhs:
-        sys.add_into(el, ((), sys.g_encode(eps, rot)), -coeff)
+        _add(el, ((), sys.g_encode(eps, rot)), -coeff)
     return el
 
 
@@ -450,83 +453,46 @@ def _tensor_mul(R: RewriteSystem, t1: Tensor, t2: Tensor) -> Tensor:
             leg2 = R.reduce(R.el_mul({a2: CycloNumber.one(R.m)}, {b2: CycloNumber.one(R.m)}))
             for m1, d1 in leg1.items():
                 for m2, d2 in leg2.items():
-                    key = (m1, m2)
-                    new = out.get(key, CycloNumber.zero(R.m)) + c1 * c2 * d1 * d2
-                    if new:
-                        out[key] = new
-                    else:
-                        out.pop(key, None)
+                    _add(out, (m1, m2), c1 * c2 * d1 * d2)
     return out
 
 
-def _delta_letter(R: RewriteSystem, name: str) -> Tensor:
+def _delta(R: RewriteSystem, el: Element) -> Tensor:
+    """Delta(el) with both legs in normal form.
+
+    Delta(v) = v (x) 1 + h^cop_exp(v) (x) v on a letter and
+    Delta(gamma) = gamma (x) gamma on a group element; a monomial (w, gamma)
+    is the product of its letters and then gamma.
+    """
     one = CycloNumber.one(R.m)
-    if name == "g":
-        g = ((), R.g_encode(1, 0))
-        return {(g, g): one}
-    if name == "h":
-        h = ((), R.g_encode(0, 1))
-        return {(h, h): one}
-    v = R.letter_index[name]
     unit = ((), R.g_encode(0, 0))
-    vm = ((v,), R.g_encode(0, 0))
-    grp = ((), R.g_encode(0, R.cop_exp[v]))
-    return {(vm, unit): one, (grp, vm): one}
-
-
-def _delta_word(R: RewriteSystem, word: tuple[str, ...]) -> Tensor:
-    unit = ((), R.g_encode(0, 0))
-    out: Tensor = {(unit, unit): CycloNumber.one(R.m)}
-    for name in word:
-        out = _tensor_mul(R, out, _delta_letter(R, name))
-    return out
-
-
-def _delta_residue(R: RewriteSystem, rel: Relation) -> Tensor:
     out: Tensor = {}
-    for coeff, word in rel.lhs:
-        for key, c in _delta_word(R, word).items():
-            new = out.get(key, CycloNumber.zero(R.m)) + coeff * c
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    for coeff, (eps, rot) in rel.rhs:
-        gm = ((), R.g_encode(eps, rot))
-        key = (gm, gm)
-        new = out.get(key, CycloNumber.zero(R.m)) - coeff
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
+    for (word, g), coeff in el.items():
+        t: Tensor = {(unit, unit): coeff}
+        for v in word:
+            vm = ((v,), R.g_encode(0, 0))
+            grp = ((), R.g_encode(0, R.cop_exp[v]))
+            t = _tensor_mul(R, t, {(vm, unit): one, (grp, vm): one})
+        gamma = ((), g)
+        for key, c in _tensor_mul(R, t, {(gamma, gamma): one}).items():
+            _add(out, key, c)
     return out
 
 
-def _antipode_letter(R: RewriteSystem, name: str) -> Element:
-    if name == "g":
-        return R.monomial((), eps=1)
-    if name == "h":
-        return R.monomial((), rot=-1)
-    v = R.letter_index[name]
-    el = R.el_mul(R.monomial((), rot=-R.cop_exp[v]), R.monomial((v,)))
-    return R.el_scale(el, -CycloNumber.one(R.m))
+def _antipode(R: RewriteSystem, el: Element) -> Element:
+    """S(el) in the monomial model, not reduced.
 
-
-def _antipode_word(R: RewriteSystem, word: tuple[str, ...]) -> Element:
-    out = R.monomial(())
-    for name in reversed(word):
-        out = R.el_mul(out, _antipode_letter(R, name))
-    return out
-
-
-def _antipode_element(R: RewriteSystem, el: Element) -> Element:
+    S(v) = -h^-cop_exp(v) v, S(gamma) = gamma^-1 and S(ab) = S(b) S(a).
+    """
+    minus_one = -CycloNumber.one(R.m)
     out: Element = {}
     for (word, g), coeff in el.items():
         term = {((), R.g_inv(g)): coeff}
-        for letter in reversed(word):
-            term = R.el_mul(term, _antipode_letter(R, R.letters[letter]))
+        for v in reversed(word):
+            s_v = R.el_mul(R.monomial((), rot=-R.cop_exp[v]), R.monomial((v,)))
+            term = R.el_mul(term, R.el_scale(s_v, minus_one))
         for mono, c in term.items():
-            R.add_into(out, mono, c)
+            _add(out, mono, c)
     return out
 
 
@@ -543,16 +509,21 @@ class HopfReport:
 
 
 def hopf_check(P: Presentation, R: RewriteSystem) -> HopfReport:
-    """Verify that Delta, the counit and the antipode descend to the quotient."""
+    """Verify that Delta, the counit and the antipode descend to the quotient.
+
+    Delta and S are applied to the element of each relation in the monomial
+    model; a relation is respected when the image reduces to zero.
+    """
     if R.certificate is None or not R.certificate.all_resolved:
         raise CompletionError("hopf_check needs a certified system")
+    elements = [(rel.label, _relation_element(R, rel)) for rel in P.relations]
     failures = []
     delta_ok = True
-    for rel in P.relations:
-        residue = _delta_residue(R, rel)
+    for label, el in elements:
+        residue = _delta(R, el)
         if residue:
             delta_ok = False
-            failures.append(f"delta:{rel.label}:{_tensor_str(R, residue)}")
+            failures.append(f"delta:{label}:{_tensor_str(R, residue)}")
     counit_ok = True
     for rel in P.relations:
         residue = P.counit_residue(rel)
@@ -560,24 +531,19 @@ def hopf_check(P: Presentation, R: RewriteSystem) -> HopfReport:
             counit_ok = False
             failures.append(f"counit:{rel.label}:{residue}")
     antipode_ok = True
-    for rel in P.relations:
-        el = R.zero_el()
-        for coeff, word in rel.lhs:
-            el = R.el_add(el, _antipode_word(R, word), scale=coeff)
-        for coeff, (eps, rot) in rel.rhs:
-            R.add_into(el, ((), R.g_inv(R.g_encode(eps, rot))), -coeff)
-        residue = R.reduce(el)
+    for label, el in elements:
+        residue = R.reduce(_antipode(R, el))
         if residue:
             antipode_ok = False
-            failures.append(f"antipode:{rel.label}:{_element_str(R, residue)}")
+            failures.append(f"antipode:{label}:{_element_str(R, residue)}")
     # S(ab) = S(b) S(a) on all generator pairs, through normal forms
     gens = [R.monomial((), eps=1), R.monomial((), rot=1)] + [
         R.monomial((v,)) for v in range(len(R.letters))
     ]
     for a in gens:
         for b in gens:
-            lhs = _antipode_element(R, R.reduce(R.el_mul(a, b)))
-            rhs = R.el_mul(_antipode_element(R, b), _antipode_element(R, a))
+            lhs = _antipode(R, R.reduce(R.el_mul(a, b)))
+            rhs = R.el_mul(_antipode(R, b), _antipode(R, a))
             diff = R.el_add(R.reduce(lhs), R.reduce(rhs), scale=-CycloNumber.one(R.m))
             if R.reduce(diff):
                 antipode_ok = False
@@ -619,18 +585,12 @@ def skew_primitives(R: RewriteSystem, degree: GroupElement) -> list[Element]:
         for g in range(2 * R.m)
     ]
     columns: dict[Monomial, Tensor] = {}
+    one = CycloNumber.one(R.m)
     for mono in unknowns:
-        word, g = mono
-        names = tuple(R.letters[l] for l in word)
-        gamma = ((), g)
-        t = _tensor_mul(R, _delta_word(R, names), {(gamma, gamma): CycloNumber.one(R.m)})
+        t = _delta(R, {mono: one})
         # subtract mono (x) 1 and degree (x) mono
-        for key in ((mono, unit), (d_mono, mono)):
-            new = t.get(key, CycloNumber.zero(R.m)) - CycloNumber.one(R.m)
-            if new:
-                t[key] = new
-            else:
-                t.pop(key, None)
+        _add(t, (mono, unit), -one)
+        _add(t, (d_mono, mono), -one)
         columns[mono] = t
     coords = sorted({key for t in columns.values() for key in t})
     rows = []
@@ -654,13 +614,8 @@ def _nullspace(m: int, unknowns: list, rows: list[dict]) -> list[Element]:
             if pivot in row:
                 factor = row.pop(pivot)
                 for u, c in prow.items():
-                    if u == pivot:
-                        continue
-                    new = row.get(u, CycloNumber.zero(m)) - factor * c
-                    if new:
-                        row[u] = new
-                    else:
-                        row.pop(u, None)
+                    if u != pivot:
+                        _add(row, u, -(factor * c))
         if not row:
             continue
         pivot = min(row, key=position.__getitem__)
@@ -671,13 +626,8 @@ def _nullspace(m: int, unknowns: list, rows: list[dict]) -> list[Element]:
             if pivot in prow:
                 factor = prow.pop(pivot)
                 for u, c in row.items():
-                    if u == pivot:
-                        continue
-                    new = prow.get(u, CycloNumber.zero(m)) - factor * c
-                    if new:
-                        prow[u] = new
-                    else:
-                        prow.pop(u, None)
+                    if u != pivot:
+                        _add(prow, u, -(factor * c))
         pivots[pivot] = row
     free = [u for u in unknowns if u not in pivots]
     out = []

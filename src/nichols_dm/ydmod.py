@@ -23,7 +23,6 @@ from .dihedral import (
     DihedralGroup,
     GroupElement,
     centralizer,
-    class_of,
 )
 from .errors import DomainError
 from .rack import is_type_D
@@ -299,8 +298,3 @@ def nichols_dimension(M: YDModule) -> Finite | Infinite:
                     label,
                 )
     return Finite(2**M.dim)
-
-
-def module_for_class_rep(G: DihedralGroup, sigma: GroupElement, rep) -> YDModule:
-    """Convenience: induce from the class of sigma."""
-    return induce(G, class_of(G, sigma), rep)

@@ -181,6 +181,24 @@ def test_malformed_spec_is_a_validation_error(capsys, argv):
     assert "cannot parse" in doc["error"]["message"]
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the space inside "1 1" used to be dropped, giving lambda = 11
+        ["liftings", "--m", "12", "--family", "c", "--I", "(1,6)", "--lambda", "1 1"],
+        # a zero denominator used to end in a ZeroDivisionError traceback
+        ["verify", "--m", "12", "--family", "c", "--I", "(1,6)", "--lambda", "1/0"],
+        ["iso", "--m", "12", "--grid", "0,1/0"],
+    ],
+    ids=["space-between-digits", "zero-denominator", "zero-denominator-in-grid"],
+)
+def test_malformed_scalar_is_a_validation_error(capsys, argv):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "validation"
+
+
 def test_specs_allow_whitespace_and_lowercase_prefix():
     assert _parse_module(12, " k : ( 2 , 3 ) + (2,3) | 3 + 5 ") == ([(2, 3), (2, 3)], [3, 5])
     assert _parse_param(12, " 1 , 6 , 5 , 6 = 1 ")[(1, 6, 5, 6)] == 1

@@ -113,11 +113,38 @@ def test_ring_axioms_m12(av, bv, cv):
     assert a * b == b * a
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(-4, 4), min_size=4, max_size=4))
-def test_format_parse_roundtrip(vec):
-    a = CycloNumber(12, vec)
-    assert parse_scalar(12, format_scalar(a)) == a
+_FRACTIONS = st.fractions(max_denominator=12).filter(lambda q: abs(q.numerator) < 10**6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([12, 16, 20, 36]), st.data())
+def test_format_parse_roundtrip(m, data):
+    vec = data.draw(st.lists(_FRACTIONS, min_size=1, max_size=len(CycloNumber.zero(m).coeffs)))
+    a = CycloNumber(m, vec)
+    assert parse_scalar(m, format_scalar(a)) == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FRACTIONS, min_size=4, max_size=4), st.data())
+def test_space_between_digits_is_rejected(vec, data):
+    text = format_scalar(CycloNumber(12, vec))
+    cuts = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
+    if not cuts:
+        return
+    at = data.draw(st.sampled_from(cuts))
+    with pytest.raises(DomainError):
+        parse_scalar(12, text[:at] + " " + text[at:])
+
+
+def test_scalar_whitespace_and_errors():
+    w = CycloNumber.root(12, 1)
+    # whitespace around signs between terms, after a leading sign, around '*'
+    assert parse_scalar(12, " - 1/2 * w^2 +  3 ") == -w * w * Fraction(1, 2) + 3
+    assert parse_scalar(12, "2w") == parse_scalar(12, "2 * w") == w * 2
+    for text in ("1 1", "1 /2", "1/ 2", "w ^2", "w^ 2", "2 w", "2*", "--1",
+                 "1 + - w", "", " ", "1junk", "w^2 w", "1/0", "w + 3/00"):
+        with pytest.raises(DomainError):
+            parse_scalar(12, text)
 
 
 def test_format_examples():
