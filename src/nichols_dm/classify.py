@@ -179,10 +179,6 @@ class LabeledModule:
                 return idx
         raise KeyError(name)
 
-    @property
-    def label_map(self) -> dict[str, int]:
-        return dict(self.labels)
-
 
 def _occurrence_names(entries, base_names):
     """Names like a(1,6), with #2, #3 suffixes for repeated multiset entries."""

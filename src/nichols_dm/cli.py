@@ -186,38 +186,16 @@ def cmd_nichols(args) -> tuple[dict, int]:
 
 def _build_presentation(args):
     m = args.m
-    I = _parse_pairs(m, args.I) if args.I else []
-    L = _parse_ells(m, args.L) if args.L else []
-    lam = _parse_param(m, getattr(args, "lam", None))
-    gamma = _parse_param(m, args.gamma)
-    theta = _parse_param(m, args.theta)
-    mu = _parse_param(m, args.mu)
-    family = args.family
-    if family == "a":
-        if lam or gamma or theta or mu:
-            raise DomainError("family (a) bosonizations carry no parameters")
-        if len(I) != 1 or L:
-            raise DomainError("family (a) needs exactly one pair and no L part")
-        if I[0][1] % m == m // 2:
-            raise DomainError("family (a) excludes k = n; use family (c)")
-        return lifting_mod.presentation_A(m, I)
-    if family == "b":
-        if lam or gamma or theta or mu:
-            raise DomainError("family (b) bosonizations carry no parameters")
-        if I or not L:
-            raise DomainError("family (b) needs an L part and no I part")
-        return lifting_mod.presentation_L(m, L)
-    if family == "c":
-        if theta or mu:
-            raise DomainError("family (c) has no theta/mu parameters")
-        if not I or L:
-            raise DomainError("family (c) needs an I part and no L part")
-        return lifting_mod.presentation_A(m, I, lam=lam, gamma=gamma)
-    if family == "d":
-        return lifting_mod.presentation_B(
-            m, I, L, lam=lam, gamma=gamma, theta=theta, mu=mu
-        )
-    raise DomainError(f"unknown family {family!r}")
+    return lifting_mod.family_presentation(
+        m,
+        args.family,
+        _parse_pairs(m, args.I),
+        _parse_ells(m, args.L),
+        lam=_parse_param(m, args.lam),
+        gamma=_parse_param(m, args.gamma),
+        theta=_parse_param(m, args.theta),
+        mu=_parse_param(m, args.mu),
+    )
 
 
 def cmd_liftings(args) -> tuple[dict, int]:
@@ -371,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nichols)
 
     def family_flags(p):
-        p.add_argument("--family", required=True, choices=["a", "b", "c", "d"])
+        p.add_argument("--family", required=True, choices=list(lifting_mod.FAMILIES))
         p.add_argument("--I", default=None, help="pair list, e.g. (1,6)+(5,6)")
         p.add_argument("--L", default=None, help="l list, e.g. 1+3")
         p.add_argument("--lambda", dest="lam", default=None, help="lambda parameter(s)")

@@ -63,10 +63,6 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(result)
 
 
-def euler_phi(m: int) -> int:
-    return len(cyclotomic_polynomial(m)) - 1
-
-
 class _Field:
     """Per-modulus context: reduction data for Q[x]/Phi_m(x)."""
 
@@ -321,11 +317,6 @@ class CycloNumber:
             memo = _field(self.m).root_lookup.get(self.coeffs)
             object.__setattr__(self, "_root_memo", memo)
         return memo
-
-    def as_rational(self) -> Fraction | None:
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def __str__(self):
         return format_scalar(self)

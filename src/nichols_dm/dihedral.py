@@ -72,9 +72,6 @@ class GroupElement:
     def inverse(self) -> "GroupElement":
         return GroupElement(self.m, self.eps, self.rot if self.eps else -self.rot)
 
-    def conjugated_by(self, g: "GroupElement") -> "GroupElement":
-        return g * self * g.inverse()
-
     @property
     def is_identity(self) -> bool:
         return self.eps == 0 and self.rot == 0

@@ -18,10 +18,10 @@ from itertools import product
 from math import gcd
 from typing import Optional, Sequence
 
-from .classify import Pair, enumerate_I, enumerate_K, enumerate_L, in_J
+from .classify import Pair, in_J
 from .cyclo import format_scalar
 from .errors import DomainError
-from .lifting import LiftingDatum, free_parameter_keys, parameter_shape
+from .lifting import FAMILIES, LiftingDatum, family_members, free_parameter_keys, parameter_shape
 
 __all__ = [
     "UnitModM",
@@ -213,31 +213,24 @@ def iso_classes(
 ) -> list[dict]:
     """Orbit decomposition of the graded family instances under the unit action.
 
-    The parameter grid is applied to the free parameters of each family
-    member.  Orbits come from the action itself: the first instance not yet
+    `families` is a nonempty subset of "abcd"; `lifting.family_members`
+    lists the members of each.  The parameter grid is applied to the free
+    parameters of each family member.  Orbits come from the action itself: the first instance not yet
     placed is the representative, and the images of it under the units,
     taken in ascending order, claim the unplaced instances they hit.  Each
     member's witness is therefore the least unit carrying the representative
     onto it; members are listed in instance order, and repeated grid values
     give repeated members.
     """
-    n = m // 2
-    instances: list[tuple[str, LiftingDatum]] = []
-    if "a" in families:
-        for I in enumerate_I(m, 1):
-            if I[0][1] % m != n:
-                instances.append(("a", LiftingDatum.zero(m, I, ())))
-    if "b" in families:
-        for L in enumerate_L(m, r_max):
-            instances.append(("b", LiftingDatum.zero(m, (), L)))
-    if "c" in families:
-        for I in enumerate_I(m, r_max):
-            if len(I) == 1 and I[0][1] % m != n:
-                continue
-            instances.extend(("c", d) for d in _grid_data(m, I, (), parameter_grid))
-    if "d" in families:
-        for I, L in enumerate_K(m, r_max):
-            instances.extend(("d", d) for d in _grid_data(m, I, L, parameter_grid))
+    if not families or not set(families) <= set(FAMILIES):
+        raise DomainError(f"families must be a nonempty subset of {FAMILIES!r}, got {families!r}")
+    instances = [
+        (fam, d)
+        for fam in FAMILIES
+        if fam in families
+        for I, L in family_members(m, fam, r_max)
+        for d in _grid_data(m, I, L, parameter_grid)
+    ]
 
     positions: dict[tuple, list[int]] = {}
     for idx, inst in enumerate(instances):

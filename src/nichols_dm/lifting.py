@@ -8,20 +8,30 @@ guard that never fires (or a vanishing group factor 1 - h^0) forces the
 entry to zero, and the symmetry lambda_{p,m-k,i,k} = lambda_{i,k,p,m-k},
 gamma_{p,k,i,k} = gamma_{i,k,p,k} identifies transposed keys.
 
-The y-y / y-w relation families are generated by closing the displayed
-relations under conjugation by g (x <-> y, z <-> w, h-exponents negated),
-which reproduces the full eight-family list.
+`_build` writes each x/z generator and each displayed relation family
+(xx, xy, zz, zw, xz, xw) once; conjugation by g (x <-> y, z <-> w,
+h-exponents negated) derives the y/w generators and the yy, ww, yw and yz
+relations, each placed right after the relation it comes from.
+
+The rule that sorts (I, L) into the four families of the lifting theorem
+lives here and nowhere else: `family_members` enumerates family (a), (b),
+(c) or (d), and `family_presentation` checks membership and builds the
+presentation.  (a) is I = {(i,k)} with k != n, (b) is any L, (c) is any
+other I, and (d) is (I, L) in the K-family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .classify import (
     Pair,
     _occurrence_names,
+    enumerate_I,
+    enumerate_K,
+    enumerate_L,
     is_valid_I,
     is_valid_K,
     is_valid_L,
@@ -31,11 +41,14 @@ from .dihedral import DihedralGroup
 from .errors import DomainError
 
 __all__ = [
+    "FAMILIES",
     "LiftingDatum",
     "Presentation",
     "Relation",
     "SkewGenerator",
     "bosonization",
+    "family_members",
+    "family_presentation",
     "free_parameter_keys",
     "group_algebra_presentation",
     "parameter_shape",
@@ -330,23 +343,25 @@ class Presentation:
         }
 
 
-def _build(m: int, I: Sequence[Pair], L: Sequence[int], datum: LiftingDatum) -> Presentation:
+_CONJUGATE_KIND = str.maketrans("xyzw", "yxwz")
+
+
+def _build(datum: LiftingDatum) -> Presentation:
+    m, I, L = datum.m, datum.I, datum.L
     G = DihedralGroup(m)
     G.require_classification_modulus()
     n = G.n
-    I = tuple(sorted(I))
-    L = tuple(sorted(L))
     one = CycloNumber.one(m)
 
+    # each x (z) letter with its g-conjugate y (w): h-exponents negated
     gens: list[SkewGenerator] = []
-    xy_names = _occurrence_names(I, ("x", "y"))
-    for (p, q), (xn, yn) in zip(I, xy_names):
-        gens.append(SkewGenerator(xn, "x", (p, q), yn, q % m, p % m))
-        gens.append(SkewGenerator(yn, "y", (p, q), xn, -q % m, -p % m))
-    zw_names = _occurrence_names(L, ("z", "w"))
-    for ell, (zn, wn) in zip(L, zw_names):
-        gens.append(SkewGenerator(zn, "z", (ell,), wn, ell % m, n))
-        gens.append(SkewGenerator(wn, "w", (ell,), zn, -ell % m, n))
+    xy_names = _occurrence_names(I, "xy")
+    zw_names = _occurrence_names(L, "zw")
+    letters = [("xy", (p, q), q, p) for p, q in I] + [("zw", (ell,), ell, n) for ell in L]
+    for (kinds, entry, h_exp, cop_exp), (a, b) in zip(letters, xy_names + zw_names):
+        gens.append(SkewGenerator(a, kinds[0], entry, b, h_exp % m, cop_exp % m))
+        gens.append(SkewGenerator(b, kinds[1], entry, a, -h_exp % m, -cop_exp % m))
+    partner = {v.name: v.partner for v in gens}
 
     rels: list[Relation] = [
         Relation("group:g2", ((one, ("g", "g")),), ((one, (0, 0)),)),
@@ -376,131 +391,43 @@ def _build(m: int, I: Sequence[Pair], L: Sequence[int], datum: LiftingDatum) -> 
             )
         )
 
-    def combo(value: CycloNumber, exp: int):
-        if not value:
-            return ()
-        return ((value, (0, 0)), (-value, (0, exp % m)))
+    zero = CycloNumber.zero(m)
+
+    def relation(kind: str, a: str, b: str, value: CycloNumber, exp: int) -> Relation:
+        lhs = ((one, (a, a)),) if a == b else ((one, (a, b)), (one, (b, a)))
+        rhs = ((value, (0, 0)), (-value, (0, exp % m))) if value else ()
+        return Relation(f"quad:{kind}:{a}|{b}", lhs, rhs)
+
+    def quad(kind: str, a: str, b: str, value: CycloNumber = zero, exp: int = 0):
+        """ab + ba (a^2 when a == b) = value (1 - h^exp), then its g-conjugate.
+
+        The xy and zw families are closed under conjugation and come once.
+        """
+        rels.append(relation(kind, a, b, value, exp))
+        if kind not in ("xy", "zw"):
+            conjugate = kind.translate(_CONJUGATE_KIND)
+            rels.append(relation(conjugate, partner[a], partner[b], value, -exp))
 
     xs = [names[0] for names in xy_names]
     ys = [names[1] for names in xy_names]
     zs = [names[0] for names in zw_names]
     ws = [names[1] for names in zw_names]
-
-    for s in range(len(I)):
-        p, q = I[s]
+    # the square x^2 = lambda (1 - h^2p) is the diagonal s = t, i = p
+    for s, (p, q) in enumerate(I):
         for t in range(s, len(I)):
             i, k = I[t]
-            lam = datum.lam_value((p, q, i, k))
-            if s == t:
-                # diagonal relation emitted in square form; the stored
-                # parameter is the printed square coefficient
-                rels.append(
-                    Relation(
-                        f"quad:xx:{xs[s]}|{xs[s]}",
-                        ((one, (xs[s], xs[s])),),
-                        combo(lam, 2 * p),
-                    )
-                )
-                rels.append(
-                    Relation(
-                        f"quad:yy:{ys[s]}|{ys[s]}",
-                        ((one, (ys[s], ys[s])),),
-                        combo(lam, -2 * p),
-                    )
-                )
-            else:
-                rels.append(
-                    Relation(
-                        f"quad:xx:{xs[s]}|{xs[t]}",
-                        ((one, (xs[s], xs[t])), (one, (xs[t], xs[s]))),
-                        combo(lam, p + i),
-                    )
-                )
-                rels.append(
-                    Relation(
-                        f"quad:yy:{ys[s]}|{ys[t]}",
-                        ((one, (ys[s], ys[t])), (one, (ys[t], ys[s]))),
-                        combo(lam, -(p + i)),
-                    )
-                )
-        for t in range(len(I)):
-            i, k = I[t]
-            gam = datum.gam_value((p, q, i, k))
-            rels.append(
-                Relation(
-                    f"quad:xy:{xs[s]}|{ys[t]}",
-                    ((one, (xs[s], ys[t])), (one, (ys[t], xs[s]))),
-                    combo(gam, p - i),
-                )
-            )
-
+            quad("xx", xs[s], xs[t], datum.lam_value((p, q, i, k)), p + i)
+        for t, (i, k) in enumerate(I):
+            quad("xy", xs[s], ys[t], datum.gam_value((p, q, i, k)), p - i)
     for s in range(len(L)):
         for t in range(s, len(L)):
-            if s == t:
-                rels.append(
-                    Relation(f"quad:zz:{zs[s]}|{zs[s]}", ((one, (zs[s], zs[s])),), ())
-                )
-                rels.append(
-                    Relation(f"quad:ww:{ws[s]}|{ws[s]}", ((one, (ws[s], ws[s])),), ())
-                )
-            else:
-                rels.append(
-                    Relation(
-                        f"quad:zz:{zs[s]}|{zs[t]}",
-                        ((one, (zs[s], zs[t])), (one, (zs[t], zs[s]))),
-                        (),
-                    )
-                )
-                rels.append(
-                    Relation(
-                        f"quad:ww:{ws[s]}|{ws[t]}",
-                        ((one, (ws[s], ws[t])), (one, (ws[t], ws[s]))),
-                        (),
-                    )
-                )
+            quad("zz", zs[s], zs[t])
         for t in range(len(L)):
-            rels.append(
-                Relation(
-                    f"quad:zw:{zs[s]}|{ws[t]}",
-                    ((one, (zs[s], ws[t])), (one, (ws[t], zs[s]))),
-                    (),
-                )
-            )
-
-    for s in range(len(I)):
-        p, q = I[s]
-        for u in range(len(L)):
-            ell = L[u]
-            theta = datum.theta_value((p, q, ell))
-            mu = datum.mu_value((p, q, ell))
-            rels.append(
-                Relation(
-                    f"quad:xz:{xs[s]}|{zs[u]}",
-                    ((one, (xs[s], zs[u])), (one, (zs[u], xs[s]))),
-                    combo(theta, n + p),
-                )
-            )
-            rels.append(
-                Relation(
-                    f"quad:yw:{ys[s]}|{ws[u]}",
-                    ((one, (ys[s], ws[u])), (one, (ws[u], ys[s]))),
-                    combo(theta, n - p),
-                )
-            )
-            rels.append(
-                Relation(
-                    f"quad:xw:{xs[s]}|{ws[u]}",
-                    ((one, (xs[s], ws[u])), (one, (ws[u], xs[s]))),
-                    combo(mu, n + p),
-                )
-            )
-            rels.append(
-                Relation(
-                    f"quad:yz:{ys[s]}|{zs[u]}",
-                    ((one, (ys[s], zs[u])), (one, (zs[u], ys[s]))),
-                    combo(mu, n - p),
-                )
-            )
+            quad("zw", zs[s], ws[t])
+    for s, (p, q) in enumerate(I):
+        for u, ell in enumerate(L):
+            quad("xz", xs[s], zs[u], datum.theta_value((p, q, ell)), n + p)
+            quad("xw", xs[s], ws[u], datum.mu_value((p, q, ell)), n + p)
 
     if I and L:
         kind = "B"
@@ -518,7 +445,7 @@ def presentation_A(m: int, I: Sequence[Pair], lam=None, gamma=None) -> Presentat
     if not is_valid_I(m, I):
         raise DomainError(f"{tuple(I)} is not an I-family for m = {m}")
     datum = LiftingDatum.build(m, I, (), lam=lam, gamma=gamma)
-    return _build(m, datum.I, (), datum)
+    return _build(datum)
 
 
 def presentation_B(
@@ -530,48 +457,101 @@ def presentation_B(
     if not is_valid_K(m, I, L):
         raise DomainError(f"({tuple(I)}, {tuple(L)}) is not a K-family for m = {m}")
     datum = LiftingDatum.build(m, I, L, lam=lam, gamma=gamma, theta=theta, mu=mu)
-    return _build(m, datum.I, datum.L, datum)
+    return _build(datum)
 
 
 def presentation_L(m: int, L: Sequence[int]) -> Presentation:
     """Bosonization presentation on g, h, z_l, w_l (homogeneous relations)."""
     if not is_valid_L(m, L):
         raise DomainError(f"{tuple(L)} is not an L-family for m = {m}")
-    return _build(m, (), tuple(sorted(L)), LiftingDatum.zero(m, (), L))
+    return _build(LiftingDatum.zero(m, (), L))
 
 
 def group_algebra_presentation(m: int) -> Presentation:
     """Just the group algebra of D_m (no skew-primitives); 2m normal words."""
-    DihedralGroup(m).require_classification_modulus()
-    return _build(m, (), (), LiftingDatum.zero(m, (), ()))
+    return _build(LiftingDatum.zero(m, (), ()))
+
+
+FAMILIES = "abcd"
+
+_DESCRIPTIONS = {
+    "a": "bosonizations of M_I, I = {(i,k)} with k != n; no parameters",
+    "b": "bosonizations of M_L, L any multiset of odd l < n; no parameters",
+    "c": "A_I(lambda, gamma) with |I| > 1 or I = {(i,n)}",
+    "d": "B_{I,L}(lambda, gamma, theta, mu) with (I, L) in the K-family",
+}
+
+
+def _single_pair_k_not_n(m: int, I: Sequence[Pair]) -> bool:
+    """I = {(i,k)} with k != n: family (a), never (c)."""
+    return len(I) == 1 and I[0][1] % m != m // 2
+
+
+def family_members(m: int, family: str, r_max: int) -> Iterator[tuple[tuple[Pair, ...], tuple[int, ...]]]:
+    """The (I, L) of family (a), (b), (c) or (d) with |I| + |L| <= r_max.
+
+    Family (a) is single pairs whatever r_max is.
+    """
+    if family == "a":
+        yield from ((I, ()) for I in enumerate_I(m, 1) if _single_pair_k_not_n(m, I))
+    elif family == "b":
+        yield from (((), L) for L in enumerate_L(m, r_max))
+    elif family == "c":
+        yield from ((I, ()) for I in enumerate_I(m, r_max) if not _single_pair_k_not_n(m, I))
+    elif family == "d":
+        yield from enumerate_K(m, r_max)
+    else:
+        raise DomainError(f"unknown family {family!r}")
+
+
+def family_presentation(
+    m: int,
+    family: str,
+    I: Sequence[Pair] = (),
+    L: Sequence[int] = (),
+    lam=None,
+    gamma=None,
+    theta=None,
+    mu=None,
+) -> Presentation:
+    """The presentation of (I, L) in family (a)-(d); DomainError if it is not a member."""
+    if family in ("a", "b") and (lam or gamma or theta or mu):
+        raise DomainError(f"family ({family}) bosonizations carry no parameters")
+    if family == "a":
+        if len(I) != 1 or L:
+            raise DomainError("family (a) needs exactly one pair and no L part")
+        if not _single_pair_k_not_n(m, I):
+            raise DomainError("family (a) excludes k = n; use family (c)")
+        return presentation_A(m, I)
+    if family == "b":
+        if I or not L:
+            raise DomainError("family (b) needs an L part and no I part")
+        return presentation_L(m, L)
+    if family == "c":
+        if theta or mu:
+            raise DomainError("family (c) has no theta/mu parameters")
+        if not I or L:
+            raise DomainError("family (c) needs an I part and no L part")
+        if _single_pair_k_not_n(m, I):
+            raise DomainError("family (c) excludes I = {(i,k)} with k != n; use family (a)")
+        return presentation_A(m, I, lam=lam, gamma=gamma)
+    if family == "d":
+        return presentation_B(m, I, L, lam=lam, gamma=gamma, theta=theta, mu=mu)
+    raise DomainError(f"unknown family {family!r}")
 
 
 def bosonization(m: int, labeled) -> Presentation:
-    """Bosonization of M_I (I = {(i,k)}, k != n) or of M_L; all parameters zero."""
-    I, L = tuple(labeled.I), tuple(labeled.L)
-    n = m // 2
-    if I and not L:
-        if len(I) == 1 and I[0][1] % m != n:
-            return presentation_A(m, I)
-        raise DomainError(
-            "bosonization covers I = {(i,k)} with k != n; other I-families "
-            "are presentation_A with zero datum"
-        )
-    if L and not I:
-        return presentation_L(m, L)
-    raise DomainError("bosonization covers single-pair M_I or M_L modules")
+    """Bosonization of M_I (family (a)) or of M_L (family (b)); all parameters zero."""
+    if labeled.I and labeled.L:
+        raise DomainError("bosonization covers single-pair M_I or M_L modules")
+    return family_presentation(m, "a" if labeled.I else "b", labeled.I, labeled.L)
 
 
 def theorem_B_catalogue(m: int, r_max: int) -> list[dict]:
     """The four lifting families with their parameter-space shapes, up to r_max."""
-    from .classify import enumerate_I, enumerate_K, enumerate_L
+    DihedralGroup(m).require_classification_modulus()
 
-    G = DihedralGroup(m)
-    G.require_classification_modulus()
-    n = G.n
-    order = 2 * m
-
-    def shape_json(I, L=()):
+    def shape_json(I, L):
         shape = parameter_shape(m, I, L)
         out = {}
         for name, entries in shape.items():
@@ -586,59 +566,18 @@ def theorem_B_catalogue(m: int, r_max: int) -> list[dict]:
         return out
 
     catalogue = []
-    a_instances = [
-        {"I": [list(p) for p in I], "dimension": 4 * order}
-        for I in enumerate_I(m, 1)
-        if I[0][1] != n
-    ]
-    catalogue.append(
-        {
-            "family": "a",
-            "description": "bosonizations of M_I, I = {(i,k)} with k != n; no parameters",
-            "instances": a_instances,
-        }
-    )
-    catalogue.append(
-        {
-            "family": "b",
-            "description": "bosonizations of M_L, L any multiset of odd l < n; no parameters",
-            "instances": [
-                {"L": list(L), "dimension": 4 ** len(L) * order}
-                for L in enumerate_L(m, r_max)
-            ],
-        }
-    )
-    c_instances = []
-    for I in enumerate_I(m, r_max):
-        if len(I) == 1 and I[0][1] != n:
-            continue  # family (a) covers these; nonzero data is guard-forbidden anyway
-        c_instances.append(
-            {
-                "I": [list(p) for p in I],
-                "dimension": 4 ** len(I) * order,
-                "parameters": shape_json(I),
-            }
+    for family in FAMILIES:
+        instances = []
+        for I, L in family_members(m, family, r_max):
+            inst: dict = {"dimension": 4 ** (len(I) + len(L)) * 2 * m}
+            if I:
+                inst["I"] = [list(p) for p in I]
+            if L:
+                inst["L"] = list(L)
+            if family in ("c", "d"):
+                inst["parameters"] = shape_json(I, L)
+            instances.append(inst)
+        catalogue.append(
+            {"family": family, "description": _DESCRIPTIONS[family], "instances": instances}
         )
-    catalogue.append(
-        {
-            "family": "c",
-            "description": "A_I(lambda, gamma) with |I| > 1 or I = {(i,n)}",
-            "instances": c_instances,
-        }
-    )
-    catalogue.append(
-        {
-            "family": "d",
-            "description": "B_{I,L}(lambda, gamma, theta, mu) with (I, L) in the K-family",
-            "instances": [
-                {
-                    "I": [list(p) for p in I],
-                    "L": list(L),
-                    "dimension": 4 ** (len(I) + len(L)) * order,
-                    "parameters": shape_json(I, L),
-                }
-                for I, L in enumerate_K(m, r_max)
-            ],
-        }
-    )
     return catalogue

@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .cyclo import CycloNumber
 from .dihedral import GroupElement
-from .errors import CompletionError
+from .errors import CompletionError, DomainError
 from .lifting import Presentation, Relation
 
 __all__ = [
@@ -324,6 +324,8 @@ def compile(P: Presentation, overlap_budget: Optional[int] = None) -> RewriteSys
     failure (a hit budget, an unorientable residue) raises CompletionError;
     it is never silent.
     """
+    if overlap_budget is not None and overlap_budget < 0:
+        raise DomainError(f"overlap budget must be >= 0, got {overlap_budget}")
     sys = RewriteSystem(P)
     agenda: deque[Element] = deque()
     for rel in P.relations:
@@ -395,11 +397,6 @@ class NormalBasis:
     @property
     def dimension(self) -> int:
         return len(self.words) * 2 * self.m
-
-    def monomials(self) -> Iterable[Monomial]:
-        for word in self.words:
-            for g in range(2 * self.m):
-                yield (word, g)
 
 
 def normal_basis(R: RewriteSystem, budget: int = 1 << 20) -> NormalBasis:

@@ -88,6 +88,15 @@ def test_verify_family_c(capsys):
     assert doc["certificate"]["all_resolved"] is True
 
 
+@pytest.mark.parametrize("command", ["liftings", "verify"])
+def test_family_c_rejects_single_pair_with_k_not_n(capsys, command):
+    # I = {(2,3)} is family (a); family (c) used to accept it as well
+    code, doc = run_cli(capsys, command, "--m", "12", "--family", "c", "--I", "(2,3)")
+    assert code == 2
+    assert doc["error"]["type"] == "validation"
+    assert "family (a)" in doc["error"]["message"]
+
+
 def test_verify_family_d(capsys):
     code, doc = run_cli(
         capsys,
@@ -105,6 +114,25 @@ def test_iso_L_orbits(capsys):
     reps = sorted(o["representative"]["L"] for o in orbits)
     assert reps == [[1], [3]]
     assert sorted(o["orbit_size"] for o in orbits) == [1, 2]
+
+
+@pytest.mark.parametrize("family", ["", "xyz", "ae"])
+def test_iso_rejects_unknown_family(capsys, family):
+    # "xyz" used to exit 0 with no orbits
+    code, doc = run_cli(capsys, "iso", "--m", "12", "--family", family)
+    assert code == 2
+    assert doc["error"]["type"] == "validation"
+
+
+def test_verify_rejects_negative_overlap_budget(capsys):
+    argv = ["verify", "--m", "12", "--family", "c", "--I", "(1,6)", "--overlap-budget"]
+    # -1 used to exit 1 as an exceeded budget
+    code, doc = run_cli(capsys, *argv, "-1")
+    assert code == 2
+    assert doc["error"]["type"] == "validation"
+    code, doc = run_cli(capsys, *argv, "0")
+    assert code == 1
+    assert doc["error"]["type"] == "internal_check"
 
 
 def test_rack_command(capsys):

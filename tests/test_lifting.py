@@ -4,8 +4,11 @@ from nichols_dm.classify import build_M_I, build_M_L
 from nichols_dm.cyclo import CycloNumber
 from nichols_dm.errors import DomainError
 from nichols_dm.lifting import (
+    FAMILIES,
     LiftingDatum,
     bosonization,
+    family_members,
+    family_presentation,
     free_parameter_keys,
     parameter_shape,
     presentation_A,
@@ -143,25 +146,59 @@ def test_counit_consistency():
             assert not pres.counit_residue(rel)
 
 
+def _closure_cases():
+    names = {"a": (), "b": (), "c": ("lam", "gamma"), "d": ("lam", "gamma", "theta", "mu")}
+    for m in (12, 16):
+        for family in FAMILIES:
+            for I, L in family_members(m, family, 2):
+                for value in (1, "w^3 - 2") if names[family] else (None,):
+                    yield family_presentation(
+                        m, family, I, L, **{name: value for name in names[family]}
+                    )
+
+
 def test_conjugation_closure():
     # applying g-conjugation (x <-> y, z <-> w, negate h exponents) maps each
-    # quadratic relation onto a listed one with the same parameter
-    pres = presentation_B(12, [(2, 9)], [3], theta=1)
+    # quadratic relation onto a listed one with the same parameter; families
+    # (a)-(d) up to size 2 at m = 12, 16, with nonzero data where there is any
     swap = {"x": "y", "y": "x", "z": "w", "w": "z"}
-    listed = {}
-    for rel in pres.relations:
-        if rel.label.startswith("quad:"):
-            words = tuple(sorted(word for _, word in rel.lhs))
-            listed[words] = rel
-    for rel in pres.relations:
-        if not rel.label.startswith("quad:"):
-            continue
-        mapped_words = tuple(
-            sorted(tuple(swap[w[0]] + w[1:] for w in word) for _, word in rel.lhs)
-        )
-        image = listed[mapped_words]
-        mapped_rhs = tuple((c, (eps, -exp % 12)) for c, (eps, exp) in rel.rhs)
-        assert tuple(sorted(mapped_rhs, key=str)) == tuple(sorted(image.rhs, key=str))
+    for pres in _closure_cases():
+        listed = {}
+        for rel in pres.relations:
+            if rel.label.startswith("quad:"):
+                words = tuple(sorted(word for _, word in rel.lhs))
+                listed[words] = rel
+        for rel in pres.relations:
+            if not rel.label.startswith("quad:"):
+                continue
+            mapped_words = tuple(
+                sorted(tuple(swap[w[0]] + w[1:] for w in word) for _, word in rel.lhs)
+            )
+            image = listed[mapped_words]
+            mapped_rhs = tuple((c, (eps, -exp % pres.m)) for c, (eps, exp) in rel.rhs)
+            assert tuple(sorted(mapped_rhs, key=str)) == tuple(sorted(image.rhs, key=str))
+
+
+@pytest.mark.parametrize("m", [12, 16, 20])
+def test_family_members_build_in_their_family_only(m):
+    # enumeration and the membership check of the constructor are one rule:
+    # each member builds in its own family and is rejected by the other three
+    members = {family: list(family_members(m, family, 2)) for family in FAMILIES}
+    assert members["a"] and members["b"] and members["c"]
+    assert bool(members["d"]) == (m != 16)  # at m = 16 no (I, L) of size 2 is in the K-family
+    for family, pairs in members.items():
+        for I, L in pairs:
+            assert family_presentation(m, family, I, L).I == I
+            for other in FAMILIES.replace(family, ""):
+                with pytest.raises(DomainError):
+                    family_presentation(m, other, I, L)
+
+
+def test_family_rule_rejects_unknown_letters():
+    with pytest.raises(DomainError):
+        family_presentation(12, "e", [(2, 3)])
+    with pytest.raises(DomainError):
+        list(family_members(12, "e", 1))
 
 
 def test_bosonization_cases():
