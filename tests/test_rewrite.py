@@ -7,12 +7,14 @@ from nichols_dm.cyclo import CycloNumber
 from nichols_dm.dihedral import DihedralGroup, GroupElement
 from nichols_dm.errors import CompletionError
 from nichols_dm.lifting import (
+    Relation,
     group_algebra_presentation,
     presentation_A,
     presentation_B,
     presentation_L,
 )
 from nichols_dm.rewrite import (
+    CompletionCertificate,
     certificate_json,
     compile_presentation,
     dimension,
@@ -130,6 +132,49 @@ def test_inconsistent_system_adds_rules_loudly():
         _ambiguity_residue(R, amb) for amb in _ambiguities(R.rules)
     ]
     assert any(residues), "the deliberate clash must produce a nonzero residue"
+
+
+def _with_extra_relations(P, drop_prefix, extra):
+    """P without its relations labelled `drop_prefix...`, plus `extra` (coeff, word) sums = 0."""
+    one = CycloNumber.one(P.m)
+    kept = tuple(rel for rel in P.relations if not (drop_prefix and rel.label.startswith(drop_prefix)))
+    added = tuple(
+        Relation(f"extra:{n}", tuple((one, word) for word in words), ())
+        for n, words in enumerate(extra)
+    )
+    return dataclasses.replace(P, relations=kept + added)
+
+
+def _rule_names(R):
+    return sorted(tuple(R.letters[l] for l in lhs) for lhs in R.rules)
+
+
+def test_completion_displaces_rules_containing_a_new_left_side():
+    # x = 0 on top of x^2 = 0, y^2 = 0, xy + yx = 0: the rule x displaces
+    # the rules x*x and y*x, whose relations then reduce to zero
+    P = _with_extra_relations(presentation_A(12, [(1, 6)]), None, [[("x(1,6)",)]])
+    R = compile_presentation(P)
+    assert R.certificate == CompletionCertificate(
+        rule_count=2, ambiguities_checked=1, added_rules=0, passes=1, all_resolved=True
+    )
+    assert _rule_names(R) == [("x(1,6)",), ("y(1,6)", "y(1,6)")]
+    assert dimension(R).dimension == 48
+
+
+def test_completion_adds_a_rule_in_a_second_pass():
+    # xy = 0 and yx + x = 0 instead of xy + yx = 0: the overlap x*y*x
+    # leaves the residue x, a rule added by completion in pass two
+    P = _with_extra_relations(
+        presentation_A(12, [(1, 6)]),
+        "quad:xy",
+        [[("x(1,6)", "y(1,6)")], [("y(1,6)", "x(1,6)"), ("x(1,6)",)]],
+    )
+    R = compile_presentation(P)
+    assert R.certificate == CompletionCertificate(
+        rule_count=2, ambiguities_checked=9, added_rules=1, passes=2, all_resolved=True
+    )
+    assert _rule_names(R) == [("x(1,6)",), ("y(1,6)", "y(1,6)")]
+    assert dimension(R).dimension == 48
 
 
 def test_certificate_json_shape():
