@@ -44,6 +44,10 @@ __all__ = [
     "centralizer",
     "centralizer_representations",
     "conjugacy_classes",
+    "g_element",
+    "g_encode",
+    "g_inv",
+    "g_mul",
     "irreps",
 ]
 
@@ -90,6 +94,31 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement(D_{self.m}: {self})"
+
+
+# The int code of D_m, used in rewrite's inner loops: s^eps r^rot is
+# eps*m + rot with 0 <= rot < m, in the (eps, rot) order of GroupElement.
+
+
+def g_encode(m: int, eps: int, rot: int) -> int:
+    return (eps & 1) * m + rot % m
+
+
+def g_mul(m: int, a: int, b: int) -> int:
+    e1, b1 = divmod(a, m)
+    e2, b2 = divmod(b, m)
+    rot = (b2 - b1) if e2 else (b1 + b2)
+    return (e1 ^ e2) * m + rot % m
+
+
+def g_inv(m: int, a: int) -> int:
+    eps, rot = divmod(a, m)
+    return a if eps else (-rot) % m
+
+
+def g_element(m: int, a: int) -> GroupElement:
+    eps, rot = divmod(a, m)
+    return GroupElement(m, eps, rot)
 
 
 class DihedralGroup:

@@ -490,8 +490,10 @@ def _single_pair_k_not_n(m: int, I: Sequence[Pair]) -> bool:
 def family_members(m: int, family: str, r_max: int) -> Iterator[tuple[tuple[Pair, ...], tuple[int, ...]]]:
     """The (I, L) of family (a), (b), (c) or (d) with |I| + |L| <= r_max.
 
-    Family (a) is single pairs whatever r_max is.
+    Family (a) is single pairs whatever r_max >= 1 is.
     """
+    if r_max < 1:
+        raise DomainError(f"r_max must be >= 1, got {r_max}")
     if family == "a":
         yield from ((I, ()) for I in enumerate_I(m, 1) if _single_pair_k_not_n(m, I))
     elif family == "b":

@@ -8,9 +8,15 @@ presentation hold identically in this model; compile() verifies that and
 orients only the quadratic relations.  Rewrite rules have pure skew-word
 left-hand sides and strictly deglex-smaller right-hand sides under the
 declared generator precedence, so reduction terminates and Bergman's
-diamond lemma applies: once every overlap/inclusion ambiguity reduces to
-zero, the irreducible monomials (square-free sorted words times group
-elements) form a basis and their count certifies the dimension.
+diamond lemma applies: once every ambiguity reduces to zero, the
+irreducible monomials (square-free sorted words times group elements)
+form a basis and their count certifies the dimension.
+
+The rules stay interreduced: no left-hand side contains another.  A new
+left-hand side leads a reduced element, so it is irreducible and not yet a
+rule, and _add_rule, the only writer of the rules, drops every rule that
+contains it.  So the only ambiguities are overlaps.  _add_rule also keeps
+lhs_lengths, the index that redex search and normal_basis read.
 
 hopf_check applies Delta and the antipode S to the element of each
 relation in the same monomial model and reduces the image; the
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .cyclo import CycloNumber
-from .dihedral import GroupElement
+from .dihedral import GroupElement, g_element, g_encode, g_inv, g_mul
 from .errors import CompletionError, DomainError
 from .lifting import Presentation, Relation
 
@@ -80,28 +86,9 @@ class RewriteSystem:
         self.h_exp = tuple(v.h_exp for v in presentation.skew_generators)
         self.cop_exp = tuple(v.cop_exp for v in presentation.skew_generators)
         self.rules: dict[Word, Element] = {}
+        self.lhs_lengths: tuple[int, ...] = ()  # of the rules, longest first
         self.certificate: Optional[CompletionCertificate] = None
         self._nf_cache: dict[Monomial, Element] = {}
-
-    # -- group element encoding ------------------------------------------
-
-    def g_encode(self, eps: int, rot: int) -> int:
-        return (eps & 1) * self.m + rot % self.m
-
-    def g_mul(self, a: int, b: int) -> int:
-        m = self.m
-        e1, b1 = divmod(a, m)
-        e2, b2 = divmod(b, m)
-        rot = (b2 - b1) if e2 else (b1 + b2)
-        return (e1 ^ e2) * m + rot % m
-
-    def g_inv(self, a: int) -> int:
-        eps, rot = divmod(a, self.m)
-        return a if eps else (-rot) % self.m
-
-    def g_element(self, a: int) -> GroupElement:
-        eps, rot = divmod(a, self.m)
-        return GroupElement(self.m, eps, rot)
 
     def conj_word(self, g: int, word: Word) -> tuple[int, Word]:
         """g . word = w^exp . word' . g; returns (exp, word')."""
@@ -115,22 +102,14 @@ class RewriteSystem:
 
     # -- element arithmetic ------------------------------------------------
 
-    def zero_el(self) -> Element:
-        return {}
-
     def monomial(self, word: Iterable, eps: int = 0, rot: int = 0) -> Element:
-        return {(tuple(word), self.g_encode(eps, rot)): CycloNumber.one(self.m)}
+        return {(tuple(word), g_encode(self.m, eps, rot)): CycloNumber.one(self.m)}
 
     def el_add(self, a: Element, b: Element, scale=None) -> Element:
         out = dict(a)
         for mono, coeff in b.items():
             _add(out, mono, coeff if scale is None else coeff * scale)
         return out
-
-    def el_scale(self, a: Element, scale: CycloNumber) -> Element:
-        if not scale:
-            return {}
-        return {mono: coeff * scale for mono, coeff in a.items()}
 
     def el_mul(self, a: Element, b: Element) -> Element:
         out: Element = {}
@@ -140,7 +119,7 @@ class RewriteSystem:
                 coeff = c1 * c2
                 if exp:
                     coeff = coeff * CycloNumber.root(self.m, exp)
-                _add(out, (w1 + moved, self.g_mul(g1, g2)), coeff)
+                _add(out, (w1 + moved, g_mul(self.m, g1, g2)), coeff)
         return out
 
     # -- reduction ---------------------------------------------------------
@@ -150,15 +129,20 @@ class RewriteSystem:
         if rightmost:
             positions = reversed(positions)
         for pos in positions:
-            for length in self._lhs_lengths:
+            for length in self.lhs_lengths:
                 if pos + length <= len(word) and word[pos : pos + length] in self.rules:
                     return pos, word[pos : pos + length]
         return None
 
-    @property
-    def _lhs_lengths(self):
-        lengths = sorted({len(l) for l in self.rules}, reverse=True)
-        return lengths
+    def _apply_rule(self, word: Word, g: int, match):
+        """The terms of (word, g) after one rewrite at match = (pos, lhs)."""
+        pos, lhs = match
+        prefix, suffix = word[:pos], word[pos + len(lhs) :]
+        for (v, delta), c in self.rules[lhs].items():
+            exp, moved = self.conj_word(delta, suffix)
+            if exp:
+                c = c * CycloNumber.root(self.m, exp)
+            yield (prefix + v + moved, g_mul(self.m, delta, g)), c
 
     def normal_form_monomial(self, mono: Monomial) -> Element:
         cached = self._nf_cache.get(mono)
@@ -169,15 +153,8 @@ class RewriteSystem:
         if match is None:
             result = {mono: CycloNumber.one(self.m)}
         else:
-            pos, lhs = match
-            prefix, suffix = word[:pos], word[pos + len(lhs) :]
             result = {}
-            for (v, delta), c in self.rules[lhs].items():
-                exp, moved = self.conj_word(delta, suffix)
-                coeff = c
-                if exp:
-                    coeff = coeff * CycloNumber.root(self.m, exp)
-                new_mono = (prefix + v + moved, self.g_mul(delta, g))
+            for new_mono, coeff in self._apply_rule(word, g, match):
                 for m3, c3 in self.normal_form_monomial(new_mono).items():
                     _add(result, m3, coeff * c3)
         self._nf_cache[mono] = result
@@ -202,14 +179,7 @@ class RewriteSystem:
             if match is None:
                 _add(out, (word, g), coeff)
                 continue
-            pos, lhs = match
-            prefix, suffix = word[:pos], word[pos + len(lhs) :]
-            for (v, delta), c in self.rules[lhs].items():
-                exp, moved = self.conj_word(delta, suffix)
-                c2 = coeff * c
-                if exp:
-                    c2 = c2 * CycloNumber.root(self.m, exp)
-                work.append(((prefix + v + moved, self.g_mul(delta, g)), c2))
+            work.extend((mono, coeff * c) for mono, c in self._apply_rule(word, g, match))
         return out
 
     # -- rule management ---------------------------------------------------
@@ -219,6 +189,8 @@ class RewriteSystem:
 
     def _orient(self, el: Element) -> tuple[Word, Element]:
         lead = self._lead_word(el)
+        if not lead:  # a group element reduces to zero
+            raise CompletionError("the relations give 1 = 0: the algebra is zero", ambiguity=lead)
         lead_terms = {g: c for (w, g), c in el.items() if w == lead}
         if len(lead_terms) != 1:
             raise CompletionError(
@@ -228,13 +200,13 @@ class RewriteSystem:
             )
         (gamma, coeff), = lead_terms.items()
         rhs: Element = {}
-        inv_gamma = self.g_inv(gamma)
+        inv_gamma = g_inv(self.m, gamma)
         inv_coeff = coeff.inverse()
         for (w, g), c in el.items():
             if w == lead:
                 continue
             # divide on the right by coeff * gamma
-            _add(rhs, (w, self.g_mul(g, inv_gamma)), -(c * inv_coeff))
+            _add(rhs, (w, g_mul(self.m, g, inv_gamma)), -(c * inv_coeff))
         for w, _ in rhs:
             if (len(w), w) >= (len(lead), lead):
                 raise CompletionError(
@@ -244,15 +216,13 @@ class RewriteSystem:
         return lead, rhs
 
     def _add_rule(self, lhs: Word, rhs: Element) -> list[Element]:
-        """Install a rule; returns displaced rules re-queued as relations."""
+        """Install a rule for an irreducible lhs; rules containing lhs return as relations."""
         requeue = []
-        shadowed = [
-            l for l in self.rules if l != lhs and _contains(l, lhs)
-        ]
-        for l in shadowed:
+        for l in [l for l in self.rules if _contains(l, lhs)]:
             old_rhs = self.rules.pop(l)
             requeue.append(self.el_add(self.monomial(l), old_rhs, scale=-CycloNumber.one(self.m)))
         self.rules[lhs] = rhs
+        self.lhs_lengths = tuple(sorted({len(l) for l in self.rules}, reverse=True))
         self._nf_cache.clear()
         return requeue
 
@@ -264,7 +234,7 @@ def _contains(word: Word, sub: Word) -> bool:
 
 
 def _relation_element(sys: RewriteSystem, rel: Relation) -> Element:
-    el = sys.zero_el()
+    el: Element = {}
     for coeff, word in rel.lhs:
         term = sys.monomial(())
         for name in word:
@@ -277,11 +247,12 @@ def _relation_element(sys: RewriteSystem, rel: Relation) -> Element:
             term = sys.el_mul(term, factor)
         el = sys.el_add(el, term, scale=coeff)
     for coeff, (eps, rot) in rel.rhs:
-        _add(el, ((), sys.g_encode(eps, rot)), -coeff)
+        _add(el, ((), g_encode(sys.m, eps, rot)), -coeff)
     return el
 
 
 def _ambiguities(rules: dict) -> list[tuple]:
+    """Every overlap (l1 ends with the first c letters of l2); the rules are interreduced."""
     words = sorted(rules, key=lambda w: (len(w), w))
     out = []
     for l1 in words:
@@ -289,30 +260,16 @@ def _ambiguities(rules: dict) -> list[tuple]:
             for c in range(1, min(len(l1), len(l2))):
                 if l1[len(l1) - c :] == l2[:c]:
                     out.append(("overlap", l1, l2, c))
-            if len(l2) < len(l1):
-                for pos in range(len(l1) - len(l2) + 1):
-                    if l1[pos : pos + len(l2)] == l2:
-                        out.append(("inclusion", l1, l2, pos))
     return out
 
 
 def _ambiguity_residue(sys: RewriteSystem, amb: tuple) -> Element:
-    kind, l1, l2, c = amb
-    if kind == "overlap":
-        # w = l1 + tail = head + l2
-        tail = l2[c:]
-        head = l1[: len(l1) - c]
-        left = sys.el_mul(sys.rules[l1], sys.monomial(tail))
-        right = sys.el_mul(sys.monomial(head), sys.rules[l2])
-    else:
-        pos = c
-        left = sys.rules[l1]
-        right = sys.el_mul(
-            sys.el_mul(sys.monomial(l1[:pos]), sys.rules[l2]),
-            sys.monomial(l1[pos + len(l2) :]),
-        )
-    diff = sys.el_add(sys.reduce(left), sys.reduce(right), scale=-CycloNumber.one(sys.m))
-    return sys.reduce(diff)
+    """The difference of the two reductions of the overlap word, in normal form."""
+    _, l1, l2, c = amb
+    # the overlap word is l1 + tail = head + l2
+    left = sys.el_mul(sys.rules[l1], sys.monomial(l2[c:]))
+    right = sys.el_mul(sys.monomial(l1[: len(l1) - c]), sys.rules[l2])
+    return sys.el_add(sys.reduce(left), sys.reduce(right), scale=-CycloNumber.one(sys.m))
 
 
 def compile(P: Presentation, overlap_budget: Optional[int] = None) -> RewriteSystem:
@@ -344,7 +301,6 @@ def compile(P: Presentation, overlap_budget: Optional[int] = None) -> RewriteSys
     added_rules = 0
     checked = 0
     passes = 0
-    first_drain = True
     while True:
         passes += 1
         if passes > 64:
@@ -353,16 +309,8 @@ def compile(P: Presentation, overlap_budget: Optional[int] = None) -> RewriteSys
             el = sys.reduce(agenda.popleft())
             if not el:
                 continue
-            lhs, rhs = sys._orient(el)
-            if lhs in sys.rules:
-                residual = sys.el_add(sys.rules[lhs], rhs, scale=-CycloNumber.one(sys.m))
-                if residual:
-                    agenda.append(residual)
-                continue
-            agenda.extend(sys._add_rule(lhs, rhs))
-            if not first_drain:
-                added_rules += 1
-        first_drain = False
+            agenda.extend(sys._add_rule(*sys._orient(el)))
+            added_rules += passes > 1
         unresolved = 0
         for amb in _ambiguities(sys.rules):
             checked += 1
@@ -399,28 +347,31 @@ class NormalBasis:
         return len(self.words) * 2 * self.m
 
 
-def normal_basis(R: RewriteSystem, budget: int = 1 << 20) -> NormalBasis:
-    """Enumerate all irreducible words; raises if the count exceeds the budget."""
+NORMAL_WORD_LIMIT = 1 << 20  # normal_basis lists at most this many words
+
+
+def normal_basis(R: RewriteSystem) -> NormalBasis:
+    """List all irreducible words; raises once more than NORMAL_WORD_LIMIT are listed.
+
+    Hitting the limit says nothing about finiteness: the dimension is then
+    simply not determined.
+    """
     if R.certificate is None or not R.certificate.all_resolved:
         raise CompletionError("rewriting system is not certified confluent")
-    lhs = set(R.rules)
-    maxlen = max((len(l) for l in lhs), default=1)
     words: list[Word] = []
 
     def extend(word: Word):
-        if len(words) > budget:
-            raise CompletionError(
-                "normal-word enumeration exceeded the budget; "
-                "the quotient is not finite-dimensional within bounds"
-            )
         words.append(word)
+        if len(words) > NORMAL_WORD_LIMIT:
+            raise CompletionError(
+                f"listing normal words hit its limit of {NORMAL_WORD_LIMIT} words; "
+                "the dimension was not determined"
+            )
         for letter in range(len(R.letters)):
             new = word + (letter,)
-            if any(
-                new[max(0, len(new) - L) :] in lhs for L in range(1, maxlen + 1)
-            ):
-                continue
-            extend(new)
+            # an irreducible word extends to a reducible one only at a suffix
+            if not any(new[-L:] in R.rules for L in R.lhs_lengths):
+                extend(new)
 
     extend(())
     return NormalBasis(tuple(words), R.m)
@@ -462,13 +413,13 @@ def _delta(R: RewriteSystem, el: Element) -> Tensor:
     is the product of its letters and then gamma.
     """
     one = CycloNumber.one(R.m)
-    unit = ((), R.g_encode(0, 0))
+    unit = ((), g_encode(R.m, 0, 0))
     out: Tensor = {}
     for (word, g), coeff in el.items():
         t: Tensor = {(unit, unit): coeff}
         for v in word:
-            vm = ((v,), R.g_encode(0, 0))
-            grp = ((), R.g_encode(0, R.cop_exp[v]))
+            vm = ((v,), g_encode(R.m, 0, 0))
+            grp = ((), g_encode(R.m, 0, R.cop_exp[v]))
             t = _tensor_mul(R, t, {(vm, unit): one, (grp, vm): one})
         gamma = ((), g)
         for key, c in _tensor_mul(R, t, {(gamma, gamma): one}).items():
@@ -484,10 +435,10 @@ def _antipode(R: RewriteSystem, el: Element) -> Element:
     minus_one = -CycloNumber.one(R.m)
     out: Element = {}
     for (word, g), coeff in el.items():
-        term = {((), R.g_inv(g)): coeff}
+        term = {((), g_inv(R.m, g)): coeff}
         for v in reversed(word):
-            s_v = R.el_mul(R.monomial((), rot=-R.cop_exp[v]), R.monomial((v,)))
-            term = R.el_mul(term, R.el_scale(s_v, minus_one))
+            s_v = R.el_mul({((), g_encode(R.m, 0, -R.cop_exp[v])): minus_one}, R.monomial((v,)))
+            term = R.el_mul(term, s_v)
         for mono, c in term.items():
             _add(out, mono, c)
     return out
@@ -541,8 +492,7 @@ def hopf_check(P: Presentation, R: RewriteSystem) -> HopfReport:
         for b in gens:
             lhs = _antipode(R, R.reduce(R.el_mul(a, b)))
             rhs = R.el_mul(_antipode(R, b), _antipode(R, a))
-            diff = R.el_add(R.reduce(lhs), R.reduce(rhs), scale=-CycloNumber.one(R.m))
-            if R.reduce(diff):
+            if R.el_add(R.reduce(lhs), R.reduce(rhs), scale=-CycloNumber.one(R.m)):
                 antipode_ok = False
                 failures.append("antipode:antimultiplicative:generator pair")
     return HopfReport(delta_ok, counit_ok, antipode_ok, tuple(failures))
@@ -552,7 +502,7 @@ def _element_str(R: RewriteSystem, el: Element) -> str:
     parts = []
     for (word, g), coeff in sorted(el.items()):
         name = "*".join(R.letters[l] for l in word) or "1"
-        parts.append(f"({coeff})*{name}*{R.g_element(g)}")
+        parts.append(f"({coeff})*{name}*{g_element(R.m, g)}")
     return " + ".join(parts)
 
 
@@ -572,8 +522,8 @@ def skew_primitives(R: RewriteSystem, degree: GroupElement) -> list[Element]:
     if R.certificate is None or not R.certificate.all_resolved:
         raise CompletionError("skew_primitives needs a certified system")
     basis = normal_basis(R)
-    d_enc = R.g_encode(degree.eps, degree.rot)
-    unit = ((), R.g_encode(0, 0))
+    d_enc = g_encode(R.m, degree.eps, degree.rot)
+    unit = ((), g_encode(R.m, 0, 0))
     d_mono = ((), d_enc)
     unknowns = [
         (word, g)

@@ -124,6 +124,14 @@ def test_iso_rejects_unknown_family(capsys, family):
     assert doc["error"]["type"] == "validation"
 
 
+@pytest.mark.parametrize("max_size", ["0", "-3"])
+def test_iso_family_a_rejects_max_size_below_one(capsys, max_size):
+    # family (a) used to ignore the bound and exit 0 with its orbits
+    code, doc = run_cli(capsys, "iso", "--m", "12", "--max-size", max_size, "--family", "a")
+    assert code == 2
+    assert doc["error"] == {"type": "validation", "message": f"r_max must be >= 1, got {max_size}"}
+
+
 def test_verify_rejects_negative_overlap_budget(capsys):
     argv = ["verify", "--m", "12", "--family", "c", "--I", "(1,6)", "--overlap-budget"]
     # -1 used to exit 1 as an exceeded budget

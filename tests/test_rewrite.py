@@ -4,7 +4,8 @@ import random
 import pytest
 
 from nichols_dm.cyclo import CycloNumber
-from nichols_dm.dihedral import DihedralGroup, GroupElement
+from nichols_dm.dihedral import DihedralGroup, GroupElement, g_element, g_encode, g_inv, g_mul
+from nichols_dm import rewrite
 from nichols_dm.errors import CompletionError
 from nichols_dm.lifting import (
     Relation,
@@ -33,15 +34,17 @@ def test_group_algebra_alone():
 
 
 def test_group_model_is_exact():
-    R = compile_presentation(group_algebra_presentation(12))
-    G = DihedralGroup(12)
-    # monomial model multiplies group elements exactly like the group
-    for a in G.elements():
-        for b in G.elements():
-            ea = R.g_encode(a.eps, a.rot)
-            eb = R.g_encode(b.eps, b.rot)
-            c = a * b
-            assert R.g_mul(ea, eb) == R.g_encode(c.eps, c.rot)
+    # the int code of D_m that the monomial model uses is the group itself
+    for m in range(3, 25):
+        G = DihedralGroup(m)
+        codes = {a: g_encode(m, a.eps, a.rot) for a in G.elements()}
+        assert sorted(codes.values()) == list(range(2 * m))
+        assert sorted(codes, key=codes.get) == sorted(codes)  # (eps, rot) order
+        for a, ea in codes.items():
+            assert g_element(m, ea) == a
+            assert g_inv(m, ea) == codes[a.inverse()]
+            for b, eb in codes.items():
+                assert g_mul(m, ea, eb) == codes[a * b]
 
 
 def test_compile_A16_rule_shape():
@@ -52,8 +55,8 @@ def test_compile_A16_rule_shape():
     x = R.letter_index["x(1,6)"]
     rhs = R.rules[(x, x)]
     assert rhs == {
-        ((), R.g_encode(0, 0)): lam,
-        ((), R.g_encode(0, 2)): -lam,
+        ((), g_encode(12, 0, 0)): lam,
+        ((), g_encode(12, 0, 2)): -lam,
     }
 
 
@@ -123,9 +126,8 @@ def test_inconsistent_system_adds_rules_loudly():
     R = compile_presentation(P)
     x = R.letter_index["x(1,6)"]
     y = R.letter_index["y(1,6)"]
-    R.rules[(x, y)] = {}
-    R.rules[(x, x)] = {((), R.g_encode(0, 0)): CycloNumber.one(12)}
-    R._nf_cache.clear()
+    R._add_rule((x, y), {})
+    R._add_rule((x, x), {((), g_encode(12, 0, 0)): CycloNumber.one(12)})
     from nichols_dm.rewrite import _ambiguities, _ambiguity_residue
 
     residues = [
@@ -175,6 +177,55 @@ def test_completion_adds_a_rule_in_a_second_pass():
     )
     assert _rule_names(R) == [("x(1,6)",), ("y(1,6)", "y(1,6)")]
     assert dimension(R).dimension == 48
+
+
+def _assert_interreduced(R):
+    for l1 in R.rules:
+        for l2 in R.rules:
+            if l1 != l2:
+                assert not rewrite._contains(l1, l2), (l1, l2)
+    assert R.lhs_lengths == tuple(sorted({len(l) for l in R.rules}, reverse=True))
+
+
+def test_rules_stay_interreduced():
+    # the displaced-rule and second-pass systems, and every family up to size 2
+    systems = [
+        _with_extra_relations(presentation_A(12, [(1, 6)]), None, [[("x(1,6)",)]]),
+        _with_extra_relations(
+            presentation_A(12, [(1, 6)]),
+            "quad:xy",
+            [[("x(1,6)", "y(1,6)")], [("y(1,6)", "x(1,6)"), ("x(1,6)",)]],
+        ),
+        *_family_presentations(12, 2, (1,)),
+    ]
+    for P in systems:
+        _assert_interreduced(compile_presentation(P))
+
+
+def test_collapse_to_zero_is_a_completion_error():
+    # x = 1 with x^2 = 0 gives 1 = 0: no word rule expresses that, and
+    # completion says so instead of installing a rule with an empty left side
+    one = CycloNumber.one(12)
+    P = presentation_A(12, [(1, 6)])
+    P = dataclasses.replace(
+        P, relations=P.relations + (Relation("extra:x", ((one, ("x(1,6)",)),), ((one, (0, 0)),)),)
+    )
+    with pytest.raises(CompletionError, match="algebra is zero"):
+        compile_presentation(P)
+
+
+def test_normal_word_limit_is_not_a_finiteness_verdict(monkeypatch):
+    # 4^2 normal words for I = {(1,6),(5,6)}; a limit of 10 stops the listing
+    R = compile_presentation(presentation_A(12, [(1, 6), (5, 6)]))
+    assert len(normal_basis(R).words) == 16
+    monkeypatch.setattr(rewrite, "NORMAL_WORD_LIMIT", 10)
+    with pytest.raises(CompletionError) as exc:
+        dimension(R)
+    message = str(exc.value)
+    assert message == (
+        "listing normal words hit its limit of 10 words; the dimension was not determined"
+    )
+    assert "finite" not in message
 
 
 def test_certificate_json_shape():
@@ -269,7 +320,7 @@ def test_skew_primitives_bosonization():
     sols = skew_primitives(R, GroupElement(12, 0, 2))
     assert len(sols) == 1
     (mono, coeff), = sols[0].items()
-    assert mono == ((R.letter_index["x(2,3)"],), R.g_encode(0, 0))
+    assert mono == ((R.letter_index["x(2,3)"],), g_encode(12, 0, 0))
     # degree h^-2: the line through y(2,3)
     sols_y = skew_primitives(R, GroupElement(12, 0, 10))
     assert len(sols_y) == 1
@@ -295,8 +346,8 @@ def test_anticommutator_is_skew_primitive_in_quotient():
     x, y = R.letter_index["x(1,6)"], R.letter_index["y(5,6)"]
     alpha = R.el_add(R.reduce({((x, y), 0): one}), R.reduce({((y, x), 0): one}))
     t = _delta(R, {((x, y), 0): one, ((y, x), 0): one})
-    unit = ((), R.g_encode(0, 0))
-    grp = ((), R.g_encode(0, 1 - 5))  # h^{p - i}
+    unit = ((), g_encode(12, 0, 0))
+    grp = ((), g_encode(12, 0, 1 - 5))  # h^{p - i}
     for mono, coeff in alpha.items():
         _add(t, (mono, unit), -coeff)
         _add(t, (grp, mono), -coeff)
@@ -313,7 +364,7 @@ def test_antipode_formula():
     el = R.reduce(_antipode(R, R.monomial((x,))))
     ((word, g), coeff), = el.items()
     assert word == (x,)
-    assert g == R.g_encode(0, -2)
+    assert g == g_encode(12, 0, -2)
     assert coeff == -CycloNumber.root(12, (-2) * 3)  # twist from h^-2 x = w^{-2q} x h^-2
 
 
