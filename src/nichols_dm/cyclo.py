@@ -2,9 +2,15 @@
 
 Two representations are provided.  ``RootPower`` is an exponent-only fast
 path for single roots of unity (closed under multiplication), while
-``CycloNumber`` is a full field element: a vector of rationals modulo the
-m-th cyclotomic polynomial.  Everything is exact; there is no floating
-point anywhere in this package.
+``CycloNumber`` is a full field element in the power basis
+``1, w, ..., w^(phi(m)-1)``: a tuple of ints over one positive common
+denominator, in lowest terms.  ``Phi_m`` is monic with integer
+coefficients, so sums and products stay in integers; a product is reduced
+by the sparse nonzero coefficients of ``Phi_m``, and the row
+``x^a mod Phi_m`` of a root ``w^a`` is built the first time it is used.
+Only ``inverse`` (extended Euclid against ``Phi_m``), ``parse_scalar`` and
+the ``coeffs`` view work with ``Fraction``.  Everything is exact; there is
+no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -38,12 +45,13 @@ def _poly_divide_exact(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...
     dn = len(den) - 1
     if den[-1] != 1:
         raise ValueError("divisor must be monic")
+    terms = [(j, d) for j, d in enumerate(den) if d]
     out = [0] * (len(num) - dn)
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
         out[i - dn] = c
         if c:
-            for j, d in enumerate(den):
+            for j, d in terms:
                 num[i - dn + j] -= c * d
     if any(num[:dn]):
         raise ValueError("nonzero remainder in exact polynomial division")
@@ -64,34 +72,65 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class _Field:
-    """Per-modulus context: reduction data for Q[x]/Phi_m(x)."""
+    """Per-modulus context for Q[x]/Phi_m(x).
+
+    ``Phi_m`` is monic with integer coefficients, so every row
+    ``x^a mod Phi_m`` is integral; a row is built only when ``w^a`` is first
+    asked for.  ``root_lookup`` maps the rows built so far to their
+    exponents: it feeds the root-times-root fast path of ``*`` and nothing
+    that decides a result.
+    """
+
+    __slots__ = ("m", "degree", "tail", "roots", "root_lookup", "zero", "one")
 
     def __init__(self, m: int):
-        self.m = m
         phi_poly = cyclotomic_polynomial(m)
+        self.m = m
         self.degree = len(phi_poly) - 1
+        # x^degree = -sum c_j x^j over the nonzero c_j below the top; Phi_m is
+        # sparse (x^16 - x^8 + 1 at m = 48), so reduction walks these pairs only
+        self.tail = tuple((j, c) for j, c in enumerate(phi_poly[:-1]) if c)
+        self.roots: dict[int, CycloNumber] = {}
+        self.root_lookup: dict[tuple[int, ...], int] = {}
+        self.zero = _new(m, (0,) * self.degree, 1)
+        self.one = self.root(0)
+
+    def reduce(self, buf: list[int]) -> tuple[int, ...]:
+        """The integer polynomial ``buf`` (ascending) mod Phi_m, as a row; ``buf`` is consumed."""
         d = self.degree
-        # x^j mod Phi_m for j = 0 .. max(m, 2d) - 1; enough for products and roots.
-        top = [Fraction(-c) for c in phi_poly[:d]]  # x^d = sum top[j] x^j
-        powers: list[tuple[Fraction, ...]] = []
-        row = [Fraction(0)] * d
-        if d > 0:
-            row[0] = Fraction(1)
-        powers.append(tuple(row))
-        for _ in range(max(m, 2 * d)):
-            lead = row[d - 1] if d > 0 else Fraction(0)
-            row = [Fraction(0)] + row[:-1]
-            if lead:
-                row = [row[j] + lead * top[j] for j in range(d)]
-            powers.append(tuple(row))
-        self.powers = powers
-        # Recognize pure root powers (for RootPower round-trips).
-        self.root_lookup = {powers[j]: j % m for j in range(m)}
+        if len(buf) <= d:
+            return tuple(buf) + (0,) * (d - len(buf))
+        tail = self.tail
+        for k in range(len(buf) - 1, d - 1, -1):
+            c = buf[k]
+            if c:
+                base = k - d
+                for j, p in tail:
+                    buf[base + j] -= c * p
+        return tuple(buf[:d])
+
+    def root(self, exponent: int) -> "CycloNumber":
+        """w^exponent for 0 <= exponent < m, building its row on first use."""
+        value = self.roots.get(exponent)
+        if value is None:
+            buf = [0] * (exponent + 1)
+            buf[exponent] = 1
+            row = self.reduce(buf)
+            value = _new(self.m, row, 1)
+            object.__setattr__(value, "_root_memo", exponent)
+            self.roots[exponent] = value
+            self.root_lookup[row] = exponent
+        return value
 
 
-@lru_cache(maxsize=None)
+_FIELDS: dict[int, _Field] = {}
+
+
 def _field(m: int) -> _Field:
-    return _Field(m)
+    field = _FIELDS.get(m)
+    if field is None:
+        field = _FIELDS[m] = _Field(m)
+    return field
 
 
 class RootKind(Enum):
@@ -154,49 +193,61 @@ _UNSET = object()
 
 
 class CycloNumber:
-    """An element of Q(w_m), stored as a reduced vector of rationals."""
+    """An element of Q(w_m): ``sum(num[j] * w^j) / den`` over ``j < phi(m)``.
 
-    __slots__ = ("m", "coeffs", "_root_memo")
+    The form is canonical: ``num`` is a tuple of ints of length ``phi(m)``,
+    ``den > 0``, ``gcd(num..., den) == 1``, and zero is ``(0, ..., 0) / 1``.
+    So ``==`` compares tuples, and a rational value hashes like its
+    ``Fraction``.  ``coeffs`` is the same vector as ``Fraction``s.
+    """
+
+    __slots__ = ("m", "num", "den", "_root_memo")
 
     def __init__(self, m: int, coeffs: Iterable[Fraction | int]):
         field = _field(m)
         vec = [Fraction(c) for c in coeffs]
-        if len(vec) > field.degree:
-            reduced = [Fraction(0)] * field.degree
-            for j, c in enumerate(vec):
-                if c:
-                    row = field.powers[j] if j < len(field.powers) else None
-                    if row is None:
-                        raise ValueError("coefficient vector too long")
-                    for t in range(field.degree):
-                        reduced[t] += c * row[t]
-            vec = reduced
-        else:
-            vec = vec + [Fraction(0)] * (field.degree - len(vec))
+        den = lcm(*(q.denominator for q in vec)) if vec else 1
+        num, den = _canonical(field.reduce([q.numerator * (den // q.denominator) for q in vec]), den)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_root_memo", _UNSET)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNumber is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of ``w^0 .. w^(phi(m)-1)`` as ``Fraction``s."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     # constructors (values are immutable, so the cached instances are shared)
 
     @staticmethod
     def zero(m: int) -> "CycloNumber":
-        return _cached_rational(m, Fraction(0))
+        return _field(m).zero
 
     @staticmethod
     def one(m: int) -> "CycloNumber":
-        return _cached_rational(m, Fraction(1))
+        return _field(m).one
 
     @staticmethod
     def from_rational(m: int, value: Fraction | int) -> "CycloNumber":
-        return _cached_rational(m, Fraction(value))
+        field = _field(m)
+        if value == 0:
+            return field.zero
+        if value == 1:
+            return field.one
+        if isinstance(value, int):
+            p, den = value, 1
+        else:
+            q = Fraction(value)
+            p, den = q.numerator, q.denominator
+        return _new(m, (p,) + (0,) * (field.degree - 1), den)
 
     @staticmethod
     def root(m: int, exponent: int) -> "CycloNumber":
-        return _cached_root(m, exponent % m)
+        return _field(m).root(exponent % m)
 
     # ring structure
 
@@ -213,6 +264,16 @@ class CycloNumber:
             return CycloNumber.from_rational(self.m, other)
         return NotImplemented
 
+    def _plus(self, other, sign: int) -> "CycloNumber":
+        da, db = self.den, other.den
+        if da == db:
+            num = [a + sign * b for a, b in zip(self.num, other.num)]
+            return _make(self.m, num, da)
+        g = gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        num = [a * sa + b * sb for a, b in zip(self.num, other.num)]
+        return _make(self.m, num, da * sa)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -221,18 +282,18 @@ class CycloNumber:
             return self
         if not self:
             return other
-        return CycloNumber(self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.m, [-a for a in self.coeffs])
+        return _new(self.m, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloNumber(self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -241,23 +302,22 @@ class CycloNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        field = _field(self.m)
         if not self or not other:
-            return CycloNumber.zero(self.m)
-        ea = self.as_root_exponent()
+            return field.zero
+        ea = self._root_hint(field)
         if ea is not None:
-            eb = other.as_root_exponent()
+            eb = other._root_hint(field)
             if eb is not None:
-                return CycloNumber.root(self.m, ea + eb)
-        a, b = self.coeffs, other.coeffs
-        d = len(a)
-        conv = [Fraction(0)] * (2 * d - 1 if d else 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
-        return CycloNumber(self.m, conv)
+                return field.root((ea + eb) % self.m)
+        a, b = self.num, other.num
+        terms = [(j, y) for j, y in enumerate(b) if y]
+        conv = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in terms:
+                    conv[i + j] += x * y
+        return _make(self.m, field.reduce(conv), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -298,25 +358,35 @@ class CycloNumber:
     # comparisons / utilities
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, RootPower)):
             other = self._coerce(other)
         if not isinstance(other, CycloNumber):
             return NotImplemented
-        return self.m == other.m and self.coeffs == other.coeffs
+        return self.m == other.m and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.m, self.coeffs))
+        if not any(self.num[1:]):  # rational: hash like the Fraction it equals
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.m, self.num, self.den))
+
+    def _root_hint(self, field: _Field) -> int | None:
+        """Exponent a with self == w^a if w^a is among the roots built so far."""
+        memo = self._root_memo
+        if memo is _UNSET:
+            memo = field.root_lookup.get(self.num) if self.den == 1 else None
+            object.__setattr__(self, "_root_memo", memo)
+        return memo
 
     def as_root_exponent(self) -> int | None:
         """Exponent a with self == w^a, or None if not a single root of unity."""
-        memo = self._root_memo
-        if memo is _UNSET:
-            memo = _field(self.m).root_lookup.get(self.coeffs)
-            object.__setattr__(self, "_root_memo", memo)
-        return memo
+        field = _field(self.m)
+        found = self._root_hint(field)
+        if found is None and self.den == 1:
+            found = next((a for a in range(self.m) if field.root(a).num == self.num), None)
+        return found
 
     def __str__(self):
         return format_scalar(self)
@@ -325,14 +395,27 @@ class CycloNumber:
         return f"CycloNumber({self.m}, {format_scalar(self)!r})"
 
 
-@lru_cache(maxsize=None)
-def _cached_root(m: int, exponent: int) -> CycloNumber:
-    return CycloNumber(m, _field(m).powers[exponent])
+def _canonical(num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """Divide ``num`` and ``den > 0`` by their common content (zero becomes 0/1)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return tuple(c // g for c in num), den // g
+    return num, den
 
 
-@lru_cache(maxsize=None)
-def _cached_rational(m: int, value: Fraction) -> CycloNumber:
-    return CycloNumber(m, [value])
+def _new(m: int, num: tuple[int, ...], den: int) -> CycloNumber:
+    """A CycloNumber from an already canonical ``num / den``."""
+    out = object.__new__(CycloNumber)
+    object.__setattr__(out, "m", m)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "den", den)
+    object.__setattr__(out, "_root_memo", _UNSET)
+    return out
+
+
+def _make(m: int, num, den: int) -> CycloNumber:
+    return _new(m, *_canonical(tuple(num), den))
 
 
 def _trim(p: list[Fraction]) -> list[Fraction]:
@@ -392,22 +475,22 @@ def cyclo_inv(a: CycloNumber) -> CycloNumber:
 # -- fixed textual syntax: "3/2", "w^5 - 1", "1/2*w^2 + w" ------------------
 
 
-def _format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def format_scalar(a: CycloNumber) -> str:
+    den = a.den
     terms = []
-    for e in range(len(a.coeffs) - 1, -1, -1):
-        c = a.coeffs[e]
+    for e in range(len(a.num) - 1, -1, -1):
+        c = a.num[e]
         if not c:
             continue
         mag = abs(c)
+        g = gcd(mag, den)
+        p, q = mag // g, den // g
+        coef = str(p) if q == 1 else f"{p}/{q}"
         if e == 0:
-            body = _format_rational(mag)
+            body = coef
         else:
             w = "w" if e == 1 else f"w^{e}"
-            body = w if mag == 1 else f"{_format_rational(mag)}*{w}"
+            body = w if mag == den else f"{coef}*{w}"
         terms.append(("-" if c < 0 else "+", body))
     if not terms:
         return "0"

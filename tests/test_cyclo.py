@@ -1,9 +1,13 @@
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nichols_dm import cyclo
 from nichols_dm.cyclo import (
     CycloNumber,
     RootKind,
@@ -161,3 +165,396 @@ def test_as_root_exponent():
     assert (CycloNumber.root(12, 1) + 1).as_root_exponent() is None
     minus_one = CycloNumber.from_rational(12, -1)
     assert minus_one.as_root_exponent() == 6
+
+
+# -- oracle: the Fraction-vector implementation that CycloNumber replaced ----
+#
+# Kept unchanged apart from its names.  Each value is a tuple of Fractions;
+# _FractionField tabulates x^j mod Phi_m for j < max(m, 2*phi(m)) + 1.
+
+
+class _FractionField:
+    """Per-modulus context: reduction data for Q[x]/Phi_m(x)."""
+
+    def __init__(self, m: int):
+        self.m = m
+        phi_poly = cyclotomic_polynomial(m)
+        self.degree = len(phi_poly) - 1
+        d = self.degree
+        # x^j mod Phi_m for j = 0 .. max(m, 2d) - 1; enough for products and roots.
+        top = [Fraction(-c) for c in phi_poly[:d]]  # x^d = sum top[j] x^j
+        powers: list[tuple[Fraction, ...]] = []
+        row = [Fraction(0)] * d
+        if d > 0:
+            row[0] = Fraction(1)
+        powers.append(tuple(row))
+        for _ in range(max(m, 2 * d)):
+            lead = row[d - 1] if d > 0 else Fraction(0)
+            row = [Fraction(0)] + row[:-1]
+            if lead:
+                row = [row[j] + lead * top[j] for j in range(d)]
+            powers.append(tuple(row))
+        self.powers = powers
+        # Recognize pure root powers (for RootPower round-trips).
+        self.root_lookup = {powers[j]: j % m for j in range(m)}
+
+
+@lru_cache(maxsize=None)
+def _fraction_field(m: int) -> _FractionField:
+    return _FractionField(m)
+
+
+_UNSET = object()
+
+
+class FractionCyclo:
+    """An element of Q(w_m), stored as a reduced vector of rationals."""
+
+    __slots__ = ("m", "coeffs", "_root_memo")
+
+    def __init__(self, m: int, coeffs: Iterable[Fraction | int]):
+        field = _fraction_field(m)
+        vec = [Fraction(c) for c in coeffs]
+        if len(vec) > field.degree:
+            reduced = [Fraction(0)] * field.degree
+            for j, c in enumerate(vec):
+                if c:
+                    row = field.powers[j] if j < len(field.powers) else None
+                    if row is None:
+                        raise ValueError("coefficient vector too long")
+                    for t in range(field.degree):
+                        reduced[t] += c * row[t]
+            vec = reduced
+        else:
+            vec = vec + [Fraction(0)] * (field.degree - len(vec))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "coeffs", tuple(vec))
+        object.__setattr__(self, "_root_memo", _UNSET)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FractionCyclo is immutable")
+
+    # constructors (values are immutable, so the cached instances are shared)
+
+    @staticmethod
+    def zero(m: int) -> "FractionCyclo":
+        return _fraction_rational(m, Fraction(0))
+
+    @staticmethod
+    def one(m: int) -> "FractionCyclo":
+        return _fraction_rational(m, Fraction(1))
+
+    @staticmethod
+    def from_rational(m: int, value: Fraction | int) -> "FractionCyclo":
+        return _fraction_rational(m, Fraction(value))
+
+    @staticmethod
+    def root(m: int, exponent: int) -> "FractionCyclo":
+        return _fraction_root(m, exponent % m)
+
+    # ring structure
+
+    def _coerce(self, other) -> "FractionCyclo":
+        if isinstance(other, FractionCyclo):
+            if other.m != self.m:
+                raise DomainError("cyclotomic numbers over different moduli")
+            return other
+        if isinstance(other, RootPower):
+            if other.m != self.m:
+                raise DomainError("cyclotomic numbers over different moduli")
+            return other.to_cyclo()
+        if isinstance(other, (int, Fraction)):
+            return FractionCyclo.from_rational(self.m, other)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other:
+            return self
+        if not self:
+            return other
+        return FractionCyclo(self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCyclo(self.m, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return FractionCyclo(self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not self or not other:
+            return FractionCyclo.zero(self.m)
+        ea = self.as_root_exponent()
+        if ea is not None:
+            eb = other.as_root_exponent()
+            if eb is not None:
+                return FractionCyclo.root(self.m, ea + eb)
+        a, b = self.coeffs, other.coeffs
+        d = len(a)
+        conv = [Fraction(0)] * (2 * d - 1 if d else 1)
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            for j, bj in enumerate(b):
+                if bj:
+                    conv[i + j] += ai * bj
+        return FractionCyclo(self.m, conv)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FractionCyclo":
+        if not self:
+            raise DomainError("cannot invert zero")
+        # extended Euclid over Q[x] against Phi_m, which is irreducible
+        phi = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
+        a = list(self.coeffs)
+        r0, r1 = phi, _trim(a)
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+        while _degree(r1) > 0:
+            q = _poly_quot(r0, r1)
+            r0, r1 = r1, _trim(_poly_sub(r0, _poly_mul(q, r1)))
+            s0, s1 = s1, _trim(_poly_sub(s0, _poly_mul(q, s1)))
+        c = r1[0]
+        inv = [x / c for x in s1]
+        return FractionCyclo(self.m, inv)
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __pow__(self, n: int) -> "FractionCyclo":
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = FractionCyclo.one(self.m)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    # comparisons / utilities
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, RootPower)):
+            other = self._coerce(other)
+        if not isinstance(other, FractionCyclo):
+            return NotImplemented
+        return self.m == other.m and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.m, self.coeffs))
+
+    def as_root_exponent(self) -> int | None:
+        """Exponent a with self == w^a, or None if not a single root of unity."""
+        memo = self._root_memo
+        if memo is _UNSET:
+            memo = _fraction_field(self.m).root_lookup.get(self.coeffs)
+            object.__setattr__(self, "_root_memo", memo)
+        return memo
+
+    def __str__(self):
+        return fraction_format(self)
+
+    def __repr__(self):
+        return f"FractionCyclo({self.m}, {fraction_format(self)!r})"
+
+
+@lru_cache(maxsize=None)
+def _fraction_root(m: int, exponent: int) -> FractionCyclo:
+    return FractionCyclo(m, _fraction_field(m).powers[exponent])
+
+
+@lru_cache(maxsize=None)
+def _fraction_rational(m: int, value: Fraction) -> FractionCyclo:
+    return FractionCyclo(m, [value])
+
+
+def _trim(p: list[Fraction]) -> list[Fraction]:
+    while len(p) > 1 and not p[-1]:
+        p.pop()
+    return p
+
+
+def _degree(p: list[Fraction]) -> int:
+    return len(p) - 1
+
+
+def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    n = max(len(a), len(b))
+    a = a + [Fraction(0)] * (n - len(a))
+    b = b + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+def _poly_quot(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a = list(a)
+    db, lead = _degree(b), b[-1]
+    if _degree(a) < db:
+        return [Fraction(0)]
+    out = [Fraction(0)] * (_degree(a) - db + 1)
+    for i in range(_degree(a), db - 1, -1):
+        c = a[i] / lead
+        out[i - db] = c
+        if c:
+            for j, d in enumerate(b):
+                a[i - db + j] -= c * d
+    return out
+
+
+def _format_rational(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def fraction_format(a: FractionCyclo) -> str:
+    terms = []
+    for e in range(len(a.coeffs) - 1, -1, -1):
+        c = a.coeffs[e]
+        if not c:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = _format_rational(mag)
+        else:
+            w = "w" if e == 1 else f"w^{e}"
+            body = w if mag == 1 else f"{_format_rational(mag)}*{w}"
+        terms.append(("-" if c < 0 else "+", body))
+    if not terms:
+        return "0"
+    sign, body = terms[0]
+    out = ("-" if sign == "-" else "") + body
+    for sign, body in terms[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def assert_canonical(x: CycloNumber) -> None:
+    """num is phi(m) ints over one positive den in lowest terms; zero is 0/1."""
+    assert len(x.num) == len(cyclotomic_polynomial(x.m)) - 1
+    assert all(type(c) is int for c in x.num)
+    assert type(x.den) is int and x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+def assert_agrees(new: CycloNumber, old: FractionCyclo) -> None:
+    assert_canonical(new)
+    assert new.coeffs == old.coeffs
+    assert bool(new) == bool(old)
+    text = format_scalar(new)
+    assert text == fraction_format(old)
+    assert parse_scalar(new.m, text) == new
+    if not any(new.num[1:]):  # rational: equal to its Fraction, with the same hash
+        q = new.coeffs[0]
+        assert new == q and hash(new) == hash(q)
+
+
+_MODULI = list(range(1, 65)) + [96]
+
+
+@st.composite
+def _vector(draw, m):
+    """A coefficient list the oracle can read: at most max(m, 2*phi(m)) + 1 entries."""
+    d = len(cyclotomic_polynomial(m)) - 1
+    small = st.fractions(max_denominator=30).filter(lambda q: abs(q.numerator) < 10**4)
+    entry = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction), small)
+    return draw(st.lists(entry, max_size=min(2 * d, max(m, 2 * d) + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_MODULI), st.data())
+def test_matches_fraction_oracle(m, data):
+    av, bv = data.draw(_vector(m)), data.draw(_vector(m))
+    a, b = CycloNumber(m, av), CycloNumber(m, bv)
+    oa, ob = FractionCyclo(m, av), FractionCyclo(m, bv)
+    assert_agrees(a, oa)
+    assert_agrees(b, ob)
+    assert (a == b) == (oa == ob)
+    assert (a == CycloNumber(m, av)) and hash(a) == hash(CycloNumber(m, av))
+    assert_agrees(a + b, oa + ob)
+    assert_agrees(a - b, oa - ob)
+    assert_agrees(-a, -oa)
+    assert_agrees(a * b, oa * ob)
+    q = data.draw(st.fractions(max_denominator=12))
+    assert_agrees(a + q, oa + q)
+    assert_agrees(a * q, oa * q)
+    assert (a == q) == (oa == q)
+    e, f = data.draw(st.integers(-2 * m, 2 * m)), data.draw(st.integers(0, m - 1))
+    ra, rb = CycloNumber.root(m, e), CycloNumber.root(m, f)
+    assert_agrees(ra, _fraction_root(m, e % m))
+    assert_agrees(ra * rb, _fraction_root(m, e % m) * _fraction_root(m, f))
+    assert_agrees(ra * a, _fraction_root(m, e % m) * oa)
+    n = data.draw(st.integers(-3 if a else 0, 4))
+    assert_agrees(a**n, oa**n)
+    if a:
+        assert_agrees(a.inverse(), oa.inverse())
+
+
+def test_rational_hash_matches_fraction():
+    assert CycloNumber.one(12) == 1
+    assert len({CycloNumber.one(12), 1}) == 1
+    assert len({CycloNumber.from_rational(12, Fraction(-3, 2)), Fraction(-3, 2)}) == 1
+    assert hash(CycloNumber.zero(48)) == hash(0)
+    assert CycloNumber.root(12, 6) == -1 and hash(CycloNumber.root(12, 6)) == hash(-1)
+
+
+def test_field_rows_are_built_on_demand():
+    # the old set-up tabulated max(m, 2*phi(m)) rows: 3200 of them here
+    m = 3200
+    one = CycloNumber.one(m)
+    last = CycloNumber.root(m, m - 1)
+    assert CycloNumber(m, [0, 1]) * last == one  # w * w^(m-1), by the integer product
+    field = cyclo._field(m)
+    assert len(field.roots) <= 3 and len(field.root_lookup) <= 3
+
+
+def _cache_sizes() -> int:
+    """Entries held by every module-level cache of nichols_dm.cyclo."""
+    total = 0
+    for value in vars(cyclo).values():
+        if hasattr(value, "cache_info"):
+            total += value.cache_info().currsize
+        elif isinstance(value, dict):
+            total += len(value)
+            for field in value.values():
+                total += len(getattr(field, "roots", ())) + len(getattr(field, "root_lookup", ()))
+    return total
+
+
+def test_new_rationals_grow_no_cache():
+    parse_scalar(12, "1/2*w - 3")
+    before = _cache_sizes()
+    for p in range(2, 300):
+        parse_scalar(12, f"{p}/{p + 1}*w - {p}/7")
+        CycloNumber.from_rational(12, Fraction(p, 11))
+    assert _cache_sizes() == before
