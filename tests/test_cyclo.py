@@ -484,11 +484,11 @@ _MODULI = list(range(1, 65)) + [96]
 
 @st.composite
 def _vector(draw, m):
-    """A coefficient list the oracle can read: at most max(m, 2*phi(m)) + 1 entries."""
+    """Up to 2*phi(m) coefficients, so that the constructor reduces by Phi_m too."""
     d = len(cyclotomic_polynomial(m)) - 1
     small = st.fractions(max_denominator=30).filter(lambda q: abs(q.numerator) < 10**4)
     entry = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction), small)
-    return draw(st.lists(entry, max_size=min(2 * d, max(m, 2 * d) + 1)))
+    return draw(st.lists(entry, max_size=2 * d))
 
 
 @settings(max_examples=200, deadline=None)
