@@ -22,13 +22,7 @@ from .classify import (
 )
 from .cyclo import (
     CycloNumber,
-    RootKind,
-    RootPower,
-    cyclo_add,
-    cyclo_inv,
-    cyclo_mul,
     cyclotomic_polynomial,
-    root_classify,
 )
 from .dihedral import (
     CyclicCharacter,
@@ -95,8 +89,6 @@ __all__ = [
     "Presentation",
     "Rack",
     "RewriteSystem",
-    "RootKind",
-    "RootPower",
     "UnitModM",
     "YDModule",
     "act_ell",
@@ -113,9 +105,6 @@ __all__ = [
     "compile_presentation",
     "conjugacy_classes",
     "conjugation_rack",
-    "cyclo_add",
-    "cyclo_inv",
-    "cyclo_mul",
     "cyclotomic_polynomial",
     "dihedral_rack",
     "dimension",
@@ -135,7 +124,6 @@ __all__ = [
     "normal_basis",
     "presentation_A",
     "presentation_B",
-    "root_classify",
     "skew_primitives",
     "support_J",
     "theorem_A_report",

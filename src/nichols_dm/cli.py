@@ -20,7 +20,7 @@ from . import classify as classify_mod
 from . import iso as iso_mod
 from . import lifting as lifting_mod
 from . import rewrite as rewrite_mod
-from .cyclo import CycloNumber, RootPower, format_scalar, parse_scalar
+from .cyclo import CycloNumber, format_scalar, parse_scalar
 from .dihedral import (
     CyclicCharacter,
     DihedralGroup,
@@ -61,8 +61,6 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, CycloNumber):
         return format_scalar(obj)
-    if isinstance(obj, RootPower):
-        return format_scalar(obj.to_cyclo())
     if isinstance(obj, GroupElement):
         return str(obj)
     if isinstance(obj, Fraction):

@@ -1,12 +1,13 @@
 """Exact arithmetic in the cyclotomic field Q(w_m).
 
-Two representations are provided.  ``RootPower`` is an exponent-only fast
-path for single roots of unity (closed under multiplication), while
-``CycloNumber`` is a full field element in the power basis
-``1, w, ..., w^(phi(m)-1)``: a tuple of ints over one positive common
-denominator, in lowest terms.  ``Phi_m`` is monic with integer
-coefficients, so sums and products stay in integers; a product is reduced
-by the sparse nonzero coefficients of ``Phi_m``, and the row
+``CycloNumber`` is the one scalar type: a field element in the power basis
+``1, w, ..., w^(phi(m)-1)``, stored as a tuple of ints over one positive
+common denominator, in lowest terms.  A root of unity is
+``CycloNumber.root(m, a)``, one shared instance per exponent that
+remembers ``a``, so a product of two roots adds exponents; comparing a
+value with ``1`` or ``-1`` reads its ints and builds nothing.  ``Phi_m`` is
+monic with integer coefficients, so sums and products stay in integers; a
+product is reduced by the sparse nonzero coefficients of ``Phi_m``, and the row
 ``x^a mod Phi_m`` of a root ``w^a`` is built the first time it is used.
 Only ``inverse`` (extended Euclid against ``Phi_m``), ``parse_scalar`` and
 the ``coeffs`` view work with ``Fraction``.  Everything is exact; there is
@@ -16,8 +17,6 @@ no floating point anywhere in this package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -27,15 +26,9 @@ from .errors import DomainError
 
 __all__ = [
     "CycloNumber",
-    "RootKind",
-    "RootPower",
-    "cyclo_add",
-    "cyclo_inv",
-    "cyclo_mul",
     "cyclotomic_polynomial",
     "format_scalar",
     "parse_scalar",
-    "root_classify",
 ]
 
 
@@ -133,62 +126,6 @@ def _field(m: int) -> _Field:
     return field
 
 
-class RootKind(Enum):
-    ONE = "one"
-    MINUS_ONE = "minus_one"
-    OTHER = "other"
-
-
-@dataclass(frozen=True)
-class RootPower:
-    """The root of unity w^exponent for w a fixed primitive m-th root of 1."""
-
-    m: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise DomainError(f"modulus must be positive, got {self.m}")
-        object.__setattr__(self, "exponent", self.exponent % self.m)
-
-    def __mul__(self, other: "RootPower") -> "RootPower":
-        if self.m != other.m:
-            raise DomainError("root powers over different moduli")
-        return RootPower(self.m, self.exponent + other.exponent)
-
-    def __pow__(self, n: int) -> "RootPower":
-        return RootPower(self.m, self.exponent * n)
-
-    def inverse(self) -> "RootPower":
-        return RootPower(self.m, -self.exponent)
-
-    def classify(self) -> RootKind:
-        if self.exponent == 0:
-            return RootKind.ONE
-        if self.m % 2 == 0 and self.exponent == self.m // 2:
-            return RootKind.MINUS_ONE
-        return RootKind.OTHER
-
-    @property
-    def is_one(self) -> bool:
-        return self.exponent == 0
-
-    @property
-    def is_minus_one(self) -> bool:
-        return self.classify() is RootKind.MINUS_ONE
-
-    def to_cyclo(self) -> "CycloNumber":
-        return CycloNumber.root(self.m, self.exponent)
-
-    def __str__(self):
-        return format_scalar(self.to_cyclo())
-
-
-def root_classify(a: RootPower) -> RootKind:
-    """Classify w^a as 1, -1 or some other root of unity."""
-    return a.classify()
-
-
 _UNSET = object()
 
 
@@ -256,10 +193,6 @@ class CycloNumber:
             if other.m != self.m:
                 raise DomainError("cyclotomic numbers over different moduli")
             return other
-        if isinstance(other, RootPower):
-            if other.m != self.m:
-                raise DomainError("cyclotomic numbers over different moduli")
-            return other.to_cyclo()
         if isinstance(other, (int, Fraction)):
             return CycloNumber.from_rational(self.m, other)
         return NotImplemented
@@ -361,11 +294,13 @@ class CycloNumber:
         return any(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, RootPower)):
-            other = self._coerce(other)
-        if not isinstance(other, CycloNumber):
-            return NotImplemented
-        return self.m == other.m and self.den == other.den and self.num == other.num
+        if isinstance(other, CycloNumber):
+            return self.m == other.m and self.den == other.den and self.num == other.num
+        if isinstance(other, (int, Fraction)):  # both forms are in lowest terms
+            num = self.num
+            return (num[0] == other.numerator and self.den == other.denominator
+                    and not any(num[1:]))
+        return NotImplemented
 
     def __hash__(self):
         if not any(self.num[1:]):  # rational: hash like the Fraction it equals
@@ -458,18 +393,6 @@ def _poly_quot(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
             for j, d in enumerate(b):
                 a[i - db + j] -= c * d
     return out
-
-
-def cyclo_add(a: CycloNumber, b: CycloNumber) -> CycloNumber:
-    return a + b
-
-
-def cyclo_mul(a: CycloNumber, b: CycloNumber) -> CycloNumber:
-    return a * b
-
-
-def cyclo_inv(a: CycloNumber) -> CycloNumber:
-    return a.inverse()
 
 
 # -- fixed textual syntax: "3/2", "w^5 - 1", "1/2*w^2 + w" ------------------

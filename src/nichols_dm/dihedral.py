@@ -27,11 +27,10 @@ r^j (s r^b) r^-j = s r^(b-2j) and s (r^a) s = r^-a, so:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from typing import Iterator
 
-from .cyclo import CycloNumber, RootPower
+from .cyclo import CycloNumber
 from .errors import DomainError
 
 __all__ = [
@@ -290,7 +289,7 @@ class Irrep:
     def name(self) -> str:
         return f"chi_{self.index}" if self.kind == "linear" else f"rho_{self.index}"
 
-    def monomial_action(self, a: GroupElement) -> tuple[tuple[int, RootPower], ...]:
+    def monomial_action(self, a: GroupElement) -> tuple[tuple[int, CycloNumber], ...]:
         """Column j of the matrix as (row, scalar); all irreps here are monomial."""
         m = self.group.m
         if self.kind == "linear":
@@ -300,9 +299,9 @@ class Irrep:
                 exp += half
             if self.index in (3, 4) and a.rot % 2:
                 exp += half
-            return ((0, RootPower(m, exp)),)
+            return ((0, CycloNumber.root(m, exp)),)
         ell = self.index
-        cols = [(0, RootPower(m, ell * a.rot)), (1, RootPower(m, -ell * a.rot))]
+        cols = [(0, CycloNumber.root(m, ell * a.rot)), (1, CycloNumber.root(m, -ell * a.rot))]
         if a.eps:
             cols = [(1 - row, scalar) for row, scalar in cols]
         return tuple(cols)
@@ -313,14 +312,14 @@ class Irrep:
         m = self.group.m
         rows = [[CycloNumber.zero(m) for _ in range(d)] for _ in range(d)]
         for col, (row, scalar) in enumerate(self.monomial_action(a)):
-            rows[row][col] = scalar.to_cyclo()
+            rows[row][col] = scalar
         return tuple(tuple(r) for r in rows)
 
     def character(self, a: GroupElement) -> CycloNumber:
         total = CycloNumber.zero(self.group.m)
         for col, (row, scalar) in enumerate(self.monomial_action(a)):
             if row == col:
-                total = total + scalar.to_cyclo()
+                total = total + scalar
         return total
 
     def domain_matches(self, elements) -> bool:
@@ -359,12 +358,12 @@ class CyclicCharacter:
     def name(self) -> str:
         return f"chi_({self.k})"
 
-    def value(self, a: GroupElement) -> RootPower:
+    def value(self, a: GroupElement) -> CycloNumber:
         if a.eps:
             raise DomainError(f"{a} is not in the rotation subgroup")
-        return RootPower(self.group.m, self.k * a.rot)
+        return CycloNumber.root(self.group.m, self.k * a.rot)
 
-    def monomial_action(self, a: GroupElement) -> tuple[tuple[int, RootPower], ...]:
+    def monomial_action(self, a: GroupElement) -> tuple[tuple[int, CycloNumber], ...]:
         return ((0, self.value(a)),)
 
     def domain_matches(self, elements) -> bool:
@@ -410,7 +409,7 @@ class KleinFourCharacter:
         tag = {1: "e", -1: "s"}
         return f"{tag[self.sign_sigma]}x{tag[self.sign_central]}"
 
-    def value(self, a: GroupElement) -> RootPower:
+    def value(self, a: GroupElement) -> CycloNumber:
         G = self.group
         half = G.m // 2
         exp = 0
@@ -424,9 +423,9 @@ class KleinFourCharacter:
                 exp += half
         elif rot != 0:
             raise DomainError(f"{a} is not in the centralizer of {self.sigma}")
-        return RootPower(G.m, exp)
+        return CycloNumber.root(G.m, exp)
 
-    def monomial_action(self, a: GroupElement) -> tuple[tuple[int, RootPower], ...]:
+    def monomial_action(self, a: GroupElement) -> tuple[tuple[int, CycloNumber], ...]:
         return ((0, self.value(a)),)
 
     def domain_matches(self, elements) -> bool:
@@ -470,8 +469,3 @@ def centralizer_representations(G: DihedralGroup, cls: ConjugacyClass) -> list:
         for a in (1, -1)
         for b in (1, -1)
     ]
-
-
-@lru_cache(maxsize=None)
-def group(m: int) -> DihedralGroup:
-    return DihedralGroup(m)

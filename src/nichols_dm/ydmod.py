@@ -8,8 +8,8 @@ acts through the coset factorization g g_i = g_j gamma.  The braiding is
 c(u (x) v) = deg(u).v (x) u.
 
 Every centralizer representation used here is monomial, so group actions
-and braidings are scaled permutations of the basis; coefficients stay in
-the exponent-only RootPower fast path.
+and braidings are scaled permutations of the basis; every coefficient is a
+root of unity ``CycloNumber.root(m, a)``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cyclo import RootKind, RootPower
+from .cyclo import CycloNumber
 from .dihedral import (
     ConjugacyClass,
     DihedralGroup,
@@ -84,7 +84,7 @@ class YDModule:
         si, ci, _ = self.basis[idx]
         return self.summands[si].sigmas[ci]
 
-    def act(self, g: GroupElement, idx: int) -> tuple[int, RootPower]:
+    def act(self, g: GroupElement, idx: int) -> tuple[int, CycloNumber]:
         """g . e_idx as (target index, coefficient); actions here are monomial."""
         si, ci, vi = self.basis[idx]
         summand = self.summands[si]
@@ -96,12 +96,12 @@ class YDModule:
         row, scalar = summand.rep.monomial_action(gamma)[vi]
         return self._index[(si, cj, row)], scalar
 
-    def braid(self, a: int, b: int) -> tuple[tuple[int, int], RootPower]:
+    def braid(self, a: int, b: int) -> tuple[tuple[int, int], CycloNumber]:
         """c(e_a (x) e_b) = coeff * (e_b' (x) e_a)."""
         b2, coeff = self.act(self.degree(a), b)
         return (b2, a), coeff
 
-    def summand_scalar(self, si: int) -> RootPower:
+    def summand_scalar(self, si: int) -> CycloNumber:
         """The scalar by which sigma acts on its own block (Schur's lemma)."""
         summand = self.summands[si]
         sigma = summand.sigmas[0]
@@ -162,7 +162,7 @@ def direct_sum(modules: Sequence[YDModule]) -> YDModule:
 class BraidingData:
     module: YDModule
     is_diagonal: bool
-    matrix: Optional[tuple[tuple[RootPower, ...], ...]]
+    matrix: Optional[tuple[tuple[CycloNumber, ...], ...]]
 
 
 def braiding(M: YDModule) -> BraidingData:
@@ -183,11 +183,11 @@ def braiding(M: YDModule) -> BraidingData:
 
 @dataclass(frozen=True)
 class DynkinDiagram:
-    vertices: tuple[RootPower, ...]
-    edges: tuple[tuple[int, int, RootPower], ...]
+    vertices: tuple[CycloNumber, ...]
+    edges: tuple[tuple[int, int, CycloNumber], ...]
 
 
-def dynkin_diagram(Q: BraidingData | Sequence[Sequence[RootPower]]) -> DynkinDiagram:
+def dynkin_diagram(Q: BraidingData | Sequence[Sequence[CycloNumber]]) -> DynkinDiagram:
     """Vertices q_ii and edges (i, j, q_ij q_ji) whenever that product is not 1."""
     if isinstance(Q, BraidingData):
         if not Q.is_diagonal:
@@ -201,7 +201,7 @@ def dynkin_diagram(Q: BraidingData | Sequence[Sequence[RootPower]]) -> DynkinDia
     for i in range(d):
         for j in range(i + 1, d):
             label = matrix[i][j] * matrix[j][i]
-            if not label.is_one:
+            if label != 1:
                 edges.append((i, j, label))
     return DynkinDiagram(vertices, tuple(edges))
 
@@ -220,7 +220,7 @@ def yang_baxter_holds(M: YDModule) -> bool:
         (c2, b2), k = M.braid(b, c)
         return (a, c2, b2), coeff * k
 
-    one = RootPower(M.group.m, 0)
+    one = CycloNumber.one(M.group.m)
     for a in range(d):
         for b in range(d):
             for c in range(d):
@@ -275,7 +275,7 @@ def nichols_dimension(M: YDModule) -> Finite | Infinite:
     for si, summand in enumerate(M.summands):
         scalar = M.summand_scalar(si)
         # every conjugacy class of D_m is real, so the scalar must be -1
-        if scalar.classify() is not RootKind.MINUS_ONE:
+        if scalar != -1:
             return Infinite("RealClassScalar", (summand.label,), scalar)
 
     data = braiding(M)
@@ -283,14 +283,14 @@ def nichols_dimension(M: YDModule) -> Finite | Infinite:
         raise RuntimeError("rotation-class braiding unexpectedly non-diagonal")
     Q = data.matrix
     for i in range(M.dim):
-        if not Q[i][i].is_minus_one:
+        if Q[i][i] != -1:
             return Infinite(
                 "RealClassScalar", (M.summands[M.basis[i][0]].label,), Q[i][i]
             )
     for i in range(M.dim):
         for j in range(i + 1, M.dim):
             label = Q[i][j] * Q[j][i]
-            if not label.is_one:
+            if label != 1:
                 si, sj = M.basis[i][0], M.basis[j][0]
                 return Infinite(
                     "RomboDiagram",

@@ -10,15 +10,9 @@ from hypothesis import strategies as st
 from nichols_dm import cyclo
 from nichols_dm.cyclo import (
     CycloNumber,
-    RootKind,
-    RootPower,
-    cyclo_add,
-    cyclo_inv,
-    cyclo_mul,
     cyclotomic_polynomial,
     format_scalar,
     parse_scalar,
-    root_classify,
 )
 from nichols_dm.errors import DomainError
 
@@ -54,26 +48,29 @@ def test_cyclotomic_rejects_nonpositive():
 
 
 def test_root_classify_examples():
-    assert root_classify(RootPower(12, 0)) is RootKind.ONE
-    assert root_classify(RootPower(12, 6)) is RootKind.MINUS_ONE
-    assert root_classify(RootPower(12, 3)) is RootKind.OTHER
+    # ydmod's verdicts test q_ii == -1 and q_ij q_ji == 1 on these values
+    assert CycloNumber.root(12, 0) == 1 and CycloNumber.root(12, 12) == 1
+    assert CycloNumber.root(12, 6) == -1 and CycloNumber.root(12, -6) == -1
+    assert CycloNumber.root(12, 3) != 1 and CycloNumber.root(12, 3) != -1
     # odd modulus never hits -1
-    assert all(root_classify(RootPower(9, a)) is not RootKind.MINUS_ONE for a in range(9))
+    assert all(CycloNumber.root(9, a) != -1 for a in range(9))
 
 
 @pytest.mark.parametrize("m", list(range(1, 65)))
 def test_root_classify_matches_cyclo(m):
     for a in range(m):
-        is_minus_one = root_classify(RootPower(m, a)) is RootKind.MINUS_ONE
-        assert is_minus_one == (not (RootPower(m, a).to_cyclo() + 1))
+        w = CycloNumber.root(m, a)
+        assert (w == 1) == (a == 0)
+        assert (w == -1) == (2 * a == m)
+        assert (w == -1) == (not (w + 1))
 
 
 def test_exponent_homomorphism():
     m = 24
     for a in range(m):
         for b in range(0, m, 5):
-            lhs = RootPower(m, a).to_cyclo() * RootPower(m, b).to_cyclo()
-            assert lhs == RootPower(m, a + b).to_cyclo()
+            lhs = CycloNumber.root(m, a) * CycloNumber.root(m, b)
+            assert lhs == CycloNumber.root(m, a + b)
 
 
 def test_phi_vanishes_at_root():
@@ -97,11 +94,11 @@ def test_inverse_roots_and_root_sum():
 
 def test_field_inverse_and_zero_division():
     a = CycloNumber(12, [1, 2, 0, Fraction(1, 3)])
-    assert cyclo_mul(a, cyclo_inv(a)) == CycloNumber.one(12)
+    assert a * a.inverse() == CycloNumber.one(12)
     with pytest.raises(DomainError):
-        cyclo_inv(CycloNumber.zero(12))
+        CycloNumber.zero(12).inverse()
     with pytest.raises(DomainError):
-        cyclo_add(CycloNumber.one(12), CycloNumber.one(8))
+        CycloNumber.one(12) + CycloNumber.one(8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,8 +166,10 @@ def test_as_root_exponent():
 
 # -- oracle: the Fraction-vector implementation that CycloNumber replaced ----
 #
-# Kept unchanged apart from its names.  Each value is a tuple of Fractions;
-# _FractionField tabulates x^j mod Phi_m for j < max(m, 2*phi(m)) + 1.
+# Kept unchanged apart from its names and the branches that accepted the
+# exponent-only root type, which the package no longer has.  Each value is a
+# tuple of Fractions; _FractionField tabulates x^j mod Phi_m for
+# j < max(m, 2*phi(m)) + 1.
 
 
 class _FractionField:
@@ -195,7 +194,7 @@ class _FractionField:
                 row = [row[j] + lead * top[j] for j in range(d)]
             powers.append(tuple(row))
         self.powers = powers
-        # Recognize pure root powers (for RootPower round-trips).
+        # Recognize pure root powers.
         self.root_lookup = {powers[j]: j % m for j in range(m)}
 
 
@@ -259,10 +258,6 @@ class FractionCyclo:
             if other.m != self.m:
                 raise DomainError("cyclotomic numbers over different moduli")
             return other
-        if isinstance(other, RootPower):
-            if other.m != self.m:
-                raise DomainError("cyclotomic numbers over different moduli")
-            return other.to_cyclo()
         if isinstance(other, (int, Fraction)):
             return FractionCyclo.from_rational(self.m, other)
         return NotImplemented
@@ -355,7 +350,7 @@ class FractionCyclo:
         return any(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, RootPower)):
+        if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
         if not isinstance(other, FractionCyclo):
             return NotImplemented
@@ -523,9 +518,25 @@ def test_matches_fraction_oracle(m, data):
 def test_rational_hash_matches_fraction():
     assert CycloNumber.one(12) == 1
     assert len({CycloNumber.one(12), 1}) == 1
+    assert len({CycloNumber.root(12, 0), 1, Fraction(1)}) == 1
     assert len({CycloNumber.from_rational(12, Fraction(-3, 2)), Fraction(-3, 2)}) == 1
     assert hash(CycloNumber.zero(48)) == hash(0)
     assert CycloNumber.root(12, 6) == -1 and hash(CycloNumber.root(12, 6)) == hash(-1)
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_equal_scalars_hash_equal(m):
+    rationals = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
+    values = (
+        [CycloNumber.root(m, a) for a in range(m)]
+        + [CycloNumber.from_rational(m, q) for q in rationals]
+        + rationals
+        + [int(q) for q in rationals if q.denominator == 1]
+    )
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
 
 
 def test_field_rows_are_built_on_demand():

@@ -1,6 +1,6 @@
 import pytest
 
-from nichols_dm.cyclo import RootPower
+from nichols_dm.cyclo import CycloNumber
 from nichols_dm.dihedral import (
     CyclicCharacter,
     DihedralGroup,
@@ -89,7 +89,7 @@ def test_action_is_group_homomorphism(d12):
 def test_minus_flip_braiding_on_pair_class(d12):
     data = braiding(M_ik(d12, 1, 6))
     assert data.is_diagonal
-    minus_one = RootPower(12, 6)
+    minus_one = CycloNumber.root(12, 6)
     assert all(q == minus_one for row in data.matrix for q in row)
 
 
@@ -100,7 +100,7 @@ def test_braiding_matrix_of_two_pair_classes(d12):
     data = braiding(M)
     assert data.is_diagonal
     Q = data.matrix
-    w = lambda e: RootPower(12, e)
+    w = lambda e: CycloNumber.root(12, e)
     assert [Q[0][0], Q[0][1], Q[1][0], Q[1][1]] == [w(6)] * 4
     assert [Q[2][2], Q[2][3], Q[3][2], Q[3][3]] == [w(6)] * 4
     # cross blocks: chi_(q)(y^{+-i}) and chi_(k)(y^{+-p})
@@ -121,14 +121,14 @@ def test_reflection_class_braiding_not_diagonal(d12):
 def test_schur_scalar_position(d12):
     M = M_ik(d12, 1, 6)
     data = braiding(M)
-    assert data.matrix[0][0] == M.summand_scalar(0) == RootPower(12, 6)
+    assert data.matrix[0][0] == M.summand_scalar(0) == CycloNumber.root(12, 6)
 
 
 def test_dynkin_diagram_minus_flip(d12):
     M = direct_sum([M_ik(d12, 1, 6), M_ik(d12, 5, 6)])
     diagram = dynkin_diagram(braiding(M))
     assert len(diagram.vertices) == 4
-    assert all(v.is_minus_one for v in diagram.vertices)
+    assert all(v == -1 for v in diagram.vertices)
     assert diagram.edges == ()
 
 
@@ -136,7 +136,7 @@ def test_dynkin_diagram_four_cycle(d12):
     # inequivalent pairs: lam = w^(iq+pk) != 1 labels a 4-cycle
     M = direct_sum([M_ik(d12, 2, 3), M_ik(d12, 1, 6)])
     diagram = dynkin_diagram(braiding(M))
-    lam = RootPower(12, 2 * 6 + 1 * 3)
+    lam = CycloNumber.root(12, 2 * 6 + 1 * 3)
     labels = sorted((i, j) for i, j, _ in diagram.edges)
     assert labels == [(0, 2), (0, 3), (1, 2), (1, 3)]
     values = {(i, j): v for i, j, v in diagram.edges}
@@ -167,7 +167,7 @@ def test_nichols_dimension_rombo(d12):
     result = nichols_dimension(direct_sum([M_ik(d12, 2, 3), M_ik(d12, 1, 6)]))
     assert isinstance(result, Infinite)
     assert result.rule == "RomboDiagram"
-    assert result.witness == RootPower(12, 15)
+    assert result.witness == CycloNumber.root(12, 15)
 
 
 def test_nichols_dimension_type_d(d12):
@@ -180,7 +180,7 @@ def test_nichols_dimension_type_d(d12):
 
 def test_nichols_dimension_real_class_scalar(d12):
     result = nichols_dimension(M_ik(d12, 1, 3))  # w^3 != -1
-    assert result == Infinite("RealClassScalar", ("M(r^1, chi_(3))",), RootPower(12, 3))
+    assert result == Infinite("RealClassScalar", ("M(r^1, chi_(3))",), CycloNumber.root(12, 3))
     for rep in centralizer_representations(d12, class_of(d12, d12.r(6))):
         res = nichols_dimension(induce(d12, class_of(d12, d12.r(6)), rep))
         if rep.kind == "two_dim" and rep.index % 2 == 1:
