@@ -408,3 +408,123 @@ def test_hopf_check_sweep(m):
         assert dim == 4 ** (len(P.I) + len(P.L)) * 2 * m
         report = hopf_check(P, R)
         assert report.all_ok, (P.I, P.L, report.failures)
+
+
+# -- reference routes for the Hopf check -------------------------------------
+
+
+def _stepwise_tensor_mul(R, t1, t2):
+    """Product of two tensors, reducing both legs after every monomial product."""
+    one = CycloNumber.one(R.m)
+    out = {}
+    for (a1, a2), c1 in t1.items():
+        for (b1, b2), c2 in t2.items():
+            leg1 = R.reduce(R.el_mul({a1: one}, {b1: one}))
+            leg2 = R.reduce(R.el_mul({a2: one}, {b2: one}))
+            for m1, d1 in leg1.items():
+                for m2, d2 in leg2.items():
+                    rewrite._add(out, (m1, m2), c1 * c2 * d1 * d2)
+    return out
+
+
+def _stepwise_delta(R, el):
+    """Delta(el) through the stepwise-reducing product, letter by letter."""
+    one = CycloNumber.one(R.m)
+    unit = ((), g_encode(R.m, 0, 0))
+    out = {}
+    for (word, g), coeff in el.items():
+        t = {(unit, unit): coeff}
+        for v in word:
+            vm = ((v,), g_encode(R.m, 0, 0))
+            grp = ((), g_encode(R.m, 0, R.cop_exp[v]))
+            t = _stepwise_tensor_mul(R, t, {(vm, unit): one, (grp, vm): one})
+        gamma = ((), g)
+        for key, c in _stepwise_tensor_mul(R, t, {(gamma, gamma): one}).items():
+            rewrite._add(out, key, c)
+    return out
+
+
+def _pair_loop_fails(R):
+    """Whether S(ab) = S(b) S(a) fails, through normal forms, on some generator pair."""
+    gens = [R.monomial((), eps=1), R.monomial((), rot=1)] + [
+        R.monomial((v,)) for v in range(len(R.letters))
+    ]
+    for a in gens:
+        for b in gens:
+            lhs = rewrite._antipode(R, R.reduce(R.el_mul(a, b)))
+            rhs = R.el_mul(rewrite._antipode(R, b), rewrite._antipode(R, a))
+            if R.el_add(R.reduce(lhs), R.reduce(rhs), scale=-CycloNumber.one(R.m)):
+                return True
+    return False
+
+
+def _sweep_presentations():
+    # every family up to size 2 at m = 12, 16, 20, data broadcast over {0, 1}
+    for m in (12, 16, 20):
+        yield from _family_presentations(m, 2, (0, 1))
+
+
+def _with_cop_exp(P, name, cop_exp):
+    """P with the coproduct degree of its letter `name` replaced."""
+    gens = tuple(
+        dataclasses.replace(v, cop_exp=cop_exp) if v.name == name else v
+        for v in P.skew_generators
+    )
+    return dataclasses.replace(P, skew_generators=gens)
+
+
+def _corrupted_presentations():
+    # the three corrupted relations of test_hopf_check_reports_corrupted_relations
+    one = CycloNumber.one(12)
+    A = presentation_A(12, [(1, 6)], lam=1)
+    B = presentation_B(12, [(2, 3)], [3], theta=1)
+    yield _with_rhs(A, "quad:xx", ((one, (0, 0)),))
+    yield _with_rhs(A, "quad:xx", ((one, (0, 0)), (-one, (0, 4))))
+    yield _with_rhs(B, "quad:xz", ((one, (0, 0)),))
+    # every letter of an A- and a B-presentation given a wrong coproduct degree
+    for P in (A, presentation_B(12, [(2, 3)], [3], mu=1), presentation_A(12, [(2, 3)])):
+        for v in P.skew_generators:
+            for shift in (1, 5, 6):
+                yield _with_cop_exp(P, v.name, (v.cop_exp + shift) % 12)
+
+
+def test_delta_matches_stepwise_reduction():
+    # reducing each leg once equals reducing after every product, because
+    # reduction onto the normal words of a confluent system is an algebra map
+    for P in _sweep_presentations():
+        R = compile_presentation(P)
+        one = CycloNumber.one(R.m)
+        elements = [rewrite._relation_element(R, rel) for rel in P.relations]
+        n = range(len(R.letters))
+        words = [()] + [(a,) for a in n] + [(a, b) for a in n for b in n]
+        for g in (0, 1, R.m, 2 * R.m - 1):
+            elements += [{(word, g): one} for word in words]
+        for el in elements:
+            assert rewrite._delta(R, el) == _stepwise_delta(R, el), (P.I, P.L, el)
+
+
+def test_generator_pair_failures_fail_the_antipode():
+    cases = [(P, compile_presentation(P)) for P in _sweep_presentations()]
+    cases += [(P, compile_presentation(P)) for P in _corrupted_presentations()]
+    # a g-conjugation that is not an involution: x(1,6) and y(1,6) both go to y(1,6)
+    P = presentation_A(12, [(1, 6)], lam=1)
+    R = compile_presentation(P)
+    R.partner = (1, 1)
+    cases.append((P, R))
+    failing = 0
+    for P, R in cases:
+        if _pair_loop_fails(R):
+            failing += 1
+            assert not hopf_check(P, R).antipode_ok, (P.I, P.L, R.cop_exp, R.partner)
+    # the sweep never fails the loop; every corruption does
+    assert failing == 3 + 3 * (2 + 4 + 2) + 1
+
+
+def test_hopf_check_flags_inconsistent_coproduct_degrees():
+    # Delta and the counit hold on every relation; only the antipode notices
+    A = _with_cop_exp(presentation_A(12, [(1, 6)], lam=1), "y(1,6)", 5)
+    report = hopf_check(A, compile_presentation(A))
+    assert (report.delta_ok, report.counit_ok, report.antipode_ok) == (True, True, False)
+    B = _with_cop_exp(presentation_B(12, [(2, 3)], [3], mu=1), "w(3)", 5)
+    report = hopf_check(B, compile_presentation(B))
+    assert (report.delta_ok, report.counit_ok, report.antipode_ok) == (False, True, False)
