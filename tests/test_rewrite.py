@@ -275,7 +275,6 @@ def test_hopf_check_reports_corrupted_relations():
                 "delta:quad:xx:x(1,6)|x(1,6):(1)*[((), 2)(x)((), 0)]",
                 "counit:quad:xx:x(1,6)|x(1,6):-1",
                 "antipode:quad:xx:x(1,6)|x(1,6):(-1)*1*e + (-1)*1*r^10",
-                "antipode:antimultiplicative:generator pair",
             )),
         ),
         # x^2 = 1 - h^4 instead of 1 - h^2: the counit still vanishes
@@ -287,7 +286,6 @@ def test_hopf_check_reports_corrupted_relations():
                 " + (1)*[((), 4)(x)((), 4)]",
                 "antipode:quad:xx:x(1,6)|x(1,6):(-1)*1*e + (1)*1*r^2"
                 " + (1)*1*r^8 + (-1)*1*r^10",
-                "antipode:antimultiplicative:generator pair",
             )),
         ),
         # xz + zx = 1 in a B-type presentation: the z/w letters
@@ -297,7 +295,6 @@ def test_hopf_check_reports_corrupted_relations():
                 "delta:quad:xz:x(2,3)|z(3):(1)*[((), 8)(x)((), 0)]",
                 "counit:quad:xz:x(2,3)|z(3):-1",
                 "antipode:quad:xz:x(2,3)|z(3):(-1)*1*e + (-1)*1*r^4",
-                "antipode:antimultiplicative:generator pair",
             )),
         ),
     ]
@@ -326,6 +323,13 @@ def test_skew_primitives_bosonization():
     assert len(sols_y) == 1
     # identity degree: nothing
     assert skew_primitives(R, GroupElement(12, 0, 0)) == []
+
+
+def test_skew_primitives_do_not_list_the_normal_basis(monkeypatch):
+    # only words of length 1 and 2 enter, so the normal word limit does not bind
+    R = compile_presentation(presentation_A(12, [(1, 6), (5, 6)]))
+    monkeypatch.setattr(rewrite, "NORMAL_WORD_LIMIT", 10)
+    assert len(skew_primitives(R, GroupElement(12, 0, 1))) == 1
 
 
 def test_skew_primitives_deformed():
@@ -525,6 +529,10 @@ def test_hopf_check_flags_inconsistent_coproduct_degrees():
     A = _with_cop_exp(presentation_A(12, [(1, 6)], lam=1), "y(1,6)", 5)
     report = hopf_check(A, compile_presentation(A))
     assert (report.delta_ok, report.counit_ok, report.antipode_ok) == (True, True, False)
+    # x(1,6) and y(1,6) are g-partners whose degrees h^1, h^5 are not inverse
+    assert report.failures == ("antipode:metadata:x(1,6)", "antipode:metadata:y(1,6)")
     B = _with_cop_exp(presentation_B(12, [(2, 3)], [3], mu=1), "w(3)", 5)
     report = hopf_check(B, compile_presentation(B))
     assert (report.delta_ok, report.counit_ok, report.antipode_ok) == (False, True, False)
+    assert report.failures[-2:] == ("antipode:metadata:z(3)", "antipode:metadata:w(3)")
+    assert sum("metadata" in line for line in report.failures) == 2
