@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from nichols_dm.cyclo import CycloNumber
@@ -60,6 +62,82 @@ def test_induce_rejects_wrong_centralizer(d12):
         induce(d12, class_of(d12, d12.r(1)), Irrep(d12, "two_dim", 1))
     with pytest.raises(DomainError):
         induce(d12, class_of(d12, d12.r(6)), CyclicCharacter(d12, 6))
+
+
+# Oracle for induce's domain check: the centralizer of sigma found by search,
+# compared as a set with the elements the representation is defined on.
+
+
+def _oracle_domain(rep):
+    G = rep.group
+    if isinstance(rep, Irrep):
+        return set(G.elements())
+    if isinstance(rep, CyclicCharacter):
+        return {G.r(b) for b in range(G.m)}
+    half = G.r(G.m // 2)
+    return {G.identity, rep.sigma, half, rep.sigma * half}
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_centralizer(G, sigma):
+    return frozenset(g for g in G.elements() if g * sigma == sigma * g)
+
+
+def _oracle_matches(G, sigma, rep):
+    if sigma.m != G.m:  # sigma is not an element of G at all
+        return False
+    return _brute_centralizer(G, sigma) == _oracle_domain(rep)
+
+
+def _candidate_reps(G):
+    """Every centralizer representation of every class, every chi_(k), every Klein-four character."""
+    reps = []
+    for cls in conjugacy_classes(G):
+        try:
+            reps += centralizer_representations(G, cls)
+        except DomainError:  # odd m: no irrep table, no Klein-four centralizers
+            pass
+    reps += [CyclicCharacter(G, k) for k in range(G.m)]
+    if G.m % 2 == 0:
+        reps += [
+            KleinFourCharacter(G, G.s(b), a, c)
+            for b in range(G.m)
+            for a in (1, -1)
+            for c in (1, -1)
+        ]
+    return reps
+
+
+def _induce_agrees_with_oracle(G, cls, rep) -> bool:
+    """Check induce against the oracle; return whether the pairing matched."""
+    if _oracle_matches(G, cls.representative, rep):
+        assert induce(G, cls, rep).dim == cls.size * rep.degree
+        return True
+    with pytest.raises(DomainError):
+        induce(G, cls, rep)
+    return False
+
+
+@pytest.mark.parametrize("m", [12, 15, 16, 20, 24])
+def test_induce_domain_check_matches_brute_force(m):
+    G = DihedralGroup(m)
+    reps = _candidate_reps(G)
+    verdicts = [
+        _induce_agrees_with_oracle(G, cls, rep)
+        for cls in conjugacy_classes(G)
+        for rep in reps
+    ]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_induce_domain_check_rejects_another_group():
+    d12, d16 = DihedralGroup(12), DihedralGroup(16)
+    for G, H in ((d12, d16), (d16, d12)):
+        for cls in conjugacy_classes(G):
+            for rep in _candidate_reps(H):
+                # a class of G with a representation over H, induced over either group
+                assert not _induce_agrees_with_oracle(G, cls, rep)
+                assert not _induce_agrees_with_oracle(H, cls, rep)
 
 
 @pytest.mark.parametrize("m", [12, 16])
