@@ -197,16 +197,18 @@ def entry_str(entry) -> str:
     return f"({entry})"
 
 
+def module_of(G: DihedralGroup, I: Sequence[Pair], L: Sequence[int]) -> YDModule:
+    """The direct sum of M_{i,k} for (i, k) in I, then M_l for l in L, in the order given."""
+    blocks = [induce(G, class_of(G, G.r(i)), CyclicCharacter(G, k)) for i, k in I]
+    blocks += [induce(G, class_of(G, G.r(G.n)), Irrep(G, "two_dim", ell)) for ell in L]
+    return direct_sum(blocks)
+
+
 def _labeled(m: int, I: Sequence[Pair], L: Sequence[int]) -> LabeledModule:
     G = _require_modulus(m)
     I = tuple(sorted(I))
     L = tuple(sorted(L))
-    blocks = []
-    for i, k in I:
-        blocks.append(induce(G, class_of(G, G.r(i)), CyclicCharacter(G, k)))
-    for ell in L:
-        blocks.append(induce(G, class_of(G, G.r(G.n)), Irrep(G, "two_dim", ell)))
-    module = direct_sum(blocks)
+    module = module_of(G, I, L)
     labels = []
     names_I = _occurrence_names(I, ("a", "b"))
     for bi, (a_name, b_name) in enumerate(names_I):

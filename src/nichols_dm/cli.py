@@ -21,18 +21,10 @@ from . import iso as iso_mod
 from . import lifting as lifting_mod
 from . import rewrite as rewrite_mod
 from .cyclo import CycloNumber, format_scalar, parse_scalar
-from .dihedral import (
-    CyclicCharacter,
-    DihedralGroup,
-    GroupElement,
-    Irrep,
-    class_of,
-    conjugacy_classes,
-    irreps,
-)
+from .dihedral import DihedralGroup, GroupElement, class_of, conjugacy_classes, irreps
 from .errors import CompletionError, DomainError
 from .rack import conjugation_rack, is_type_D
-from .ydmod import Finite, direct_sum, induce, nichols_dimension
+from .ydmod import Finite, nichols_dimension
 
 SCHEMA = 1
 
@@ -158,13 +150,7 @@ def cmd_nichols(args) -> tuple[dict, int]:
     pairs, ells = _parse_module(args.m, args.module)
     if not pairs and not ells:
         raise DomainError("module spec is empty")
-    blocks = [
-        induce(G, class_of(G, G.r(i)), CyclicCharacter(G, k)) for i, k in pairs
-    ]
-    blocks += [
-        induce(G, class_of(G, G.r(G.n)), Irrep(G, "two_dim", ell)) for ell in ells
-    ]
-    module = direct_sum(blocks)
+    module = classify_mod.module_of(G, pairs, ells)
     result = nichols_dimension(module)
     payload = {
         "command": "nichols",

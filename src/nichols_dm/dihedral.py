@@ -22,6 +22,12 @@ r^j (s r^b) r^-j = s r^(b-2j) and s (r^a) s = r^-a, so:
                  sigma is a rotation; r^j with 2j = b - c mod m when
                  sigma = s r^b and tau = s r^c, i.e. j = d/2 for even
                  d = (b - c) mod m and j = (d + m)/2 for odd d (odd m only).
+  domains        rep.represents(G, sigma) reads the centralizer forms above
+                 without building one, and ydmod.induce checks its pairing
+                 with it: an Irrep (on all of D_m) represents the centralizer
+                 of r^a with 2a = 0 mod m, a CyclicCharacter (on <r>) that of
+                 any other rotation, and the KleinFourCharacter built at s r^c
+                 that of s r^b for b = c mod n.
 """
 
 from __future__ import annotations
@@ -322,8 +328,14 @@ class Irrep:
                 total = total + scalar
         return total
 
-    def domain_matches(self, elements) -> bool:
-        return set(elements) == set(self.group.elements())
+    def represents(self, G: DihedralGroup, sigma: GroupElement) -> bool:
+        """True when this is a representation of the centralizer of sigma in G."""
+        return (
+            self.group == G
+            and sigma.m == G.m
+            and sigma.eps == 0
+            and 2 * sigma.rot % G.m == 0
+        )
 
     def __eq__(self, other):
         return (
@@ -366,9 +378,14 @@ class CyclicCharacter:
     def monomial_action(self, a: GroupElement) -> tuple[tuple[int, CycloNumber], ...]:
         return ((0, self.value(a)),)
 
-    def domain_matches(self, elements) -> bool:
-        G = self.group
-        return set(elements) == {GroupElement(G.m, 0, b) for b in range(G.m)}
+    def represents(self, G: DihedralGroup, sigma: GroupElement) -> bool:
+        """True when this is a representation of the centralizer of sigma in G."""
+        return (
+            self.group == G
+            and sigma.m == G.m
+            and sigma.eps == 0
+            and 2 * sigma.rot % G.m != 0
+        )
 
     def __eq__(self, other):
         return (
@@ -393,6 +410,7 @@ class KleinFourCharacter:
     def __init__(self, G: DihedralGroup, sigma: GroupElement, sign_sigma: int, sign_central: int):
         if G.m % 2:
             raise DomainError("reflection centralizers of this shape need even m")
+        _require_member(G, sigma)
         if sigma.eps != 1:
             raise DomainError(f"{sigma} is not a reflection")
         if sign_sigma not in (1, -1) or sign_central not in (1, -1):
@@ -428,16 +446,14 @@ class KleinFourCharacter:
     def monomial_action(self, a: GroupElement) -> tuple[tuple[int, CycloNumber], ...]:
         return ((0, self.value(a)),)
 
-    def domain_matches(self, elements) -> bool:
-        G = self.group
-        half = G.m // 2
-        expected = {
-            G.identity,
-            self.sigma,
-            G.r(half),
-            self.sigma * G.r(half),
-        }
-        return set(elements) == expected
+    def represents(self, G: DihedralGroup, sigma: GroupElement) -> bool:
+        """True when this is a representation of the centralizer of sigma in G."""
+        return (
+            self.group == G
+            and sigma.m == G.m
+            and sigma.eps == 1
+            and (sigma.rot - self.sigma.rot) % (G.m // 2) == 0
+        )
 
     def __eq__(self, other):
         return isinstance(other, KleinFourCharacter) and (

@@ -116,8 +116,8 @@ class _TrivialCharacter:
     def __init__(self, elements):
         self.elements = set(elements)
 
-    def domain_matches(self, elements):
-        return set(elements) == self.elements
+    def represents(self, G, sigma):
+        return set(_brute_centralizer(G, sigma)) == self.elements
 
     def monomial_action(self, a):
         return ((0, CycloNumber.root(a.m, 0)),)
@@ -150,6 +150,9 @@ def test_closed_forms_reject_elements_of_another_group(d12):
     for closed_form in (class_of, centralizer):
         with pytest.raises(DomainError):
             closed_form(d12, DihedralGroup(16).r(14))
+    # s r^7 of D_16 must not be read as s r^7 of D_12, whose centralizer has s r^1
+    with pytest.raises(DomainError):
+        KleinFourCharacter(d12, DihedralGroup(16).s(7), 1, 1)
 
 
 @pytest.mark.parametrize("m", ORACLE_MS)
