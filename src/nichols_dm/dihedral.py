@@ -476,8 +476,7 @@ def centralizer_representations(G: DihedralGroup, cls: ConjugacyClass) -> list:
     """All irreducible representations of the centralizer of cls.representative."""
     sigma = cls.representative
     if sigma.eps == 0:
-        central = sigma.rot == 0 or (G.m % 2 == 0 and sigma.rot == G.m // 2)
-        if central:
+        if 2 * sigma.rot % G.m == 0:
             return irreps(G)
         return [CyclicCharacter(G, k) for k in range(G.m)]
     return [
