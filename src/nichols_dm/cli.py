@@ -192,7 +192,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     _require_classification(args.m)
     pres = _build_presentation(args)
     system = rewrite_mod.compile(pres, overlap_budget=args.overlap_budget)
-    certificate = rewrite_mod.certificate_json(system)  # lists the normal words once
+    certificate = rewrite_mod.certificate_json(system)
     dim = certificate["dimension"]
     expected = 4 ** (len(pres.I) + len(pres.L)) * 2 * args.m
     hopf = rewrite_mod.hopf_check(pres, system)

@@ -297,6 +297,7 @@ class Irrep:
 
     def monomial_action(self, a: GroupElement) -> tuple[tuple[int, CycloNumber], ...]:
         """Column j of the matrix as (row, scalar); all irreps here are monomial."""
+        _require_member(self.group, a)
         m = self.group.m
         if self.kind == "linear":
             half = m // 2
@@ -371,6 +372,7 @@ class CyclicCharacter:
         return f"chi_({self.k})"
 
     def value(self, a: GroupElement) -> CycloNumber:
+        _require_member(self.group, a)
         if a.eps:
             raise DomainError(f"{a} is not in the rotation subgroup")
         return CycloNumber.root(self.group.m, self.k * a.rot)
@@ -429,6 +431,7 @@ class KleinFourCharacter:
 
     def value(self, a: GroupElement) -> CycloNumber:
         G = self.group
+        _require_member(G, a)
         half = G.m // 2
         exp = 0
         rot = a.rot

@@ -10,13 +10,19 @@ left-hand sides and strictly deglex-smaller right-hand sides under the
 declared generator precedence, so reduction terminates and Bergman's
 diamond lemma applies: once every ambiguity reduces to zero, the
 irreducible monomials (square-free sorted words times group elements)
-form a basis and their count certifies the dimension.
+form a basis and their count certifies the dimension.  The dimension
+comes from counting the irreducible words on the graph of their last
+letters (_count_normal_words), never from listing them; normal_basis
+still lists them where a caller wants the words.
 
 The rules stay interreduced: no left-hand side contains another.  A new
 left-hand side leads a reduced element, so it is irreducible and not yet a
 rule, and _add_rule, the only writer of the rules, drops every rule that
-contains it.  So the only ambiguities are overlaps.  _add_rule also keeps
-lhs_lengths, the index that redex search and normal_basis read.
+contains it; it looks for such rules only when its count of the factors of
+all left-hand sides says one exists.  So the only ambiguities are overlaps,
+which _ambiguities finds through an index of left-hand-side prefixes.
+_add_rule also keeps lhs_lengths, the index that redex search and the
+count read.
 
 hopf_check applies Delta and the antipode S to each relation's element in
 T(V)#kD_m, the monomial model without rewriting, and reduces the image
@@ -91,6 +97,7 @@ class RewriteSystem:
         self.lhs_lengths: tuple[int, ...] = ()  # of the rules, longest first
         self.certificate: Optional[CompletionCertificate] = None
         self._nf_cache: dict[Monomial, Element] = {}
+        self._factor_count: dict[Word, int] = {}  # factor -> left sides containing it
 
     def conj_word(self, g: int, word: Word) -> tuple[int, Word]:
         """g . word = w^exp . word' . g; returns (exp, word')."""
@@ -220,13 +227,26 @@ class RewriteSystem:
     def _add_rule(self, lhs: Word, rhs: Element) -> list[Element]:
         """Install a rule for an irreducible lhs; rules containing lhs return as relations."""
         requeue = []
-        for l in [l for l in self.rules if _contains(l, lhs)]:
-            old_rhs = self.rules.pop(l)
-            requeue.append(self.el_add(self.monomial(l), old_rhs, scale=-CycloNumber.one(self.m)))
+        if self._factor_count.get(lhs):  # some rule contains lhs
+            for l in [l for l in self.rules if _contains(l, lhs)]:
+                old_rhs = self.rules.pop(l)
+                self._count_factors(l, -1)
+                requeue.append(self.el_add(self.monomial(l), old_rhs, scale=-CycloNumber.one(self.m)))
         self.rules[lhs] = rhs
-        self.lhs_lengths = tuple(sorted({len(l) for l in self.rules}, reverse=True))
+        self._count_factors(lhs, 1)
+        if requeue or len(lhs) not in self.lhs_lengths:  # else no length came or went
+            self.lhs_lengths = tuple(sorted({len(l) for l in self.rules}, reverse=True))
         self._nf_cache.clear()
         return requeue
+
+    def _count_factors(self, lhs: Word, sign: int) -> None:
+        """Add sign to the count of each distinct factor of lhs."""
+        for f in {lhs[i:j] for i in range(len(lhs)) for j in range(i + 1, len(lhs) + 1)}:
+            count = self._factor_count.get(f, 0) + sign
+            if count:
+                self._factor_count[f] = count
+            else:
+                del self._factor_count[f]
 
 
 def _contains(word: Word, sub: Word) -> bool:
@@ -254,14 +274,24 @@ def _relation_element(sys: RewriteSystem, rel: Relation) -> Element:
 
 
 def _ambiguities(rules: dict) -> list[tuple]:
-    """Every overlap (l1 ends with the first c letters of l2); the rules are interreduced."""
+    """Every overlap (l1 ends with the first c letters of l2); the rules are interreduced.
+
+    Ordered by l1, then l2, in (length, word) order, then by c.  The
+    candidates l2 for a suffix of l1 come from an index of proper prefixes.
+    """
     words = sorted(rules, key=lambda w: (len(w), w))
+    starting: dict[Word, list[tuple[int, Word]]] = {}  # proper prefix -> (rank, l2)
+    for rank, l2 in enumerate(words):
+        for c in range(1, len(l2)):
+            starting.setdefault(l2[:c], []).append((rank, l2))
     out = []
     for l1 in words:
-        for l2 in words:
-            for c in range(1, min(len(l1), len(l2))):
-                if l1[len(l1) - c :] == l2[:c]:
-                    out.append(("overlap", l1, l2, c))
+        found = [
+            (rank, c, l2)
+            for c in range(1, len(l1))
+            for rank, l2 in starting.get(l1[len(l1) - c :], ())
+        ]
+        out.extend(("overlap", l1, l2, c) for _, c, l2 in sorted(found))
     return out
 
 
@@ -356,7 +386,8 @@ def normal_basis(R: RewriteSystem) -> NormalBasis:
     """List all irreducible words; raises once more than NORMAL_WORD_LIMIT are listed.
 
     Hitting the limit says nothing about finiteness: the dimension is then
-    simply not determined.
+    simply not determined.  dimension and certificate_json count the words
+    instead, with no limit.
     """
     if R.certificate is None or not R.certificate.all_resolved:
         raise CompletionError("rewriting system is not certified confluent")
@@ -384,10 +415,59 @@ class DimensionResult(NamedTuple):
     certificate: CompletionCertificate
 
 
+def _count_normal_words(R: RewriteSystem) -> int:
+    """The number of irreducible words, counted on the graph of their tails.
+
+    A state is the last max(lhs_lengths) - 1 letters of an irreducible
+    word (all of it, if shorter), and it decides which letters may follow,
+    by the suffix test of normal_basis.  So the words extending a word are
+    counted by its state: one for the word, plus the counts of its allowed
+    successors.  A state reached again while still on the path is a cycle
+    whose letters repeat into irreducible words of every length, so the
+    quotient is infinite-dimensional (Ufnarovskii).
+    """
+    if R.certificate is None or not R.certificate.all_resolved:
+        raise CompletionError("rewriting system is not certified confluent")
+    rules, lengths = R.rules, R.lhs_lengths
+    tail = max(lengths, default=1) - 1
+    n = len(R.letters)
+    counts: dict[Word, int] = {}
+    depth = {(): 0}  # state -> its index on the path
+    path = [[(), 0, 1, None]]  # [state, next letter to try, count so far, letter in]
+    while True:
+        frame = path[-1]
+        state, letter, total, _ = frame
+        if letter < n:
+            frame[1] = letter + 1
+            new = state + (letter,)
+            if any(new[-L:] in rules for L in lengths):
+                continue
+            nxt = new[1:] if len(new) > tail else new
+            if nxt in depth:
+                steps = [f[3] for f in path[depth[nxt] + 1 :]] + [letter]
+                cycle = tuple(R.letters[l] for l in steps)
+                raise CompletionError(
+                    f"the graph of normal words has the cycle {'*'.join(cycle)}, so "
+                    "normal words of every length exist: the quotient is infinite-dimensional",
+                    ambiguity=cycle,
+                )
+            if nxt in counts:
+                frame[2] += counts[nxt]
+            else:
+                depth[nxt] = len(path)
+                path.append([nxt, 0, 1, letter])
+            continue
+        path.pop()
+        del depth[state]
+        counts[state] = total
+        if not path:
+            return total
+        path[-1][2] += total
+
+
 def dimension(R: RewriteSystem) -> DimensionResult:
     """Dimension of the presented algebra, with the confluence certificate."""
-    basis = normal_basis(R)
-    return DimensionResult(basis.dimension, R.certificate)
+    return DimensionResult(_count_normal_words(R) * 2 * R.m, R.certificate)
 
 
 # -- Hopf structure checks ---------------------------------------------------
@@ -589,7 +669,7 @@ def certificate_json(R: RewriteSystem) -> dict:
     """Serializable confluence certificate: rules, counts, dimension."""
     from .cyclo import format_scalar
 
-    basis = normal_basis(R)
+    words = _count_normal_words(R)
     rules = []
     for lhs in sorted(R.rules, key=lambda w: (len(w), w)):
         rhs = [
@@ -610,6 +690,6 @@ def certificate_json(R: RewriteSystem) -> dict:
         "ambiguities_checked": cert.ambiguities_checked,
         "added_rules": cert.added_rules,
         "all_resolved": cert.all_resolved,
-        "normal_words": len(basis.words),
-        "dimension": basis.dimension,
+        "normal_words": words,
+        "dimension": words * 2 * R.m,
     }

@@ -88,6 +88,17 @@ def test_verify_family_c(capsys):
     assert doc["certificate"]["all_resolved"] is True
 
 
+def test_verify_beyond_the_listing_limit(capsys):
+    # 4^11 normal words, more than normal_basis lists: the dimension counts them
+    code, doc = run_cli(
+        capsys, "verify", "--m", "12", "--family", "c", "--I", "+".join(["(1,6)"] * 11),
+    )
+    assert code == 0
+    assert doc["dimension"] == doc["expected"] == 4**11 * 24
+    assert doc["certificate"]["normal_words"] == 4**11
+    assert all(doc["hopf"][key] for key in ("delta_ok", "counit_ok", "antipode_ok"))
+
+
 @pytest.mark.parametrize("command", ["liftings", "verify"])
 def test_family_c_rejects_single_pair_with_k_not_n(capsys, command):
     # I = {(2,3)} is family (a); family (c) used to accept it as well

@@ -5,6 +5,7 @@ from nichols_dm.dihedral import (
     CyclicCharacter,
     DihedralGroup,
     GroupElement,
+    Irrep,
     KleinFourCharacter,
     centralizer,
     centralizer_representations,
@@ -153,6 +154,19 @@ def test_closed_forms_reject_elements_of_another_group(d12):
     # s r^7 of D_16 must not be read as s r^7 of D_12, whose centralizer has s r^1
     with pytest.raises(DomainError):
         KleinFourCharacter(d12, DihedralGroup(16).s(7), 1, 1)
+
+
+def test_representations_reject_elements_of_another_group(d12):
+    # without the check each reads the D_16 element modulo 12: w^3, -1 and a column
+    D16 = DihedralGroup(16)
+    cases = (
+        lambda: CyclicCharacter(d12, 1).value(D16.r(3)),
+        lambda: KleinFourCharacter(d12, d12.s(), 1, -1).value(D16.r(6)),
+        lambda: Irrep(d12, "two_dim", 1).monomial_action(D16.s(13)),
+    )
+    for case in cases:
+        with pytest.raises(DomainError, match="different dihedral groups"):
+            case()
 
 
 @pytest.mark.parametrize("m", ORACLE_MS)

@@ -1,7 +1,12 @@
 import dataclasses
+import functools
 import random
+import sys
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nichols_dm.cyclo import CycloNumber
 from nichols_dm.dihedral import DihedralGroup, GroupElement, g_element, g_encode, g_inv, g_mul
@@ -185,6 +190,11 @@ def _assert_interreduced(R):
             if l1 != l2:
                 assert not rewrite._contains(l1, l2), (l1, l2)
     assert R.lhs_lengths == tuple(sorted({len(l) for l in R.rules}, reverse=True))
+    factors = {}
+    for l in R.rules:
+        for f in {l[i:j] for i in range(len(l)) for j in range(i + 1, len(l) + 1)}:
+            factors[f] = factors.get(f, 0) + 1
+    assert R._factor_count == factors
 
 
 def test_rules_stay_interreduced():
@@ -216,16 +226,69 @@ def test_collapse_to_zero_is_a_completion_error():
 
 def test_normal_word_limit_is_not_a_finiteness_verdict(monkeypatch):
     # 4^2 normal words for I = {(1,6),(5,6)}; a limit of 10 stops the listing
+    # but not the dimension, which counts the words without listing them
     R = compile_presentation(presentation_A(12, [(1, 6), (5, 6)]))
     assert len(normal_basis(R).words) == 16
     monkeypatch.setattr(rewrite, "NORMAL_WORD_LIMIT", 10)
+    assert dimension(R).dimension == 16 * 24
     with pytest.raises(CompletionError) as exc:
-        dimension(R)
+        normal_basis(R)
     message = str(exc.value)
     assert message == (
         "listing normal words hit its limit of 10 words; the dimension was not determined"
     )
     assert "finite" not in message
+
+
+def test_dimension_and_certificate_do_not_list_the_normal_basis(monkeypatch):
+    R = compile_presentation(presentation_A(12, [(1, 6), (5, 6)]))
+
+    def listing(_):
+        raise AssertionError("normal_basis was called")
+
+    monkeypatch.setattr(rewrite, "normal_basis", listing)
+    assert dimension(R).dimension == 16 * 24
+    data = certificate_json(R)
+    assert (data["normal_words"], data["dimension"]) == (16, 16 * 24)
+
+
+@pytest.mark.parametrize(
+    "dropped, cycle",
+    [
+        ("quad:xx", "x(1,6)"),  # x^n is irreducible for every n
+        ("quad:xy", "y(1,6)*x(1,6)"),  # so is x(yx)^n; the cycle closes at x
+    ],
+)
+def test_infinite_quotient_raises_the_cycle(dropped, cycle):
+    R = compile_presentation(_with_extra_relations(presentation_A(12, [(1, 6)]), dropped, []))
+    for verdict in (dimension, certificate_json):
+        with pytest.raises(CompletionError) as exc:
+            verdict(R)
+        message = str(exc.value)
+        assert f"the cycle {cycle}," in message
+        assert "infinite-dimensional" in message
+        assert "limit" not in message and "budget" not in message
+        assert "*".join(exc.value.ambiguity) == cycle
+
+
+def test_count_does_not_recurse_along_a_normal_word():
+    # a^N = 0 alone: the normal words 1, a, ..., a^(N-1) sit on one path of N states
+    N = sys.getrecursionlimit() + 500
+    R = SimpleNamespace(
+        certificate=CompletionCertificate(1, 0, 0, 1, True),
+        rules={(0,) * N: {}},
+        lhs_lengths=(N,),
+        letters=("a",),
+    )
+    assert rewrite._count_normal_words(R) == N
+
+
+def test_count_requires_certificate():
+    R = compile_presentation(presentation_A(12, [(1, 6)]))
+    R.certificate = None
+    for verdict in (dimension, certificate_json):
+        with pytest.raises(CompletionError, match="not certified"):
+            verdict(R)
 
 
 def test_certificate_json_shape():
@@ -393,6 +456,71 @@ def _family_presentations(m, r_max, data_values):
         for value in data_values:
             yield presentation_B(m, I, L, lam=value, gamma=value if len(I) > 1 else None,
                                  theta=value, mu=value)
+
+
+@functools.lru_cache(maxsize=None)
+def _families_up_to_3(m):
+    return tuple(_family_presentations(m, 3, (0, 1)))
+
+
+_FAMILY_MODULI = (12, 16, 20, 24)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_FAMILY_MODULI), st.data())
+def test_count_equals_listing(m, data):
+    P = data.draw(st.sampled_from(_families_up_to_3(m)))
+    R = compile_presentation(P)
+    assert rewrite._count_normal_words(R) == len(normal_basis(R).words) == 4 ** (len(P.I) + len(P.L))
+
+
+def _nested_loop_ambiguities(rules):
+    """Every overlap, by pairing every rule with every rule: the index's reference."""
+    words = sorted(rules, key=lambda w: (len(w), w))
+    out = []
+    for l1 in words:
+        for l2 in words:
+            for c in range(1, min(len(l1), len(l2))):
+                if l1[len(l1) - c :] == l2[:c]:
+                    out.append(("overlap", l1, l2, c))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_FAMILY_MODULI), st.data())
+def test_ambiguity_index_matches_nested_loop_on_families(m, data):
+    R = compile_presentation(data.draw(st.sampled_from(_families_up_to_3(m))))
+    assert rewrite._ambiguities(R.rules) == _nested_loop_ambiguities(R.rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.lists(st.integers(0, 2), min_size=1, max_size=5).map(tuple), max_size=12))
+def test_ambiguity_index_matches_nested_loop_on_word_sets(words):
+    # left sides of several lengths, so overlaps of length c >= 2 occur
+    rules = dict.fromkeys(words, {})
+    assert rewrite._ambiguities(rules) == _nested_loop_ambiguities(rules)
+
+
+def test_ambiguity_index_matches_nested_loop_during_completion(monkeypatch):
+    # every pass of a completion that displaces a rule or adds one
+    index = rewrite._ambiguities
+    seen = []
+
+    def checked(rules):
+        out = index(rules)
+        assert out == _nested_loop_ambiguities(rules)
+        seen.append(len(out))
+        return out
+
+    monkeypatch.setattr(rewrite, "_ambiguities", checked)
+    A = presentation_A(12, [(1, 6)])
+    compile_presentation(_with_extra_relations(A, None, [[("x(1,6)",)]]))
+    compile_presentation(
+        _with_extra_relations(
+            A, "quad:xy", [[("x(1,6)", "y(1,6)")], [("y(1,6)", "x(1,6)"), ("x(1,6)",)]]
+        )
+    )
+    assert seen == [1, 8, 1]  # ambiguities_checked 1, then 8 + 1 over two passes
 
 
 def test_dimension_equality_across_families_m12():
