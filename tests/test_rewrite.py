@@ -224,6 +224,34 @@ def test_collapse_to_zero_is_a_completion_error():
         compile_presentation(P)
 
 
+def _with_letter(P, name, **fields):
+    """P with the metadata `fields` of its letter `name` replaced, relations kept."""
+    gens = tuple(
+        dataclasses.replace(v, **fields) if v.name == name else v
+        for v in P.skew_generators
+    )
+    return dataclasses.replace(P, skew_generators=gens)
+
+
+@pytest.mark.parametrize(
+    "P",
+    [presentation_A(12, [(1, 6)], lam=1), presentation_B(12, [(2, 3)], [3], mu=1)],
+    ids=["A", "B"],
+)
+def test_compile_rejects_inconsistent_letter_metadata(P):
+    # the commutation relations were written with the true metadata, so a
+    # letter whose h-eigenvalue or g-partner disagrees with them breaks one
+    for v in P.skew_generators:
+        for shift in (1, 6):
+            bad = _with_letter(P, v.name, h_exp=(v.h_exp + shift) % 12)
+            with pytest.raises(CompletionError, match="does not vanish") as info:
+                compile_presentation(bad)
+            assert info.value.ambiguity == f"comm:h:{v.name}"
+        with pytest.raises(CompletionError, match="does not vanish") as info:
+            compile_presentation(_with_letter(P, v.name, partner=v.name))
+        assert info.value.ambiguity == f"comm:g:{v.name}"
+
+
 def test_normal_word_limit_is_not_a_finiteness_verdict(monkeypatch):
     # 4^2 normal words for I = {(1,6),(5,6)}; a limit of 10 stops the listing
     # but not the dimension, which counts the words without listing them
@@ -598,11 +626,7 @@ def _sweep_presentations():
 
 def _with_cop_exp(P, name, cop_exp):
     """P with the coproduct degree of its letter `name` replaced."""
-    gens = tuple(
-        dataclasses.replace(v, cop_exp=cop_exp) if v.name == name else v
-        for v in P.skew_generators
-    )
-    return dataclasses.replace(P, skew_generators=gens)
+    return _with_letter(P, name, cop_exp=cop_exp)
 
 
 def _corrupted_presentations():
