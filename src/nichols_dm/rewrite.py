@@ -26,10 +26,13 @@ count read.
 
 hopf_check applies Delta and the antipode S to each relation's element in
 T(V)#kD_m, the monomial model without rewriting, and reduces the image
-once (reduction onto normal words is an algebra map); the structural
-relations are the zero element there, so only the quadratic relations
-carry a condition.  S is antimultiplicative on the model when the letters
-form a Yetter-Drinfeld module, which hopf_check checks letter by letter.
+once (reduction onto normal words is an algebra map).  Delta and S of a
+monomial are written in closed form on integer exponents of w and of the
+int code of D_m, with one scalar product per term, and each leg of Delta
+is reduced once.  The structural relations are the zero element there, so
+only the quadratic relations carry a condition.  S is antimultiplicative
+on the model when the letters form a Yetter-Drinfeld module, which
+hopf_check checks letter by letter.
 """
 
 from __future__ import annotations
@@ -256,20 +259,22 @@ def _contains(word: Word, sub: Word) -> bool:
 
 
 def _relation_element(sys: RewriteSystem, rel: Relation) -> Element:
+    """The relation as an element of the model: each term's names multiplied out on ints."""
+    m = sys.m
     el: Element = {}
-    for coeff, word in rel.lhs:
-        term = sys.monomial(())
-        for name in word:
+    for coeff, names in rel.lhs:
+        g, exp, word = 0, 0, ()
+        for name in names:
             if name == "g":
-                factor = sys.monomial((), eps=1)
+                g = g_mul(m, g, m)
             elif name == "h":
-                factor = sys.monomial((), rot=1)
+                g = g_mul(m, g, 1)
             else:
-                factor = sys.monomial((sys.letter_index[name],))
-            term = sys.el_mul(term, factor)
-        el = sys.el_add(el, term, scale=coeff)
+                e, moved = sys.conj_word(g, (sys.letter_index[name],))
+                exp, word = exp + e, word + moved
+        _add(el, (word, g), coeff * CycloNumber.root(m, exp) if exp % m else coeff)
     for coeff, (eps, rot) in rel.rhs:
-        _add(el, ((), g_encode(sys.m, eps, rot)), -coeff)
+        _add(el, ((), g_encode(m, eps, rot)), -coeff)
     return el
 
 
@@ -298,10 +303,17 @@ def _ambiguities(rules: dict) -> list[tuple]:
 def _ambiguity_residue(sys: RewriteSystem, amb: tuple) -> Element:
     """The difference of the two reductions of the overlap word, in normal form."""
     _, l1, l2, c = amb
-    # the overlap word is l1 + tail = head + l2
-    left = sys.el_mul(sys.rules[l1], sys.monomial(l2[c:]))
-    right = sys.el_mul(sys.monomial(l1[: len(l1) - c]), sys.rules[l2])
-    return sys.el_add(sys.reduce(left), sys.reduce(right), scale=-CycloNumber.one(sys.m))
+    # the overlap word is l1 + tail = head + l2; the head carries the identity
+    head, tail = l1[: len(l1) - c], l2[c:]
+    left: Element = {}
+    for (v, delta), coeff in sys.rules[l1].items():
+        exp, moved = sys.conj_word(delta, tail)
+        _add(left, (v + moved, delta), coeff * CycloNumber.root(sys.m, exp) if exp else coeff)
+    residue = sys.reduce(left)
+    right = {(head + v, delta): coeff for (v, delta), coeff in sys.rules[l2].items()}
+    for mono, coeff in sys.reduce(right).items():
+        _add(residue, mono, -coeff)
+    return residue
 
 
 def compile(P: Presentation, overlap_budget: Optional[int] = None) -> RewriteSystem:
@@ -475,37 +487,33 @@ def dimension(R: RewriteSystem) -> DimensionResult:
 Tensor = dict  # (Monomial, Monomial) -> CycloNumber
 
 
-def _tensor_mul(R: RewriteSystem, t1: Tensor, t2: Tensor) -> Tensor:
-    """t1 * t2 in the model, not reduced: a monomial times a monomial is one monomial."""
-    one = CycloNumber.one(R.m)
-    out: Tensor = {}
-    for (a1, a2), c1 in t1.items():
-        for (b1, b2), c2 in t2.items():
-            (m1, d1), = R.el_mul({a1: one}, {b1: one}).items()
-            (m2, d2), = R.el_mul({a2: one}, {b2: one}).items()
-            _add(out, (m1, m2), c1 * c2 * d1 * d2)
-    return out
-
-
 def _delta(R: RewriteSystem, el: Element) -> Tensor:
     """Delta(el) with both legs in normal form.
 
     Delta is computed in T(V)#kD_m: Delta(v) = v (x) 1 + h^cop_exp(v) (x) v
-    on a letter and Delta(gamma) = gamma (x) gamma on a group element; a
-    monomial (w, gamma) is the product of its letters and then gamma.  Each
-    leg is then reduced once.
+    on a letter and Delta(gamma) = gamma (x) gamma on a group element.  For
+    a monomial (v_1...v_k, gamma) this gives, over the subsets S of [k],
+    w^e_S (v_S, h^a_S gamma) (x) (v_[k]-S, gamma) with a_S the sum of
+    cop_exp(v_j) over j not in S and e_S the sum of cop_exp(v_j) h_exp(v_i)
+    over j < i, j not in S, i in S.  The terms are built letter by letter on
+    ints, and each leg is then reduced once.
     """
-    one = CycloNumber.one(R.m)
-    unit = ((), g_encode(R.m, 0, 0))
+    m = R.m
     out: Tensor = {}
     for (word, g), coeff in el.items():
-        t: Tensor = {(unit, unit): coeff}
+        states = [((), 0, (), 0)]  # (left word, left rotation, right word, exponent)
         for v in word:
-            vm = ((v,), g_encode(R.m, 0, 0))
-            grp = ((), g_encode(R.m, 0, R.cop_exp[v]))
-            t = _tensor_mul(R, t, {(vm, unit): one, (grp, vm): one})
-        gamma = ((), g)
-        for (m1, m2), c in _tensor_mul(R, t, {(gamma, gamma): one}).items():
+            hv, cv = R.h_exp[v], R.cop_exp[v]
+            states = [
+                new
+                for left, a, right, e in states
+                for new in ((left + (v,), a, right, e + hv * a), (left, a + cv, right + (v,), e))
+            ]
+        t: Tensor = {}
+        for left, a, right, e in states:
+            c = coeff * CycloNumber.root(m, e) if e % m else coeff
+            _add(t, ((left, g_mul(m, a % m, g)), (right, g)), c)
+        for (m1, m2), c in t.items():
             for n1, d1 in R.normal_form_monomial(m1).items():
                 for n2, d2 in R.normal_form_monomial(m2).items():
                     _add(out, (n1, n2), c * d1 * d2)
@@ -515,17 +523,21 @@ def _delta(R: RewriteSystem, el: Element) -> Tensor:
 def _antipode(R: RewriteSystem, el: Element) -> Element:
     """S(el) in the monomial model, not reduced.
 
-    S(v) = -h^-cop_exp(v) v, S(gamma) = gamma^-1 and S(ab) = S(b) S(a).
+    S(v) = -h^-cop_exp(v) v, S(gamma) = gamma^-1 and S(ab) = S(b) S(a), so
+    S(v_1...v_k gamma) is the single monomial (-1)^k w^e gamma^-1 v_k'...v_1'
+    h^-(cop_exp(v_1)+...+cop_exp(v_k)), each letter moved through the group
+    element on its left as in conj_word.
     """
-    minus_one = -CycloNumber.one(R.m)
+    m = R.m
     out: Element = {}
     for (word, g), coeff in el.items():
-        term = {((), g_inv(R.m, g)): coeff}
+        g, exp, moved = g_inv(m, g), 0, []
         for v in reversed(word):
-            s_v = R.el_mul({((), g_encode(R.m, 0, -R.cop_exp[v])): minus_one}, R.monomial((v,)))
-            term = R.el_mul(term, s_v)
-        for mono, c in term.items():
-            _add(out, mono, c)
+            exp += R.h_exp[v] * (g % m - R.cop_exp[v])
+            moved.append(R.partner[v] if g >= m else v)
+            g = g_mul(m, g, -R.cop_exp[v] % m)
+        c = coeff * CycloNumber.root(m, exp) if exp % m else coeff
+        _add(out, (tuple(moved), g), -c if len(word) % 2 else c)
     return out
 
 
@@ -601,6 +613,8 @@ def skew_primitives(R: RewriteSystem, degree: GroupElement) -> list[Element]:
     """
     if R.certificate is None or not R.certificate.all_resolved:
         raise CompletionError("skew_primitives needs a certified system")
+    if degree.m != R.m:
+        raise DomainError("elements of different dihedral groups")
     letters = [(a,) for a in range(len(R.letters))]
     words = letters + [a + b for a in letters for b in letters]
     d_enc = g_encode(R.m, degree.eps, degree.rot)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import random
 import sys
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from nichols_dm.cyclo import CycloNumber
 from nichols_dm.dihedral import DihedralGroup, GroupElement, g_element, g_encode, g_inv, g_mul
 from nichols_dm import rewrite
-from nichols_dm.errors import CompletionError
+from nichols_dm.errors import CompletionError, DomainError
 from nichols_dm.lifting import (
     Relation,
     group_algebra_presentation,
@@ -423,6 +424,14 @@ def test_skew_primitives_do_not_list_the_normal_basis(monkeypatch):
     assert len(skew_primitives(R, GroupElement(12, 0, 1))) == 1
 
 
+def test_skew_primitives_reject_a_degree_of_another_group():
+    # r^13 of D_16 is not r^1 of D_12, whose line through x(1,6) it used to find
+    R = compile_presentation(presentation_A(12, [(1, 6)]))
+    with pytest.raises(DomainError, match="different dihedral groups"):
+        skew_primitives(R, GroupElement(16, 0, 13))
+    assert len(skew_primitives(R, GroupElement(12, 0, 1))) == 1
+
+
 def test_skew_primitives_deformed():
     P = presentation_A(12, [(1, 6)], lam=1)
     R = compile_presentation(P)
@@ -604,6 +613,39 @@ def _stepwise_delta(R, el):
     return out
 
 
+def _reference_antipode(R, el):
+    """S(el) in the model, as the product gamma^-1 S(v_k) ... S(v_1) of single terms."""
+    minus_one = -CycloNumber.one(R.m)
+    out = {}
+    for (word, g), coeff in el.items():
+        term = {((), g_inv(R.m, g)): coeff}
+        for v in reversed(word):
+            s_v = R.el_mul({((), g_encode(R.m, 0, -R.cop_exp[v])): minus_one}, R.monomial((v,)))
+            term = R.el_mul(term, s_v)
+        for mono, c in term.items():
+            rewrite._add(out, mono, c)
+    return out
+
+
+def _reference_relation_element(R, rel):
+    """The relation in the model, each term the product of its generators' monomials."""
+    el = {}
+    for coeff, word in rel.lhs:
+        term = R.monomial(())
+        for name in word:
+            if name == "g":
+                factor = R.monomial((), eps=1)
+            elif name == "h":
+                factor = R.monomial((), rot=1)
+            else:
+                factor = R.monomial((R.letter_index[name],))
+            term = R.el_mul(term, factor)
+        el = R.el_add(el, term, scale=coeff)
+    for coeff, (eps, rot) in rel.rhs:
+        rewrite._add(el, ((), g_encode(R.m, eps, rot)), -coeff)
+    return el
+
+
 def _pair_loop_fails(R):
     """Whether S(ab) = S(b) S(a) fails, through normal forms, on some generator pair."""
     gens = [R.monomial((), eps=1), R.monomial((), rot=1)] + [
@@ -611,8 +653,8 @@ def _pair_loop_fails(R):
     ]
     for a in gens:
         for b in gens:
-            lhs = rewrite._antipode(R, R.reduce(R.el_mul(a, b)))
-            rhs = R.el_mul(rewrite._antipode(R, b), rewrite._antipode(R, a))
+            lhs = _reference_antipode(R, R.reduce(R.el_mul(a, b)))
+            rhs = R.el_mul(_reference_antipode(R, b), _reference_antipode(R, a))
             if R.el_add(R.reduce(lhs), R.reduce(rhs), scale=-CycloNumber.one(R.m)):
                 return True
     return False
@@ -644,15 +686,39 @@ def _corrupted_presentations():
                 yield _with_cop_exp(P, v.name, (v.cop_exp + shift) % 12)
 
 
+def _words(n, k_max):
+    """Every word of length <= k_max in the letters 0..n-1, shortest first."""
+    return [w for k in range(k_max + 1) for w in itertools.product(range(n), repeat=k)]
+
+
+def test_relation_element_and_antipode_match_the_products():
+    # the closed forms against the products of single monomials they replace
+    for P in itertools.chain(_sweep_presentations(), _corrupted_presentations()):
+        R = rewrite.RewriteSystem(P)
+        one = CycloNumber.one(R.m)
+        for rel in P.relations:
+            el = rewrite._relation_element(R, rel)
+            assert el == _reference_relation_element(R, rel), (P.I, P.L, rel.label)
+            assert rewrite._antipode(R, el) == _reference_antipode(R, el), (P.I, P.L, rel.label)
+        names = P.generator_names
+        for w in _words(len(names), 3):
+            rel = Relation("word", ((one, tuple(names[i] for i in w)),), ())
+            assert rewrite._relation_element(R, rel) == _reference_relation_element(R, rel), rel
+        for word in _words(len(R.letters), 3):
+            for g in (0, 1, R.m, 2 * R.m - 1):
+                el = {(word, g): one}
+                assert rewrite._antipode(R, el) == _reference_antipode(R, el), (P.I, P.L, word, g)
+
+
 def test_delta_matches_stepwise_reduction():
     # reducing each leg once equals reducing after every product, because
-    # reduction onto the normal words of a confluent system is an algebra map
+    # reduction onto the normal words of a confluent system is an algebra map;
+    # words of length 3 exercise the subset expansion past the relations' two letters
     for P in _sweep_presentations():
         R = compile_presentation(P)
         one = CycloNumber.one(R.m)
         elements = [rewrite._relation_element(R, rel) for rel in P.relations]
-        n = range(len(R.letters))
-        words = [()] + [(a,) for a in n] + [(a, b) for a in n for b in n]
+        words = _words(len(R.letters), 3 if R.m == 12 else 2)
         for g in (0, 1, R.m, 2 * R.m - 1):
             elements += [{(word, g): one} for word in words]
         for el in elements:
