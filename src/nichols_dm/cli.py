@@ -202,7 +202,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         "family": args.family,
         "I": [list(p) for p in pres.I],
         "L": list(pres.L),
-        "parameters": pres.to_json_dict()["parameters"],
+        "parameters": pres.datum.parameters_json(),
         "dimension": dim,
         "expected": expected,
         "dimension_matches": dim == expected,

@@ -4,14 +4,24 @@
 ``1, w, ..., w^(phi(m)-1)``, stored as a tuple of ints over one positive
 common denominator, in lowest terms.  A root of unity is
 ``CycloNumber.root(m, a)``, one shared instance per exponent that
-remembers ``a``, so a product of two roots adds exponents; comparing a
-value with ``1`` or ``-1`` reads its ints and builds nothing.  ``Phi_m`` is
+remembers ``a``, so a product of two roots adds exponents, and a product
+with the shared ``one`` returns the other factor; comparing a value with
+``1`` or ``-1`` reads its ints and builds nothing.  ``Phi_m`` is
 monic with integer coefficients, so sums and products stay in integers; a
 product is reduced by the sparse nonzero coefficients of ``Phi_m``, and the row
 ``x^a mod Phi_m`` of a root ``w^a`` is built the first time it is used.
-Only ``inverse`` (extended Euclid against ``Phi_m``), ``parse_scalar`` and
-the ``coeffs`` view work with ``Fraction``.  Everything is exact; there is
-no floating point anywhere in this package.
+
+``inverse`` is a closed form.  A root ``w^a`` inverts to ``w^-a`` and a
+rational ``p/q`` to ``q/p``.  Any other ``a`` inverts through its Galois
+norm: the automorphisms ``sigma_k: w -> w^k`` of Q(w_m), ``k`` a unit mod
+``m``, permute the conjugates of ``a``, so ``N(a) = a * rest`` with
+``rest = prod_{k != 1} sigma_k(a)`` is fixed by all of them and hence
+rational, and ``a^-1 = rest / N(a)``.  ``sigma_k`` only moves exponents,
+``w^j -> w^(jk mod m)``, so the conjugates and their product stay in
+integers; no polynomial division is needed.  ``Fraction`` appears only at
+the boundary: the constructor, the ``coeffs`` view, ``from_rational`` and
+``parse_scalar``.  Everything is exact; there is no floating point
+anywhere in this package.
 """
 
 from __future__ import annotations
@@ -236,6 +246,10 @@ class CycloNumber:
         if other is NotImplemented:
             return NotImplemented
         field = _field(self.m)
+        if self is field.one:
+            return other
+        if other is field.one:
+            return self
         if not self or not other:
             return field.zero
         ea = self._root_hint(field)
@@ -257,18 +271,29 @@ class CycloNumber:
     def inverse(self) -> "CycloNumber":
         if not self:
             raise DomainError("cannot invert zero")
-        # extended Euclid over Q[x] against Phi_m, which is irreducible
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
-        a = list(self.coeffs)
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _degree(r1) > 0:
-            q = _poly_quot(r0, r1)
-            r0, r1 = r1, _trim(_poly_sub(r0, _poly_mul(q, r1)))
-            s0, s1 = s1, _trim(_poly_sub(s0, _poly_mul(q, s1)))
-        c = r1[0]
-        inv = [x / c for x in s1]
-        return CycloNumber(self.m, inv)
+        m = self.m
+        field = _field(m)
+        exponent = self._root_hint(field)
+        if exponent is not None:
+            return field.root(-exponent % m)
+        num = self.num
+        if not any(num[1:]):  # a rational p/q inverts to q/p
+            p = num[0]
+            return _new(m, (self.den if p > 0 else -self.den,) + num[1:], abs(p))
+        # rest = prod of sigma_k(num) over the units k != 1, sigma_k: w -> w^k;
+        # a * rest is the norm times a rational, so a^-1 = rest / (a * rest)
+        rest = field.one
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                buf = [0] * m
+                for j, c in enumerate(num):
+                    buf[j * k % m] += c
+                rest = rest * _new(m, field.reduce(buf), 1)
+        norm = self * rest  # rational
+        p, q = norm.num[0], norm.den
+        if p < 0:
+            p, q = -p, -q
+        return _make(m, [c * q for c in rest.num], p)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -351,48 +376,6 @@ def _new(m: int, num: tuple[int, ...], den: int) -> CycloNumber:
 
 def _make(m: int, num, den: int) -> CycloNumber:
     return _new(m, *_canonical(tuple(num), den))
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return p
-
-
-def _degree(p: list[Fraction]) -> int:
-    return len(p) - 1
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_quot(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db, lead = _degree(b), b[-1]
-    if _degree(a) < db:
-        return [Fraction(0)]
-    out = [Fraction(0)] * (_degree(a) - db + 1)
-    for i in range(_degree(a), db - 1, -1):
-        c = a[i] / lead
-        out[i - db] = c
-        if c:
-            for j, d in enumerate(b):
-                a[i - db + j] -= c * d
-    return out
 
 
 # -- fixed textual syntax: "3/2", "w^5 - 1", "1/2*w^2 + w" ------------------

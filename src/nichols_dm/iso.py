@@ -19,9 +19,9 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .classify import Pair, in_J
-from .cyclo import format_scalar
 from .errors import DomainError
-from .lifting import FAMILIES, LiftingDatum, family_members, free_parameter_keys, parameter_shape
+from .lifting import (FAMILIES, LiftingDatum, _scalar, family_members, free_parameter_keys,
+                      parameter_shape)
 
 __all__ = [
     "UnitModM",
@@ -191,17 +191,7 @@ def _grid_data(m: int, I, L, grid) -> list[LiftingDatum]:
 
 
 def _entry(d: LiftingDatum) -> dict:
-    params = {}
-    for name, items in (
-        ("lambda", d.lam),
-        ("gamma", d.gam),
-        ("theta", d.theta),
-        ("mu", d.mu),
-    ):
-        if items:
-            params[name] = {
-                ",".join(str(x) for x in key): format_scalar(v) for key, v in items
-            }
+    params = {name: entries for name, entries in d.parameters_json().items() if entries}
     return {"I": [list(p) for p in d.I], "L": list(d.L), "parameters": params}
 
 
@@ -214,8 +204,9 @@ def iso_classes(
     """Orbit decomposition of the graded family instances under the unit action.
 
     `families` is a nonempty subset of "abcd"; `lifting.family_members`
-    lists the members of each.  The parameter grid is applied to the free
-    parameters of each family member.  Orbits come from the action itself: the first instance not yet
+    lists the members of each.  The parameter grid is read once, up front,
+    so a malformed value is rejected even when no member has a free
+    parameter; it is applied to the free parameters of each family member.  Orbits come from the action itself: the first instance not yet
     placed is the representative, and the images of it under the units,
     taken in ascending order, claim the unplaced instances they hit.  Each
     member's witness is therefore the least unit carrying the representative
@@ -224,12 +215,13 @@ def iso_classes(
     """
     if not families or not set(families) <= set(FAMILIES):
         raise DomainError(f"families must be a nonempty subset of {FAMILIES!r}, got {families!r}")
+    grid = [_scalar(m, value) for value in parameter_grid]
     instances = [
         (fam, d)
         for fam in FAMILIES
         if fam in families
         for I, L in family_members(m, fam, r_max)
-        for d in _grid_data(m, I, L, parameter_grid)
+        for d in _grid_data(m, I, L, grid)
     ]
 
     positions: dict[tuple, list[int]] = {}

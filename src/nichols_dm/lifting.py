@@ -202,6 +202,18 @@ class LiftingDatum:
             v for _, v in self.lam + self.gam + self.theta + self.mu
         )
 
+    def parameters_json(self) -> dict:
+        """The four families as {"lambda": {"p,q,i,k": scalar text}, ...}, empty ones included."""
+        return {
+            name: {",".join(str(x) for x in key): format_scalar(v) for key, v in items}
+            for name, items in (
+                ("lambda", self.lam),
+                ("gamma", self.gam),
+                ("theta", self.theta),
+                ("mu", self.mu),
+            )
+        }
+
 
 def _normalize_family(m: int, name: str, given, shape: Mapping) -> dict:
     """Expand scalar broadcast / explicit dicts into a full validated key map."""
@@ -322,16 +334,6 @@ class Presentation:
             }
             for rel in self.relations
         ]
-        params = {}
-        for name, items in (
-            ("lambda", self.datum.lam),
-            ("gamma", self.datum.gam),
-            ("theta", self.datum.theta),
-            ("mu", self.datum.mu),
-        ):
-            params[name] = {
-                ",".join(str(x) for x in key): format_scalar(v) for key, v in items
-            }
         return {
             "m": self.m,
             "kind": self.kind,
@@ -339,7 +341,7 @@ class Presentation:
             "L": list(self.L),
             "generators": gens,
             "relations": rels,
-            "parameters": params,
+            "parameters": self.datum.parameters_json(),
         }
 
 

@@ -6,6 +6,15 @@ x > y = x y x^-1; a class is of type D when it contains elements p, q
 with (pq)^2 != (qp)^2 that are not conjugate in the subgroup <p, q>.
 Type-D classes force infinite-dimensional Nichols algebras, so the
 witness pair doubles as a certificate.
+
+In D_m the test is a closed form, not a search of <p, q>.  Rotations
+commute, and a rotation times a reflection squares to 1 either way, so
+only two reflections p = s r^a, q = s r^b can qualify.  With
+d = (b - a) mod m, pq = r^d and qp = r^-d, so (pq)^2 != (qp)^2 iff
+4d != 0 mod m.  <p, q> = <s r^a, r^g> with g = gcd(d, m), in which p
+is conjugate to s r^(a + 2jg) only, so q is not conjugate to p iff
+m / g is even.  A reflection class of D_m is therefore of type D
+exactly when m = 4t with t >= 3.
 """
 
 from __future__ import annotations
@@ -171,36 +180,27 @@ class TypeDWitness:
 def is_type_D(
     G: DihedralGroup, cls: ConjugacyClass | Sequence[GroupElement]
 ) -> tuple[bool, Optional[TypeDWitness]]:
-    """Search for p, q in the class with (pq)^2 != (qp)^2, non-conjugate in <p, q>.
+    """The lexicographically first pair p, q of the class that makes it type D.
 
-    Conjugacy is decided inside <p, q> itself: if p and q are conjugate
-    there, they are conjugate in every subgroup containing both, so this
-    search settles the existential quantifier over subgroups.  The witness
-    is the lexicographically first pair, for reproducible certificates.
+    Pairs are taken in sorted order, so the witness is reproducible.  Only
+    two reflections can qualify; `_type_d_pair` decides a pair in closed form.
     """
     elems = sorted(cls.elements if isinstance(cls, ConjugacyClass) else cls)
-    for p in elems:
-        for q in elems:
-            pq, qp = p * q, q * p
-            if pq * pq == qp * qp:
-                continue
-            subgroup = _generated_subgroup(p, q)
-            if not any(h * p * h.inverse() == q for h in subgroup):
+    reflections = [g for g in elems if g.eps]
+    for p in reflections:
+        for q in reflections:
+            if _type_d_pair(p, q):
                 return True, TypeDWitness(p, q)
     return False, None
 
 
-def _generated_subgroup(*gens: GroupElement) -> list[GroupElement]:
-    elems = {GroupElement(gens[0].m, 0, 0)}
-    frontier = list(elems)
-    gen_list = list(gens)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gen_list:
-                c = a * g
-                if c not in elems:
-                    elems.add(c)
-                    new.append(c)
-        frontier = new
-    return sorted(elems)
+def _type_d_pair(p: GroupElement, q: GroupElement) -> bool:
+    """(pq)^2 != (qp)^2 and q not conjugate to p in <p, q>, for reflections p, q.
+
+    q = s r^(a + d) is conjugate to p = s r^a in <p, q> iff d is a
+    multiple of gcd(2g, m), g = gcd(d, m), i.e. iff m / g is odd (see the
+    module docstring).
+    """
+    m = p.m
+    d = (q.rot - p.rot) % m
+    return 4 * d % m != 0 and (m // gcd(d, m)) % 2 == 0

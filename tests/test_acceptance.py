@@ -5,9 +5,12 @@ per criterion.  Criterion 7 checks the pair relation ~ on J: reflexive,
 symmetric, the footnote pk = iq = n, agreement with iq + pk = 0 mod m,
 transitive exactly when m is a power of two (m = 12 counterexample
 included), and I-families of size 2 and 3 equal to the brute-force
-pairwise-related multisets, for m = 12..64.
+pairwise-related multisets, for m = 12..64.  Criterion 3 is also checked
+against a breadth-first subgroup search on every class and on random
+subsets of D_m, m = 3..64.
 """
 
+import random
 import time
 from itertools import combinations, combinations_with_replacement
 
@@ -46,7 +49,7 @@ from nichols_dm.lifting import (
     presentation_A,
     presentation_B,
 )
-from nichols_dm.rack import _generated_subgroup, is_type_D
+from nichols_dm.rack import is_type_D
 from nichols_dm.rewrite import (
     compile_presentation,
     dimension,
@@ -102,6 +105,36 @@ def test_criterion_2_N_sets_m12():
     print("PASS criterion 2: N_i sets at m = 12 match exactly")
 
 
+def _generated_subgroup(*gens):
+    """<gens> by breadth-first search: the oracle for conjugacy inside <p, q>."""
+    elems = {GroupElement(gens[0].m, 0, 0)}
+    frontier = list(elems)
+    gen_list = list(gens)
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gen_list:
+                c = a * g
+                if c not in elems:
+                    elems.add(c)
+                    new.append(c)
+        frontier = new
+    return sorted(elems)
+
+
+def _type_d_by_search(elems, firsts):
+    """The first pair (p, q), p in firsts and q in elems, both sorted, with
+    (pq)^2 != (qp)^2 and q not conjugate to p in the generated <p, q>."""
+    for p in sorted(firsts):
+        for q in sorted(elems):
+            pq, qp = p * q, q * p
+            if pq * pq == qp * qp:
+                continue
+            if not any(h * p * h.inverse() == q for h in _generated_subgroup(p, q)):
+                return True, (p, q)
+    return False, None
+
+
 def test_criterion_3_type_d():
     start = time.monotonic()
     for m in ALL_MS:
@@ -120,6 +153,24 @@ def test_criterion_3_type_d():
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"type-D sweep took {elapsed:.2f}s"
     print("PASS criterion 3: type-D verdicts with verified witnesses, m = 12..64")
+
+
+def test_type_d_closed_form_matches_subgroup_search():
+    # Conjugating a witness by g gives a witness, so in a conjugacy class the
+    # lexicographically first witness, if any, starts at the least element:
+    # the search over a class may fix p there.  Subsets get the full scan.
+    rng = random.Random(15)
+    for m in range(3, 65):
+        G = DihedralGroup(m)
+        group = list(G.elements())
+        cases = [(cls.elements, [min(cls.elements)]) for cls in conjugacy_classes(G)]
+        for _ in range(10):
+            subset = rng.sample(group, rng.randint(1, min(12, len(group))))
+            cases.append((subset, subset))
+        for elems, firsts in cases:
+            verdict, witness = is_type_D(G, elems)
+            found = (witness.first, witness.second) if witness else None
+            assert (verdict, found) == _type_d_by_search(elems, firsts), (m, elems)
 
 
 def _b_family_grid(m, I, L):

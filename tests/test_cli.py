@@ -246,6 +246,17 @@ def test_malformed_scalar_is_a_validation_error(capsys, argv):
     assert doc["error"]["type"] == "validation"
 
 
+def test_iso_rejects_malformed_grid_that_no_member_reads(capsys):
+    # family (a) has no free parameter, so "junk" used to exit 0 and be echoed
+    code, doc = run_cli(capsys, "iso", "--m", "12", "--family", "a", "--max-size", "1",
+                        "--grid", "0,junk")
+    assert code == 2
+    assert doc["error"] == {
+        "type": "validation",
+        "message": "cannot parse scalar 'junk'; expected e.g. 1/2*w^2 - w + 3",
+    }
+
+
 def test_specs_allow_whitespace_and_lowercase_prefix():
     assert _parse_module(12, " k : ( 2 , 3 ) + (2,3) | 3 + 5 ") == ([(2, 3), (2, 3)], [3, 5])
     assert _parse_param(12, " 1 , 6 , 5 , 6 = 1 ")[(1, 6, 5, 6)] == 1

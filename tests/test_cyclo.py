@@ -101,6 +101,22 @@ def test_field_inverse_and_zero_division():
         CycloNumber.one(12) + CycloNumber.one(8)
 
 
+def test_inverse_dense_elements_roots_and_rationals_at_large_m():
+    # dense elements go through the Galois norm; roots and rationals invert
+    # in closed form, so m = 3600 (phi = 960) stays cheap.  (m = 3200 is left
+    # to test_field_rows_are_built_on_demand, which counts the rows built.)
+    for m in (96, 240):
+        degree = len(CycloNumber.zero(m).num)
+        a = CycloNumber(m, [Fraction((5 * j) % 7 - 3, 1 + j % 3) for j in range(degree)])
+        assert a * a.inverse() == 1
+    for a in (1, 7, 959, 960, 1800, 3599):
+        w = CycloNumber.root(3600, a)
+        assert w * w.inverse() == 1
+    for q in (-1, 2, Fraction(-3, 2)):
+        x = CycloNumber.from_rational(3600, q)
+        assert x * x.inverse() == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(-5, 5), min_size=4, max_size=4),
