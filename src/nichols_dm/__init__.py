@@ -11,9 +11,6 @@ All arithmetic is exact: rationals and roots of unity in Q(w_m).
 from .classify import (
     N_i,
     are_equivalent,
-    build_M_I,
-    build_M_IL,
-    build_M_L,
     enumerate_I,
     enumerate_K,
     enumerate_L,
@@ -47,12 +44,10 @@ from .iso import (
 from .lifting import (
     LiftingDatum,
     Presentation,
-    bosonization,
     presentation_A,
     presentation_B,
-    theorem_B_catalogue,
 )
-from .rack import Rack, affine_rack, conjugation_rack, dihedral_rack, is_type_D
+from .rack import Rack, conjugation_rack, is_type_D
 from .rewrite import (
     RewriteSystem,
     compile_presentation,
@@ -67,7 +62,6 @@ from .ydmod import (
     YDModule,
     braiding,
     direct_sum,
-    dynkin_diagram,
     induce,
     nichols_dimension,
     yang_baxter_holds,
@@ -93,23 +87,16 @@ __all__ = [
     "YDModule",
     "act_ell",
     "act_pair",
-    "affine_rack",
     "are_equivalent",
-    "bosonization",
     "braiding",
-    "build_M_I",
-    "build_M_IL",
-    "build_M_L",
     "centralizer",
     "class_of",
     "compile_presentation",
     "conjugacy_classes",
     "conjugation_rack",
     "cyclotomic_polynomial",
-    "dihedral_rack",
     "dimension",
     "direct_sum",
-    "dynkin_diagram",
     "enumerate_I",
     "enumerate_K",
     "enumerate_L",
@@ -127,7 +114,6 @@ __all__ = [
     "skew_primitives",
     "support_J",
     "theorem_A_report",
-    "theorem_B_catalogue",
     "yang_baxter_holds",
 ]
 

@@ -9,13 +9,11 @@ controls which direct sums stay finite-dimensional.  Families:
   L-families: multisets of odd l with 1 <= l < n                (dim 4^|L|)
   K-families: (I, L) with every k odd and (i, l) in J throughout (dim 4^(|I|+|L|))
 
-Multiset reading: repeats are allowed, entries are kept sorted; pass
-distinct_only=True for the set-only variant.
+Multiset reading: repeats are allowed, entries are kept sorted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
@@ -24,16 +22,11 @@ from .errors import DomainError
 from .ydmod import Finite, YDModule, direct_sum, induce, nichols_dimension
 
 __all__ = [
-    "LabeledModule",
     "N_i",
     "are_equivalent",
-    "build_M_I",
-    "build_M_IL",
-    "build_M_L",
     "enumerate_I",
     "enumerate_K",
     "enumerate_L",
-    "equivalence_ball",
     "in_J",
     "support_J",
     "theorem_A_report",
@@ -78,18 +71,7 @@ def are_equivalent(p1: Pair, p2: Pair, m: int) -> bool:
     return (i * q + p * k) % m == 0
 
 
-def equivalence_ball(m: int, pair: Pair) -> list[Pair]:
-    """[i,k] = all J-pairs related to the given one.
-
-    Caution: ~ is reflexive and symmetric on J but not transitive in
-    general (m = 12 already has (3,2) ~ (3,6) ~ (1,6) with
-    (3,2) !~ (1,6)), so these balls need not partition J.  Families are
-    therefore enumerated as pairwise-related multisets, never via balls.
-    """
-    return [q for q in support_J(m) if are_equivalent(pair, q, m)]
-
-
-def _sorted_multisets(items, compatible, size, distinct_only):
+def _sorted_multisets(items, compatible, size):
     def grow(prefix: tuple, start: int):
         if len(prefix) == size:
             yield prefix
@@ -97,12 +79,12 @@ def _sorted_multisets(items, compatible, size, distinct_only):
         for idx in range(start, len(items)):
             candidate = items[idx]
             if all(candidate in compatible[p] for p in prefix):
-                yield from grow(prefix + (candidate,), idx + 1 if distinct_only else idx)
+                yield from grow(prefix + (candidate,), idx)
 
     yield from grow((), 0)
 
 
-def enumerate_I(m: int, r_max: int, distinct_only: bool = False) -> Iterator[tuple[Pair, ...]]:
+def enumerate_I(m: int, r_max: int) -> Iterator[tuple[Pair, ...]]:
     """All I-families of size 1..r_max in canonical (size, lexicographic) order.
 
     An I-family is a multiset of J-pairs that are pairwise related under ~;
@@ -113,32 +95,27 @@ def enumerate_I(m: int, r_max: int, distinct_only: bool = False) -> Iterator[tup
     pairs = support_J(m)
     compatible = {p: {q for q in pairs if are_equivalent(p, q, m)} for p in pairs}
     for size in range(1, r_max + 1):
-        yield from _sorted_multisets(pairs, compatible, size, distinct_only)
+        yield from _sorted_multisets(pairs, compatible, size)
 
 
-def enumerate_L(m: int, r_max: int, distinct_only: bool = False) -> Iterator[tuple[int, ...]]:
+def enumerate_L(m: int, r_max: int) -> Iterator[tuple[int, ...]]:
     """All L-families (multisets of odd 1 <= l < n) of size 1..r_max."""
     _require_modulus(m)
     if r_max < 1:
         raise DomainError(f"r_max must be >= 1, got {r_max}")
     odd = [ell for ell in range(1, m // 2) if ell % 2]
     for size in range(1, r_max + 1):
-        for combo in combinations_with_replacement(odd, size):
-            if distinct_only and len(set(combo)) != size:
-                continue
-            yield tuple(combo)
+        yield from combinations_with_replacement(odd, size)
 
 
-def enumerate_K(
-    m: int, r_max: int, distinct_only: bool = False
-) -> Iterator[tuple[tuple[Pair, ...], tuple[int, ...]]]:
+def enumerate_K(m: int, r_max: int) -> Iterator[tuple[tuple[Pair, ...], tuple[int, ...]]]:
     """All (I, L) with |I|, |L| >= 1 and |I| + |L| <= r_max satisfying the K conditions."""
     if r_max < 2:
         return
-    for I in enumerate_I(m, r_max - 1, distinct_only):
+    for I in enumerate_I(m, r_max - 1):
         if any(k % 2 == 0 for _, k in I):
             continue
-        for L in enumerate_L(m, r_max - len(I), distinct_only):
+        for L in enumerate_L(m, r_max - len(I)):
             if all(in_J(m, (i, ell)) for i, _ in I for ell in L):
                 yield I, L
 
@@ -164,81 +141,11 @@ def is_valid_K(m: int, I: Sequence[Pair], L: Sequence[int]) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class LabeledModule:
-    """A direct sum with named generators: a/b per J-pair, c/d per odd l."""
-
-    module: YDModule
-    labels: tuple[tuple[str, int], ...]
-    I: tuple[Pair, ...]
-    L: tuple[int, ...]
-
-    def index_of(self, name: str) -> int:
-        for label, idx in self.labels:
-            if label == name:
-                return idx
-        raise KeyError(name)
-
-
-def _occurrence_names(entries, base_names):
-    """Names like a(1,6), with #2, #3 suffixes for repeated multiset entries."""
-    counts: dict = {}
-    out = []
-    for entry in entries:
-        counts[entry] = counts.get(entry, 0) + 1
-        suffix = "" if counts[entry] == 1 else f"#{counts[entry]}"
-        out.append([f"{base}{entry_str(entry)}{suffix}" for base in base_names])
-    return out
-
-
-def entry_str(entry) -> str:
-    if isinstance(entry, tuple):
-        return f"({entry[0]},{entry[1]})"
-    return f"({entry})"
-
-
 def module_of(G: DihedralGroup, I: Sequence[Pair], L: Sequence[int]) -> YDModule:
     """The direct sum of M_{i,k} for (i, k) in I, then M_l for l in L, in the order given."""
     blocks = [induce(G, class_of(G, G.r(i)), CyclicCharacter(G, k)) for i, k in I]
     blocks += [induce(G, class_of(G, G.r(G.n)), Irrep(G, "two_dim", ell)) for ell in L]
     return direct_sum(blocks)
-
-
-def _labeled(m: int, I: Sequence[Pair], L: Sequence[int]) -> LabeledModule:
-    G = _require_modulus(m)
-    I = tuple(sorted(I))
-    L = tuple(sorted(L))
-    module = module_of(G, I, L)
-    labels = []
-    names_I = _occurrence_names(I, ("a", "b"))
-    for bi, (a_name, b_name) in enumerate(names_I):
-        base = module.basis_range(bi).start
-        labels.append((a_name, base))
-        labels.append((b_name, base + 1))
-    names_L = _occurrence_names(L, ("c", "d"))
-    for bj, (c_name, d_name) in enumerate(names_L):
-        base = module.basis_range(len(I) + bj).start
-        labels.append((c_name, base))
-        labels.append((d_name, base + 1))
-    return LabeledModule(module, tuple(labels), I, L)
-
-
-def build_M_I(m: int, I: Sequence[Pair]) -> LabeledModule:
-    if not is_valid_I(m, I):
-        raise DomainError(f"{tuple(I)} is not an I-family for m = {m}")
-    return _labeled(m, I, ())
-
-
-def build_M_L(m: int, L: Sequence[int]) -> LabeledModule:
-    if not is_valid_L(m, L):
-        raise DomainError(f"{tuple(L)} is not an L-family for m = {m}")
-    return _labeled(m, (), L)
-
-
-def build_M_IL(m: int, I: Sequence[Pair], L: Sequence[int]) -> LabeledModule:
-    if not is_valid_K(m, I, L):
-        raise DomainError(f"({tuple(I)}, {tuple(L)}) is not a K-family for m = {m}")
-    return _labeled(m, I, L)
 
 
 def irreducible_survey(m: int) -> list[dict]:

@@ -340,14 +340,6 @@ class CycloNumber:
             object.__setattr__(self, "_root_memo", memo)
         return memo
 
-    def as_root_exponent(self) -> int | None:
-        """Exponent a with self == w^a, or None if not a single root of unity."""
-        field = _field(self.m)
-        found = self._root_hint(field)
-        if found is None and self.den == 1:
-            found = next((a for a in range(self.m) if field.root(a).num == self.num), None)
-        return found
-
     def __str__(self):
         return format_scalar(self)
 

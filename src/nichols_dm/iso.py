@@ -25,9 +25,6 @@ from .lifting import (FAMILIES, LiftingDatum, _scalar, family_members, free_para
 
 __all__ = [
     "UnitModM",
-    "act_I",
-    "act_L",
-    "act_datum",
     "act_ell",
     "act_pair",
     "is_isomorphic_A",
@@ -130,6 +127,7 @@ def act_datum(unit: UnitModM, datum: LiftingDatum) -> Optional[LiftingDatum]:
     return LiftingDatum(m, I, L, lam, gam, theta, mu)
 
 
+# the is_isomorphic_* below are read by bench/tracing.py; goes with ROADMAP item 2
 def _first_unit(d1: LiftingDatum, d2: LiftingDatum) -> tuple[bool, Optional[UnitModM]]:
     for unit in units(d1.m):
         if act_datum(unit, d1) == d2:
@@ -137,6 +135,7 @@ def _first_unit(d1: LiftingDatum, d2: LiftingDatum) -> tuple[bool, Optional[Unit
     return False, None
 
 
+# read by bench/tracing.py; goes with ROADMAP item 2
 def is_isomorphic_A(
     m: int, I, lam, gamma, I2, lam2, gamma2
 ) -> tuple[bool, Optional[UnitModM]]:
@@ -149,6 +148,7 @@ def is_isomorphic_A(
     return _first_unit(datum(I, lam, gamma), datum(I2, lam2, gamma2))
 
 
+# read by bench/tracing.py; goes with ROADMAP item 2
 def is_isomorphic_B(
     m: int, first: tuple, second: tuple
 ) -> tuple[bool, Optional[UnitModM]]:
@@ -159,6 +159,7 @@ def is_isomorphic_B(
     return _first_unit(d1, d2)
 
 
+# read by bench/tracing.py; goes with ROADMAP item 2
 def is_isomorphic_L(m: int, L, L2) -> tuple[bool, Optional[UnitModM]]:
     """Bosonizations of M_L are isomorphic iff some unit carries L to L'."""
     return _first_unit(LiftingDatum.zero(m, (), L), LiftingDatum.zero(m, (), L2))

@@ -28,7 +28,6 @@ from typing import Iterator, Mapping, Sequence
 
 from .classify import (
     Pair,
-    _occurrence_names,
     enumerate_I,
     enumerate_K,
     enumerate_L,
@@ -45,17 +44,13 @@ __all__ = [
     "LiftingDatum",
     "Presentation",
     "Relation",
-    "SkewGenerator",
-    "bosonization",
     "family_members",
     "family_presentation",
     "free_parameter_keys",
-    "group_algebra_presentation",
     "parameter_shape",
     "presentation_A",
     "presentation_B",
     "presentation_L",
-    "theorem_B_catalogue",
 ]
 
 LambdaKey = tuple[int, int, int, int]  # (p, q, i, k)
@@ -196,12 +191,6 @@ class LiftingDatum:
     def mu_value(self, key: ThetaKey) -> CycloNumber:
         return dict(self.mu).get(key, CycloNumber.zero(self.m))
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(
-            v for _, v in self.lam + self.gam + self.theta + self.mu
-        )
-
     def parameters_json(self) -> dict:
         """The four families as {"lambda": {"p,q,i,k": scalar text}, ...}, empty ones included."""
         return {
@@ -282,10 +271,6 @@ class Presentation:
     skew_generators: tuple[SkewGenerator, ...]
     relations: tuple[Relation, ...]
 
-    @property
-    def generator_names(self) -> list[str]:
-        return ["g", "h"] + [v.name for v in self.skew_generators]
-
     def skew(self, name: str) -> SkewGenerator:
         for v in self.skew_generators:
             if v.name == name:
@@ -343,6 +328,23 @@ class Presentation:
             "relations": rels,
             "parameters": self.datum.parameters_json(),
         }
+
+
+def _occurrence_names(entries, base_names):
+    """Names like x(1,6), with #2, #3 suffixes for repeated multiset entries."""
+    counts: dict = {}
+    out = []
+    for entry in entries:
+        counts[entry] = counts.get(entry, 0) + 1
+        suffix = "" if counts[entry] == 1 else f"#{counts[entry]}"
+        out.append([f"{base}{entry_str(entry)}{suffix}" for base in base_names])
+    return out
+
+
+def entry_str(entry) -> str:
+    if isinstance(entry, tuple):
+        return f"({entry[0]},{entry[1]})"
+    return f"({entry})"
 
 
 _CONJUGATE_KIND = str.maketrans("xyzw", "yxwz")
@@ -469,20 +471,7 @@ def presentation_L(m: int, L: Sequence[int]) -> Presentation:
     return _build(LiftingDatum.zero(m, (), L))
 
 
-def group_algebra_presentation(m: int) -> Presentation:
-    """Just the group algebra of D_m (no skew-primitives); 2m normal words."""
-    return _build(LiftingDatum.zero(m, (), ()))
-
-
 FAMILIES = "abcd"
-
-_DESCRIPTIONS = {
-    "a": "bosonizations of M_I, I = {(i,k)} with k != n; no parameters",
-    "b": "bosonizations of M_L, L any multiset of odd l < n; no parameters",
-    "c": "A_I(lambda, gamma) with |I| > 1 or I = {(i,n)}",
-    "d": "B_{I,L}(lambda, gamma, theta, mu) with (I, L) in the K-family",
-}
-
 
 def _single_pair_k_not_n(m: int, I: Sequence[Pair]) -> bool:
     """I = {(i,k)} with k != n: family (a), never (c)."""
@@ -542,46 +531,3 @@ def family_presentation(
     if family == "d":
         return presentation_B(m, I, L, lam=lam, gamma=gamma, theta=theta, mu=mu)
     raise DomainError(f"unknown family {family!r}")
-
-
-def bosonization(m: int, labeled) -> Presentation:
-    """Bosonization of M_I (family (a)) or of M_L (family (b)); all parameters zero."""
-    if labeled.I and labeled.L:
-        raise DomainError("bosonization covers single-pair M_I or M_L modules")
-    return family_presentation(m, "a" if labeled.I else "b", labeled.I, labeled.L)
-
-
-def theorem_B_catalogue(m: int, r_max: int) -> list[dict]:
-    """The four lifting families with their parameter-space shapes, up to r_max."""
-    DihedralGroup(m).require_classification_modulus()
-
-    def shape_json(I, L):
-        shape = parameter_shape(m, I, L)
-        out = {}
-        for name, entries in shape.items():
-            if not entries:
-                continue
-            out[name] = {
-                ",".join(str(x) for x in key): (
-                    status if isinstance(status, str) else ["tied", ",".join(str(x) for x in status[1])]
-                )
-                for key, status in sorted(entries.items())
-            }
-        return out
-
-    catalogue = []
-    for family in FAMILIES:
-        instances = []
-        for I, L in family_members(m, family, r_max):
-            inst: dict = {"dimension": 4 ** (len(I) + len(L)) * 2 * m}
-            if I:
-                inst["I"] = [list(p) for p in I]
-            if L:
-                inst["L"] = list(L)
-            if family in ("c", "d"):
-                inst["parameters"] = shape_json(I, L)
-            instances.append(inst)
-        catalogue.append(
-            {"family": family, "description": _DESCRIPTIONS[family], "instances": instances}
-        )
-    return catalogue

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .dihedral import ConjugacyClass, DihedralGroup, GroupElement
 from .errors import DomainError
@@ -29,11 +29,8 @@ from .errors import DomainError
 __all__ = [
     "Rack",
     "TypeDWitness",
-    "affine_rack",
     "conjugation_rack",
-    "dihedral_rack",
     "is_type_D",
-    "rack_isomorphism",
 ]
 
 
@@ -62,53 +59,6 @@ class Rack:
     def op(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def left_translation_cycle_type(self, i: int) -> tuple[int, ...]:
-        perm = self.table[i]
-        seen = [False] * self.size
-        cycles = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            length, j = 0, start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            cycles.append(length)
-        return tuple(sorted(cycles))
-
-
-def dihedral_rack(n: int) -> Rack:
-    """The rack on Z/n with i > j = 2i - j."""
-    if n < 1:
-        raise DomainError(f"dihedral rack needs n >= 1, got {n}")
-    table = tuple(tuple((2 * i - j) % n for j in range(n)) for i in range(n))
-    return Rack(n, table, labels=tuple(range(n)))
-
-
-def affine_rack(n: int, aut: int | Callable[[int], int]) -> Rack:
-    """Affine rack on Z/n: x > y = g(y) + (x - g(x)) for an automorphism g."""
-    if n < 1:
-        raise DomainError(f"affine rack needs n >= 1, got {n}")
-    if isinstance(aut, int):
-        mult = aut % n
-        if gcd(mult, n) != 1:
-            raise DomainError(f"multiplication by {aut} is not an automorphism of Z/{n}")
-        g = lambda x: (mult * x) % n
-    else:
-        g = lambda x: aut(x) % n
-        images = [g(x) for x in range(n)]
-        if sorted(images) != list(range(n)):
-            raise DomainError("map is not a bijection of Z/n")
-        for x in range(n):
-            for y in range(n):
-                if g((x + y) % n) != (g(x) + g(y)) % n:
-                    raise DomainError("map is not additive on Z/n")
-    table = tuple(
-        tuple((g(y) + x - g(x)) % n for y in range(n)) for x in range(n)
-    )
-    return Rack(n, table, labels=tuple(range(n)))
-
 
 def conjugation_rack(G: DihedralGroup, cls: ConjugacyClass | Sequence[GroupElement]) -> Rack:
     """The conjugation rack on a conjugacy class (or any conjugation-closed set)."""
@@ -124,51 +74,6 @@ def conjugation_rack(G: DihedralGroup, cls: ConjugacyClass | Sequence[GroupEleme
             row.append(index[z])
         table.append(tuple(row))
     return Rack(len(elems), tuple(table), labels=elems)
-
-
-def rack_isomorphism(a: Rack, b: Rack) -> Optional[dict[int, int]]:
-    """A rack isomorphism a -> b as an index map, or None.
-
-    Backtracking on images, pruned by left-translation cycle types.
-    """
-    if a.size != b.size:
-        return None
-    types_a = [a.left_translation_cycle_type(i) for i in range(a.size)]
-    types_b = [b.left_translation_cycle_type(i) for i in range(b.size)]
-    if sorted(types_a) != sorted(types_b):
-        return None
-    mapping: dict[int, int] = {}
-    used = [False] * b.size
-
-    def consistent(i: int, img: int) -> bool:
-        for j, jm in mapping.items():
-            if a.op(i, j) in mapping and mapping[a.op(i, j)] != b.op(img, jm):
-                return False
-            if a.op(j, i) in mapping and mapping[a.op(j, i)] != b.op(jm, img):
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == a.size:
-            for x in range(a.size):
-                for y in range(a.size):
-                    if mapping[a.op(x, y)] != b.op(mapping[x], mapping[y]):
-                        return False
-            return True
-        for img in range(b.size):
-            if used[img] or types_a[i] != types_b[img]:
-                continue
-            if not consistent(i, img):
-                continue
-            mapping[i] = img
-            used[img] = True
-            if extend(i + 1):
-                return True
-            del mapping[i]
-            used[img] = False
-        return False
-
-    return dict(mapping) if extend(0) else None
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,6 @@ from .errors import CompletionError, DomainError
 from .lifting import Presentation, Relation
 
 __all__ = [
-    "CompletionCertificate",
-    "DimensionResult",
-    "HopfReport",
-    "NormalBasis",
     "RewriteSystem",
     "certificate_json",
     "compile",
@@ -123,24 +119,10 @@ class RewriteSystem:
             _add(out, mono, coeff if scale is None else coeff * scale)
         return out
 
-    def el_mul(self, a: Element, b: Element) -> Element:
-        out: Element = {}
-        for (w1, g1), c1 in a.items():
-            for (w2, g2), c2 in b.items():
-                exp, moved = self.conj_word(g1, w2)
-                coeff = c1 * c2
-                if exp:
-                    coeff = coeff * CycloNumber.root(self.m, exp)
-                _add(out, (w1 + moved, g_mul(self.m, g1, g2)), coeff)
-        return out
-
     # -- reduction ---------------------------------------------------------
 
-    def _find_redex(self, word: Word, rightmost: bool = False):
-        positions = range(len(word))
-        if rightmost:
-            positions = reversed(positions)
-        for pos in positions:
+    def _find_redex(self, word: Word):
+        for pos in range(len(word)):
             for length in self.lhs_lengths:
                 if pos + length <= len(word) and word[pos : pos + length] in self.rules:
                     return pos, word[pos : pos + length]
@@ -177,21 +159,6 @@ class RewriteSystem:
         for mono, coeff in el.items():
             for m2, c2 in self.normal_form_monomial(mono).items():
                 _add(out, m2, coeff * c2)
-        return out
-
-    def reduce_with_strategy(self, el: Element, rightmost: bool) -> Element:
-        """Uncached single-strategy reduction; used to cross-check confluence."""
-        out: Element = {}
-        work = list(el.items())
-        while work:
-            (word, g), coeff = work.pop()
-            if not coeff:
-                continue
-            match = self._find_redex(word, rightmost=rightmost)
-            if match is None:
-                _add(out, (word, g), coeff)
-                continue
-            work.extend((mono, coeff * c) for mono, c in self._apply_rule(word, g, match))
         return out
 
     # -- rule management ---------------------------------------------------
@@ -394,6 +361,7 @@ class NormalBasis:
 NORMAL_WORD_LIMIT = 1 << 20  # normal_basis lists at most this many words
 
 
+# read by bench/tracing.py; goes with ROADMAP item 2
 def normal_basis(R: RewriteSystem) -> NormalBasis:
     """List all irreducible words; raises once more than NORMAL_WORD_LIMIT are listed.
 

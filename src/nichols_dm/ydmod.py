@@ -26,14 +26,11 @@ from .errors import DomainError
 from .rack import is_type_D
 
 __all__ = [
-    "BraidingData",
-    "DynkinDiagram",
     "Finite",
     "Infinite",
     "YDModule",
     "braiding",
     "direct_sum",
-    "dynkin_diagram",
     "induce",
     "nichols_dimension",
     "yang_baxter_holds",
@@ -174,31 +171,6 @@ def braiding(M: YDModule) -> BraidingData:
             row.append(coeff)
         rows.append(tuple(row))
     return BraidingData(M, diagonal, tuple(rows) if diagonal else None)
-
-
-@dataclass(frozen=True)
-class DynkinDiagram:
-    vertices: tuple[CycloNumber, ...]
-    edges: tuple[tuple[int, int, CycloNumber], ...]
-
-
-def dynkin_diagram(Q: BraidingData | Sequence[Sequence[CycloNumber]]) -> DynkinDiagram:
-    """Vertices q_ii and edges (i, j, q_ij q_ji) whenever that product is not 1."""
-    if isinstance(Q, BraidingData):
-        if not Q.is_diagonal:
-            raise DomainError("generalized Dynkin diagram needs a diagonal braiding")
-        matrix = Q.matrix
-    else:
-        matrix = Q
-    d = len(matrix)
-    vertices = tuple(matrix[i][i] for i in range(d))
-    edges = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            label = matrix[i][j] * matrix[j][i]
-            if label != 1:
-                edges.append((i, j, label))
-    return DynkinDiagram(vertices, tuple(edges))
 
 
 def yang_baxter_holds(M: YDModule) -> bool:

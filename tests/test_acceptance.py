@@ -19,12 +19,13 @@ import pytest
 from nichols_dm.classify import (
     N_i,
     are_equivalent,
-    build_M_I,
-    build_M_IL,
-    build_M_L,
     enumerate_I,
     enumerate_K,
     enumerate_L,
+    is_valid_I,
+    is_valid_K,
+    is_valid_L,
+    module_of,
     support_J,
 )
 from nichols_dm.cyclo import CycloNumber
@@ -239,14 +240,18 @@ def test_criterion_5_hopf_consistency():
 def test_criterion_6_braid_equation():
     checked = 0
     for m in (12, 16):
+        G = DihedralGroup(m)
         for I in enumerate_I(m, 2):
-            assert yang_baxter_holds(build_M_I(m, I).module)
+            assert is_valid_I(m, I)
+            assert yang_baxter_holds(module_of(G, I, ()))
             checked += 1
         for L in enumerate_L(m, 2):
-            assert yang_baxter_holds(build_M_L(m, L).module)
+            assert is_valid_L(m, L)
+            assert yang_baxter_holds(module_of(G, (), L))
             checked += 1
         for I, L in enumerate_K(m, 2):
-            assert yang_baxter_holds(build_M_IL(m, I, L).module)
+            assert is_valid_K(m, I, L)
+            assert yang_baxter_holds(module_of(G, I, L))
             checked += 1
     assert checked > 0
     print(f"PASS criterion 6: braid equation exact on {checked} modules")
@@ -378,7 +383,8 @@ def test_criterion_8_isomorphism_actions():
                 12, I, lam=params["lambda"], gamma=params["gamma"]
             )
             verdict, _ = is_isomorphic_A(12, I, datum, None, I, zero, None)
-            assert verdict == datum.is_zero, (I, values)
+            is_zero = not any(v for _, v in datum.lam + datum.gam + datum.theta + datum.mu)
+            assert verdict == is_zero, (I, values)
     # L-singleton orbits at m = 12: {{1},{5}} and {{3}}
     orbits = iso_classes(12, 1, families="b")
     orbit_sets = sorted(

@@ -3,12 +3,13 @@ import pytest
 from nichols_dm.classify import (
     N_i,
     are_equivalent,
-    build_M_I,
-    build_M_IL,
-    build_M_L,
     enumerate_I,
     enumerate_K,
     enumerate_L,
+    is_valid_I,
+    is_valid_K,
+    is_valid_L,
+    module_of,
     support_J,
     theorem_A_report,
 )
@@ -80,10 +81,8 @@ def test_relation_is_not_transitive_at_m12():
     assert are_equivalent((3, 2), (3, 6), 12)
     assert are_equivalent((3, 6), (1, 6), 12)
     assert not are_equivalent((3, 2), (1, 6), 12)
-    from nichols_dm.classify import equivalence_ball
-
-    assert (1, 6) in equivalence_ball(12, (3, 6))
-    assert (1, 6) not in equivalence_ball(12, (3, 2))
+    assert (1, 6) in [q for q in support_J(12) if are_equivalent((3, 6), q, 12)]
+    assert (1, 6) not in [q for q in support_J(12) if are_equivalent((3, 2), q, 12)]
 
 
 @pytest.mark.parametrize("m", [12, 16, 20, 32, 48, 64])
@@ -111,10 +110,8 @@ def test_enumerate_I_m12():
     assert (((1, 6), (5, 6))) in pairs
     assert (((2, 3), (2, 9))) in pairs
     assert all(are_equivalent(I[0], I[1], 12) for I in pairs)
-    # multiset reading admits repeats; distinct_only removes them
+    # multiset reading admits repeats
     assert ((1, 6), (1, 6)) in pairs
-    strict = [I for I in enumerate_I(12, 2, distinct_only=True) if len(I) == 2]
-    assert ((1, 6), (1, 6)) not in strict
 
 
 def test_enumerate_K_m12():
@@ -131,10 +128,9 @@ def test_K_membership_examples():
 
 
 def test_build_M_I_labels_and_structure():
-    lm = build_M_I(12, [(1, 6)])
     G = DihedralGroup(12)
-    M = lm.module
-    a, b = lm.index_of("a(1,6)"), lm.index_of("b(1,6)")
+    M = module_of(G, [(1, 6)], ())
+    a, b = M.basis_range(0)
     # coaction degrees
     assert M.degree(a) == G.r(1) and M.degree(b) == G.r(11)
     # x.a = b, x.b = a, y.a = w^k a, y.b = w^-k b
@@ -149,10 +145,9 @@ def test_build_M_I_labels_and_structure():
 
 
 def test_build_M_L_labels_and_structure():
-    lm = build_M_L(12, [3])
     G = DihedralGroup(12)
-    M = lm.module
-    c, d = lm.index_of("c(3)"), lm.index_of("d(3)")
+    M = module_of(G, (), [3])
+    c, d = M.basis_range(0)
     assert M.degree(c) == M.degree(d) == G.r(6)
     idx, coeff = M.act(G.s(), c)
     assert idx == d and coeff == 1
@@ -163,24 +158,25 @@ def test_build_M_L_labels_and_structure():
 
 
 def test_build_validations():
-    with pytest.raises(DomainError):
-        build_M_I(12, [(1, 6), (2, 3)])  # not equivalent
-    with pytest.raises(DomainError):
-        build_M_L(12, [2])  # even l
-    with pytest.raises(DomainError):
-        build_M_IL(12, [(1, 6)], [3])  # k even
+    assert not is_valid_I(12, [(1, 6), (2, 3)])  # not equivalent
+    assert not is_valid_L(12, [2])  # even l
+    assert not is_valid_K(12, [(1, 6)], [3])  # k even
 
 
 @pytest.mark.parametrize("m", [12, 16])
 def test_families_are_finite_with_predicted_dimension(m):
+    G = DihedralGroup(m)
     for I in enumerate_I(m, 2):
-        res = nichols_dimension(build_M_I(m, I).module)
+        assert is_valid_I(m, I)
+        res = nichols_dimension(module_of(G, I, ()))
         assert res == Finite(4 ** len(I))
     for L in enumerate_L(m, 2):
-        res = nichols_dimension(build_M_L(m, L).module)
+        assert is_valid_L(m, L)
+        res = nichols_dimension(module_of(G, (), L))
         assert res == Finite(4 ** len(L))
     for I, L in enumerate_K(m, 3):
-        res = nichols_dimension(build_M_IL(m, I, L).module)
+        assert is_valid_K(m, I, L)
+        res = nichols_dimension(module_of(G, I, L))
         assert res == Finite(4 ** (len(I) + len(L)))
 
 

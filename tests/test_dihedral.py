@@ -267,7 +267,7 @@ def test_klein_four_characters(d12):
     values = set()
     for chi in centralizer_representations(d12, class_of(d12, sigma)):
         assert isinstance(chi, KleinFourCharacter)
-        vals = tuple(chi.value(g).as_root_exponent() for g in centralizer(d12, sigma).elements)
+        vals = tuple(chi.value(g) for g in centralizer(d12, sigma).elements)
         values.add(vals)
     assert len(values) == 4
     chi = KleinFourCharacter(d12, sigma, -1, 1)

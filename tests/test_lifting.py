@@ -1,12 +1,10 @@
 import pytest
 
-from nichols_dm.classify import build_M_I, build_M_L
 from nichols_dm.cyclo import CycloNumber
 from nichols_dm.errors import DomainError
 from nichols_dm.lifting import (
     FAMILIES,
     LiftingDatum,
-    bosonization,
     family_members,
     family_presentation,
     free_parameter_keys,
@@ -14,7 +12,6 @@ from nichols_dm.lifting import (
     presentation_A,
     presentation_B,
     presentation_L,
-    theorem_B_catalogue,
 )
 
 
@@ -202,17 +199,17 @@ def test_family_rule_rejects_unknown_letters():
 
 
 def test_bosonization_cases():
-    pres = bosonization(12, build_M_I(12, [(2, 3)]))
-    assert pres.kind == "A" and pres.datum.is_zero
+    pres = family_presentation(12, "a", [(2, 3)])
+    assert pres.kind == "A" and pres.datum == LiftingDatum.zero(12, [(2, 3)])
     # agrees relation-by-relation with the zero-datum presentation
     ref = presentation_A(12, [(2, 3)])
     assert pres.relations == ref.relations
-    pres_l = bosonization(12, build_M_L(12, [1]))
+    pres_l = family_presentation(12, "b", L=[1])
     assert pres_l.kind == "L"
     z = pres_l.skew("z(1)")
     assert z.cop_exp == 6  # Delta(z) = z x 1 + h^n x z
     with pytest.raises(DomainError):
-        bosonization(12, build_M_I(12, [(1, 6)]))  # k = n is family (c)
+        family_presentation(12, "a", [(1, 6)])  # k = n is family (c)
 
 
 def test_multiset_generator_names():
@@ -234,18 +231,15 @@ def test_json_shape():
 
 
 def test_theorem_B_catalogue_m12():
-    cat = {entry["family"]: entry for entry in theorem_B_catalogue(12, 2)}
+    members = {family: list(family_members(12, family, 2)) for family in FAMILIES}
     # (a) excludes k = n
-    a_pairs = {tuple(map(tuple, inst["I"])) for inst in cat["a"]["instances"]}
+    a_pairs = {I for I, _ in members["a"]}
     assert ((1, 6),) not in a_pairs and ((2, 3),) in a_pairs
     # (c) admits I = {(i,n)} with one free lambda
-    c_single = [
-        inst
-        for inst in cat["c"]["instances"]
-        if inst["I"] == [[1, 6]]
-    ]
-    assert c_single and c_single[0]["parameters"]["lambda"]["1,6,1,6"] == "free"
+    assert (((1, 6),), ()) in members["c"]
+    assert parameter_shape(12, [(1, 6)])["lambda"][(1, 6, 1, 6)] == "free"
     # (d) at m = 12: I within {(2,3),(2,9)} and L within multisets of {3}
-    for inst in cat["d"]["instances"]:
-        assert all(tuple(p) in {(2, 3), (2, 9)} for p in inst["I"])
-        assert set(inst["L"]) == {3}
+    assert members["d"]
+    for I, L in members["d"]:
+        assert all(p in {(2, 3), (2, 9)} for p in I)
+        assert set(L) == {3}

@@ -2,15 +2,111 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from math import gcd
+from typing import Callable, Optional
+
 from nichols_dm.dihedral import DihedralGroup, class_of, conjugacy_classes
 from nichols_dm.errors import DomainError
-from nichols_dm.rack import (
-    affine_rack,
-    conjugation_rack,
-    dihedral_rack,
-    is_type_D,
-    rack_isomorphism,
-)
+from nichols_dm.rack import Rack, conjugation_rack, is_type_D
+
+# -- oracles: racks on Z/n and a backtracking isomorphism search --------------
+#
+# They check conjugation_rack: a reflection class of D_2k is the dihedral rack
+# on Z/2k, and relabelling a class by an automorphism of D_m gives an
+# isomorphic rack.
+
+
+def left_translation_cycle_type(rack: Rack, i: int) -> tuple[int, ...]:
+    perm = rack.table[i]
+    seen = [False] * rack.size
+    cycles = []
+    for start in range(rack.size):
+        if seen[start]:
+            continue
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        cycles.append(length)
+    return tuple(sorted(cycles))
+
+
+def dihedral_rack(n: int) -> Rack:
+    """The rack on Z/n with i > j = 2i - j."""
+    if n < 1:
+        raise DomainError(f"dihedral rack needs n >= 1, got {n}")
+    table = tuple(tuple((2 * i - j) % n for j in range(n)) for i in range(n))
+    return Rack(n, table, labels=tuple(range(n)))
+
+
+def affine_rack(n: int, aut: int | Callable[[int], int]) -> Rack:
+    """Affine rack on Z/n: x > y = g(y) + (x - g(x)) for an automorphism g."""
+    if n < 1:
+        raise DomainError(f"affine rack needs n >= 1, got {n}")
+    if isinstance(aut, int):
+        mult = aut % n
+        if gcd(mult, n) != 1:
+            raise DomainError(f"multiplication by {aut} is not an automorphism of Z/{n}")
+        g = lambda x: (mult * x) % n
+    else:
+        g = lambda x: aut(x) % n
+        images = [g(x) for x in range(n)]
+        if sorted(images) != list(range(n)):
+            raise DomainError("map is not a bijection of Z/n")
+        for x in range(n):
+            for y in range(n):
+                if g((x + y) % n) != (g(x) + g(y)) % n:
+                    raise DomainError("map is not additive on Z/n")
+    table = tuple(
+        tuple((g(y) + x - g(x)) % n for y in range(n)) for x in range(n)
+    )
+    return Rack(n, table, labels=tuple(range(n)))
+
+
+def rack_isomorphism(a: Rack, b: Rack) -> Optional[dict[int, int]]:
+    """A rack isomorphism a -> b as an index map, or None.
+
+    Backtracking on images, pruned by left-translation cycle types.
+    """
+    if a.size != b.size:
+        return None
+    types_a = [left_translation_cycle_type(a, i) for i in range(a.size)]
+    types_b = [left_translation_cycle_type(b, i) for i in range(b.size)]
+    if sorted(types_a) != sorted(types_b):
+        return None
+    mapping: dict[int, int] = {}
+    used = [False] * b.size
+
+    def consistent(i: int, img: int) -> bool:
+        for j, jm in mapping.items():
+            if a.op(i, j) in mapping and mapping[a.op(i, j)] != b.op(img, jm):
+                return False
+            if a.op(j, i) in mapping and mapping[a.op(j, i)] != b.op(jm, img):
+                return False
+        return True
+
+    def extend(i: int) -> bool:
+        if i == a.size:
+            for x in range(a.size):
+                for y in range(a.size):
+                    if mapping[a.op(x, y)] != b.op(mapping[x], mapping[y]):
+                        return False
+            return True
+        for img in range(b.size):
+            if used[img] or types_a[i] != types_b[img]:
+                continue
+            if not consistent(i, img):
+                continue
+            mapping[i] = img
+            used[img] = True
+            if extend(i + 1):
+                return True
+            del mapping[i]
+            used[img] = False
+        return False
+
+    return dict(mapping) if extend(0) else None
 
 
 def test_dihedral_rack_formula():
@@ -41,8 +137,6 @@ def test_affine_rack_examples():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 20), st.integers(1, 19))
 def test_affine_rack_axioms_random(n, mult):
-    from math import gcd
-
     if gcd(mult, n) != 1:
         with pytest.raises(DomainError):
             affine_rack(n, mult)
