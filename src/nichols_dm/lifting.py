@@ -264,7 +264,7 @@ class Relation:
 @dataclass(frozen=True)
 class Presentation:
     m: int
-    kind: str  # A | B | L | group
+    kind: str  # A | B | L
     I: tuple[Pair, ...]
     L: tuple[int, ...]
     datum: LiftingDatum
@@ -433,14 +433,7 @@ def _build(datum: LiftingDatum) -> Presentation:
             quad("xz", xs[s], zs[u], datum.theta_value((p, q, ell)), n + p)
             quad("xw", xs[s], ws[u], datum.mu_value((p, q, ell)), n + p)
 
-    if I and L:
-        kind = "B"
-    elif I:
-        kind = "A"
-    elif L:
-        kind = "L"
-    else:
-        kind = "group"
+    kind = "B" if I and L else "A" if I else "L"
     return Presentation(m, kind, I, L, datum, tuple(gens), tuple(rels))
 
 

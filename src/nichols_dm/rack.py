@@ -36,11 +36,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Rack:
-    """Rack on indices 0..size-1; table[i][j] = i > j."""
+    """Rack on indices 0..size-1; table[i][j] = i > j.
+
+    The shape and the bijectivity of left translations are checked;
+    self-distributivity is not, since every rack built here is a
+    conjugation rack, self-distributive by construction.
+    """
 
     size: int
     table: tuple[tuple[int, ...], ...]
-    labels: tuple = ()
 
     def __post_init__(self):
         if len(self.table) != self.size or any(len(row) != self.size for row in self.table):
@@ -48,16 +52,6 @@ class Rack:
         for i, row in enumerate(self.table):
             if sorted(row) != list(range(self.size)):
                 raise DomainError(f"left translation by {i} is not a bijection")
-        for i in range(self.size):
-            for j in range(self.size):
-                for k in range(self.size):
-                    if self.table[i][self.table[j][k]] != self.table[self.table[i][j]][self.table[i][k]]:
-                        raise DomainError(
-                            f"self-distributivity fails at ({i}, {j}, {k})"
-                        )
-
-    def op(self, i: int, j: int) -> int:
-        return self.table[i][j]
 
 
 def conjugation_rack(G: DihedralGroup, cls: ConjugacyClass | Sequence[GroupElement]) -> Rack:
@@ -73,7 +67,7 @@ def conjugation_rack(G: DihedralGroup, cls: ConjugacyClass | Sequence[GroupEleme
                 raise DomainError(f"set is not closed under conjugation: {x} > {y} = {z}")
             row.append(index[z])
         table.append(tuple(row))
-    return Rack(len(elems), tuple(table), labels=elems)
+    return Rack(len(elems), tuple(table))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,23 @@ which _ambiguities finds through an index of left-hand-side prefixes.
 _add_rule also keeps lhs_lengths, the index that redex search and the
 count read.
 
+Every rule of a family presentation reads x_a x_b -> q_ab x_b x_a + T_ab
+with a >= b, the q-term at the identity group element (absent when
+a = b; put q_aa = 0) and T_ab in kD_m.  When all rules have that shape and
+the rule (a, c) exists, the residue of the overlap x_a x_b x_c
+(a >= b >= c) is written down instead of reduced:
+
+    q_ab q_ac (T_bc x_a) + q_ab (x_b T_ac) + T_ab x_c
+      - q_bc q_ac (x_c T_ab) - q_bc (T_ac x_b) - x_a T_bc,
+
+where x_d T = sum c_gamma x_d gamma, and T x_d moves x_d left past each
+gamma as conj_word does.  The degree-3 parts q_ab q_ac q_bc x_c x_b x_a of
+both sides cancel.  The formula follows the leftmost-redex order of
+normal_form_monomial, so it gives the same element as reducing both
+sides.  _add_rule records each rule's (q, T) split in _quadratic; with any
+other rule present (a rule added by completion, say) every overlap takes
+the general reduction.
+
 hopf_check applies Delta and the antipode S to each relation's element in
 T(V)#kD_m, the monomial model without rewriting, and reduces the image
 once (reduction onto normal words is an algebra map).  Delta and S of a
@@ -97,6 +114,7 @@ class RewriteSystem:
         self.certificate: Optional[CompletionCertificate] = None
         self._nf_cache: dict[Monomial, Element] = {}
         self._factor_count: dict[Word, int] = {}  # factor -> left sides containing it
+        self._quadratic: dict[Word, tuple] = {}  # (a, b) -> (q_ab or None, T_ab) per quadratic rule
 
     def conj_word(self, g: int, word: Word) -> tuple[int, Word]:
         """g . word = w^exp . word' . g; returns (exp, word')."""
@@ -200,9 +218,15 @@ class RewriteSystem:
         if self._factor_count.get(lhs):  # some rule contains lhs
             for l in [l for l in self.rules if _contains(l, lhs)]:
                 old_rhs = self.rules.pop(l)
+                self._quadratic.pop(l, None)
                 self._count_factors(l, -1)
-                requeue.append(self.el_add(self.monomial(l), old_rhs, scale=-CycloNumber.one(self.m)))
+                relation = self.monomial(l)  # l - old_rhs
+                relation.update((mono, -coeff) for mono, coeff in old_rhs.items())
+                requeue.append(relation)
         self.rules[lhs] = rhs
+        split = _quadratic_split(lhs, rhs)
+        if split is not None:
+            self._quadratic[lhs] = split
         self._count_factors(lhs, 1)
         if requeue or len(lhs) not in self.lhs_lengths:  # else no length came or went
             self.lhs_lengths = tuple(sorted({len(l) for l in self.rules}, reverse=True))
@@ -217,6 +241,25 @@ class RewriteSystem:
                 self._factor_count[f] = count
             else:
                 del self._factor_count[f]
+
+
+def _quadratic_split(lhs: Word, rhs: Element) -> Optional[tuple]:
+    """(q, T) if the rule reads x_a x_b -> q x_b x_a + T with a >= b, T in kD_m; else None.
+
+    q is None when the rule has no degree-2 term; T is a tuple of
+    (group element, coefficient).
+    """
+    if len(lhs) != 2 or lhs[0] < lhs[1]:
+        return None
+    q, tail = None, []
+    for (word, g), coeff in rhs.items():
+        if not word:
+            tail.append((g, coeff))
+        elif word == lhs[::-1] and g == 0:
+            q = coeff
+        else:
+            return None
+    return q, tuple(tail)
 
 
 def _contains(word: Word, sub: Word) -> bool:
@@ -268,8 +311,14 @@ def _ambiguities(rules: dict) -> list[tuple]:
 
 
 def _ambiguity_residue(sys: RewriteSystem, amb: tuple) -> Element:
-    """The difference of the two reductions of the overlap word, in normal form."""
+    """The difference of the two reductions of the overlap word, in normal form.
+
+    In closed form when every rule is quadratic and the rule (a, c) of the
+    overlap x_a x_b x_c exists (see the module docstring).
+    """
     _, l1, l2, c = amb
+    if len(sys._quadratic) == len(sys.rules) and (l1[0], l2[1]) in sys._quadratic:
+        return _quadratic_residue(sys, l1[0], l1[1], l2[1])
     # the overlap word is l1 + tail = head + l2; the head carries the identity
     head, tail = l1[: len(l1) - c], l2[c:]
     left: Element = {}
@@ -281,6 +330,52 @@ def _ambiguity_residue(sys: RewriteSystem, amb: tuple) -> Element:
     for mono, coeff in sys.reduce(right).items():
         _add(residue, mono, -coeff)
     return residue
+
+
+def _quadratic_residue(sys: RewriteSystem, a: int, b: int, c: int) -> Element:
+    """The residue of the overlap x_a x_b x_c of three quadratic rules.
+
+    Only the terms whose tail T is nonempty are formed, so a homogeneous
+    system gives {} without a scalar product.
+    """
+    q_ab, t_ab = sys._quadratic[(a, b)]
+    q_bc, t_bc = sys._quadratic[(b, c)]
+    q_ac, t_ac = sys._quadratic[(a, c)]
+    residue: Element = {}
+    if t_bc:
+        if q_ab and q_ac:
+            _tail_terms(sys, residue, t_bc, a, q_ab * q_ac, False)
+        _tail_terms(sys, residue, t_bc, a, None, True, letter_first=True)
+    if t_ac:
+        if q_ab:
+            _tail_terms(sys, residue, t_ac, b, q_ab, False, letter_first=True)
+        if q_bc:
+            _tail_terms(sys, residue, t_ac, b, q_bc, True)
+    if t_ab:
+        _tail_terms(sys, residue, t_ab, c, None, False)
+        if q_bc and q_ac:
+            _tail_terms(sys, residue, t_ab, c, q_bc * q_ac, True, letter_first=True)
+    return residue
+
+
+def _tail_terms(sys, out, tail, d, scale, negate, letter_first=False) -> None:
+    """out += (-1 if negate) * scale * (x_d T if letter_first else T x_d).
+
+    scale None stands for 1; T x_d moves x_d left past each group element.
+    """
+    for g, coeff in tail:
+        factor = scale
+        if letter_first:
+            mono = ((d,), g)
+        else:
+            exp, moved = sys.conj_word(g, (d,))
+            mono = (moved, g)
+            if exp:
+                root = CycloNumber.root(sys.m, exp)
+                factor = root if scale is None else scale * root
+        if factor is not None:
+            coeff = coeff * factor
+        _add(out, mono, -coeff if negate else coeff)
 
 
 def compile(P: Presentation, overlap_budget: Optional[int] = None) -> RewriteSystem:

@@ -112,10 +112,6 @@ class YDModule:
             raise DomainError(f"{summand.label}: sigma does not act by a scalar")
         return scalars.pop()
 
-    def basis_range(self, si: int) -> range:
-        start = self._index[(si, 0, 0)]
-        return range(start, start + self.summands[si].dim)
-
     def __repr__(self):
         return f"YDModule(D_{self.group.m}, {self.label}, dim={self.dim})"
 

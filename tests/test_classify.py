@@ -127,10 +127,16 @@ def test_K_membership_examples():
     assert all(I != ((1, 6),) for I, _ in enumerate_K(12, 4))
 
 
+def basis_range(M, si: int) -> range:
+    """The indices of block si of M."""
+    start = M._index[(si, 0, 0)]
+    return range(start, start + M.summands[si].dim)
+
+
 def test_build_M_I_labels_and_structure():
     G = DihedralGroup(12)
     M = module_of(G, [(1, 6)], ())
-    a, b = M.basis_range(0)
+    a, b = basis_range(M, 0)
     # coaction degrees
     assert M.degree(a) == G.r(1) and M.degree(b) == G.r(11)
     # x.a = b, x.b = a, y.a = w^k a, y.b = w^-k b
@@ -147,7 +153,7 @@ def test_build_M_I_labels_and_structure():
 def test_build_M_L_labels_and_structure():
     G = DihedralGroup(12)
     M = module_of(G, (), [3])
-    c, d = M.basis_range(0)
+    c, d = basis_range(M, 0)
     assert M.degree(c) == M.degree(d) == G.r(6)
     idx, coeff = M.act(G.s(), c)
     assert idx == d and coeff == 1

@@ -9,11 +9,26 @@ from nichols_dm.dihedral import DihedralGroup, class_of, conjugacy_classes
 from nichols_dm.errors import DomainError
 from nichols_dm.rack import Rack, conjugation_rack, is_type_D
 
-# -- oracles: racks on Z/n and a backtracking isomorphism search --------------
+# -- oracles: racks on Z/n, self-distributivity and an isomorphism search ------
 #
-# They check conjugation_rack: a reflection class of D_2k is the dihedral rack
-# on Z/2k, and relabelling a class by an automorphism of D_m gives an
-# isomorphic rack.
+# They check conjugation_rack: its tables are self-distributive, a reflection
+# class of D_2k is the dihedral rack on Z/2k, and relabelling a class by an
+# automorphism of D_m gives an isomorphic rack.
+
+
+def op(rack: Rack, i: int, j: int) -> int:
+    return rack.table[i][j]
+
+
+def check_self_distributive(rack: Rack) -> None:
+    """i > (j > k) = (i > j) > (i > k) for all triples; DomainError otherwise."""
+    for i in range(rack.size):
+        for j in range(rack.size):
+            for k in range(rack.size):
+                if rack.table[i][rack.table[j][k]] != rack.table[rack.table[i][j]][rack.table[i][k]]:
+                    raise DomainError(
+                        f"self-distributivity fails at ({i}, {j}, {k})"
+                    )
 
 
 def left_translation_cycle_type(rack: Rack, i: int) -> tuple[int, ...]:
@@ -37,7 +52,7 @@ def dihedral_rack(n: int) -> Rack:
     if n < 1:
         raise DomainError(f"dihedral rack needs n >= 1, got {n}")
     table = tuple(tuple((2 * i - j) % n for j in range(n)) for i in range(n))
-    return Rack(n, table, labels=tuple(range(n)))
+    return Rack(n, table)
 
 
 def affine_rack(n: int, aut: int | Callable[[int], int]) -> Rack:
@@ -61,7 +76,7 @@ def affine_rack(n: int, aut: int | Callable[[int], int]) -> Rack:
     table = tuple(
         tuple((g(y) + x - g(x)) % n for y in range(n)) for x in range(n)
     )
-    return Rack(n, table, labels=tuple(range(n)))
+    return Rack(n, table)
 
 
 def rack_isomorphism(a: Rack, b: Rack) -> Optional[dict[int, int]]:
@@ -80,9 +95,9 @@ def rack_isomorphism(a: Rack, b: Rack) -> Optional[dict[int, int]]:
 
     def consistent(i: int, img: int) -> bool:
         for j, jm in mapping.items():
-            if a.op(i, j) in mapping and mapping[a.op(i, j)] != b.op(img, jm):
+            if op(a, i, j) in mapping and mapping[op(a, i, j)] != op(b, img, jm):
                 return False
-            if a.op(j, i) in mapping and mapping[a.op(j, i)] != b.op(jm, img):
+            if op(a, j, i) in mapping and mapping[op(a, j, i)] != op(b, jm, img):
                 return False
         return True
 
@@ -90,7 +105,7 @@ def rack_isomorphism(a: Rack, b: Rack) -> Optional[dict[int, int]]:
         if i == a.size:
             for x in range(a.size):
                 for y in range(a.size):
-                    if mapping[a.op(x, y)] != b.op(mapping[x], mapping[y]):
+                    if mapping[op(a, x, y)] != op(b, mapping[x], mapping[y]):
                         return False
             return True
         for img in range(b.size):
@@ -111,10 +126,10 @@ def rack_isomorphism(a: Rack, b: Rack) -> Optional[dict[int, int]]:
 
 def test_dihedral_rack_formula():
     r3 = dihedral_rack(3)
-    assert r3.op(0, 1) == 2
+    assert op(r3, 0, 1) == 2
     for n in (1, 2, 5, 8):
         rk = dihedral_rack(n)
-        assert all(rk.op(i, i) == i for i in range(n))
+        assert all(op(rk, i, i) == i for i in range(n))
 
 
 def test_dihedral_rack_is_affine_inversion():
@@ -127,7 +142,7 @@ def test_affine_rack_examples():
         tuple(y for y in range(5)) for _ in range(5)
     )  # identity automorphism: x > y = y
     # Z/5 with doubling: 1 > 3 = 2*3 + (1 - 2) = 0
-    assert affine_rack(5, 2).op(1, 3) == 0
+    assert op(affine_rack(5, 2), 1, 3) == 0
     with pytest.raises(DomainError):
         affine_rack(6, 2)  # 2 is not invertible mod 6
     with pytest.raises(DomainError):
@@ -141,14 +156,29 @@ def test_affine_rack_axioms_random(n, mult):
         with pytest.raises(DomainError):
             affine_rack(n, mult)
     else:
-        affine_rack(n, mult)  # Rack.__post_init__ verifies both axioms
+        check_self_distributive(affine_rack(n, mult))  # Rack checks the bijections
+
+
+def test_conjugation_racks_are_self_distributive():
+    for m in range(12, 49):
+        G = DihedralGroup(m)
+        for cls in conjugacy_classes(G):
+            check_self_distributive(conjugation_rack(G, cls))
+
+
+def test_self_distributivity_oracle_rejects_a_bijective_table():
+    # each left translation of this table is a bijection, but
+    # 0 > (1 > 0) = 1 while (0 > 1) > (0 > 0) = 0
+    table = ((1, 0, 2), (0, 1, 2), (0, 1, 2))
+    with pytest.raises(DomainError, match="self-distributivity fails"):
+        check_self_distributive(Rack(3, table))
 
 
 def test_conjugation_rack_rotations_trivial():
     G = DihedralGroup(12)
     rk = conjugation_rack(G, class_of(G, G.r(2)))
     assert rk.size == 2
-    assert all(rk.op(i, j) == j for i in range(2) for j in range(2))
+    assert all(op(rk, i, j) == j for i in range(2) for j in range(2))
 
 
 def test_conjugation_rack_reflections():

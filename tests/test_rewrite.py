@@ -76,8 +76,11 @@ def reduce_with_strategy(R, el, rightmost):
 
 
 def group_algebra_presentation(m):
-    """Just the group algebra of D_m (no skew-primitives); 2m normal words."""
-    return _build(LiftingDatum.zero(m, (), ()))
+    """Just the group algebra of D_m (no skew-primitives); 2m normal words.
+
+    No family has empty I and L, so the kind is set here.
+    """
+    return dataclasses.replace(_build(LiftingDatum.zero(m, (), ())), kind="group")
 
 
 def test_group_algebra_alone():
@@ -232,6 +235,66 @@ def test_completion_adds_a_rule_in_a_second_pass():
     )
     assert _rule_names(R) == [("x(1,6)",), ("y(1,6)", "y(1,6)")]
     assert dimension(R).dimension == 48
+
+
+def _quadratic_families(m, values):
+    """Every A-, L- and K-family of size <= 2 at m, the datum cycling through values."""
+    from nichols_dm.classify import enumerate_I, enumerate_K, enumerate_L
+
+    for n, I in enumerate(enumerate_I(m, 2)):
+        value = values[n % len(values)]
+        yield presentation_A(m, I, lam=value, gamma=value if len(I) > 1 else None)
+    for L in enumerate_L(m, 2):
+        yield presentation_L(m, L)
+    for n, (I, L) in enumerate(enumerate_K(m, 2)):
+        value = values[n % len(values)]
+        yield presentation_B(m, I, L, lam=value, gamma=value if len(I) > 1 else None,
+                             theta=value, mu=value)
+
+
+def test_closed_form_residue_equals_the_reduction():
+    # on every overlap x_a x_b x_c of the families, the closed form equals
+    # nf(rhs(a,b) x_c) - nf(x_a rhs(b,c)), products taken by el_mul; the
+    # data are zero, rational, a root and a binomial
+    seen = set()  # (a > b, b > c) of overlaps with a nonzero tail
+    for m in (12, 24, 36, 48):
+        one = CycloNumber.one(m)
+        for values in ((0,), ("3/2", "w^5", "w^2 - 1")):
+            for P in _quadratic_families(m, values):
+                R = compile_presentation(P)
+                assert len(R._quadratic) == len(R.rules)
+                for amb in rewrite._ambiguities(R.rules):
+                    _, (a, b), (_, c), _ = amb
+                    assert (a, c) in R._quadratic
+                    general = R.reduce(el_mul(R, R.rules[(a, b)], {((c,), 0): one}))
+                    for mono, coeff in R.reduce(el_mul(R, {((a,), 0): one}, R.rules[(b, c)])).items():
+                        rewrite._add(general, mono, -coeff)
+                    assert rewrite._quadratic_residue(R, a, b, c) == general, (P.I, P.L, amb)
+                    assert rewrite._ambiguity_residue(R, amb) == general
+                    if any(R._quadratic[key][1] for key in ((a, b), (b, c), (a, c))):
+                        seen.add((a > b, b > c))
+    assert seen == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def test_other_rule_shapes_take_the_general_route(monkeypatch):
+    # a rule x*y with x < y, and rules y*x -> -x and x added by completion,
+    # are not quadratic in the closed form's sense: their overlaps reduce
+    def closed_form(*args):
+        raise AssertionError("closed form used on a non-quadratic system")
+
+    R = compile_presentation(presentation_A(12, [(1, 6)], lam=1))
+    monkeypatch.setattr(rewrite, "_quadratic_residue", closed_form)
+    x, y = R.letter_index["x(1,6)"], R.letter_index["y(1,6)"]
+    R._add_rule((x, y), {})
+    assert (x, y) not in R._quadratic
+    residues = [rewrite._ambiguity_residue(R, amb) for amb in rewrite._ambiguities(R.rules)]
+    assert any(residues)
+    P = _with_extra_relations(
+        presentation_A(12, [(1, 6)]),
+        "quad:xy",
+        [[("x(1,6)", "y(1,6)")], [("y(1,6)", "x(1,6)"), ("x(1,6)",)]],
+    )
+    assert compile_presentation(P).certificate.added_rules == 1  # a nonzero residue
 
 
 def _assert_interreduced(R):
