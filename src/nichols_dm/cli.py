@@ -14,14 +14,13 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import classify as classify_mod
 from . import iso as iso_mod
 from . import lifting as lifting_mod
 from . import rewrite as rewrite_mod
-from .cyclo import CycloNumber, format_scalar, parse_scalar
-from .dihedral import DihedralGroup, GroupElement, class_of, conjugacy_classes, irreps
+from .cyclo import parse_scalar
+from .dihedral import DihedralGroup, class_of, conjugacy_classes, irreps
 from .errors import CompletionError, DomainError
 from .rack import conjugation_rack, is_type_D
 from .ydmod import Finite, nichols_dimension
@@ -44,31 +43,6 @@ def _numbers(grammar: re.Pattern, text: str, what: str, form: str) -> list[int]:
     if not grammar.fullmatch(text):
         raise DomainError(f"cannot parse {what} {text!r}; expected {form}")
     return [int(x) for x in re.findall(r"\d+", text, re.ASCII)]
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, CycloNumber):
-        return format_scalar(obj)
-    if isinstance(obj, GroupElement):
-        return str(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (int, str)):
-        return obj
-    return str(obj)
-
-
-def _emit(payload: dict):
-    doc = {"schema": SCHEMA}
-    doc.update(_jsonify(payload))
-    json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
 
 
 def _parse_pairs(m: int, text: str) -> list[tuple[int, int]]:
@@ -142,6 +116,8 @@ def _require_classification(m: int) -> DihedralGroup:
 def cmd_classify(args) -> tuple[dict, int]:
     _require_classification(args.m)
     report = classify_mod.theorem_A_report(args.m, args.max_size)
+    # JSON sorts int keys as ints; the output has always listed N by key text
+    report["N"] = {str(i): N_i for i, N_i in report["N"].items()}
     return {"command": "classify", "report": report}, 0
 
 
@@ -164,7 +140,7 @@ def cmd_nichols(args) -> tuple[dict, int]:
         payload["verdict"] = "infinite"
         payload["certificate"] = result.rule
         payload["witness"] = result.witness
-        payload["summands"] = list(result.summands)
+        payload["summands"] = result.summands
     return payload, 0
 
 
@@ -200,8 +176,8 @@ def cmd_verify(args) -> tuple[dict, int]:
         "command": "verify",
         "m": args.m,
         "family": args.family,
-        "I": [list(p) for p in pres.I],
-        "L": list(pres.L),
+        "I": pres.I,
+        "L": pres.L,
         "parameters": pres.datum.parameters_json(),
         "dimension": dim,
         "expected": expected,
@@ -210,7 +186,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             "delta_ok": hopf.delta_ok,
             "counit_ok": hopf.counit_ok,
             "antipode_ok": hopf.antipode_ok,
-            "failures": list(hopf.failures),
+            "failures": hopf.failures,
         },
         "certificate": certificate,
     }
@@ -256,8 +232,8 @@ def cmd_rack(args) -> tuple[dict, int]:
         "class": cls.name,
         "size": cls.size,
         "type_d": verdict,
-        "witness": [str(witness.first), str(witness.second)] if witness else None,
-        "rack_table": [list(row) for row in rack.table],
+        "witness": [witness.first, witness.second] if witness else None,
+        "rack_table": rack.table,
     }
     return payload, 0
 
@@ -283,12 +259,12 @@ def cmd_reps(args) -> tuple[dict, int]:
         two_dim.append(
             {
                 "l": rho.index,
-                "rho_r": [[c for c in row] for row in rho.evaluate(G.r())],
-                "rho_s": [[c for c in row] for row in rho.evaluate(G.s())],
+                "rho_r": rho.evaluate(G.r()),
+                "rho_s": rho.evaluate(G.s()),
             }
         )
     classes = [
-        {"name": c.name, "size": c.size, "representative": str(c.representative)}
+        {"name": c.name, "size": c.size, "representative": c.representative}
         for c in conjugacy_classes(G)
     ]
     payload = {
@@ -377,33 +353,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, code = args.func(args)
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
     except DomainError as exc:
-        _emit({"error": {"type": "validation", "message": str(exc)}})
-        return 2
+        payload, code = {"error": {"type": "validation", "message": str(exc)}}, 2
     except CompletionError as exc:
-        _emit(
-            {
-                "error": {
-                    "type": "internal_check",
-                    "message": str(exc),
-                    "ambiguity": _jsonify(exc.ambiguity),
-                }
-            }
-        )
-        return 1
+        error = {"type": "internal_check", "message": str(exc), "ambiguity": exc.ambiguity}
+        payload, code = {"error": error}, 1
     except RuntimeError as exc:
-        _emit({"error": {"type": "internal_check", "message": str(exc)}})
-        return 1
+        payload, code = {"error": {"type": "internal_check", "message": str(exc)}}, 1
+    # default=str prints exact scalars and group elements in their printed form
+    doc = {"schema": SCHEMA, **payload}
     try:
-        _emit(payload)
+        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n")
+        sys.stdout.flush()
     except BrokenPipeError:
+        # the reader has gone: send what is still buffered to /dev/null at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 

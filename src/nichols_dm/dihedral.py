@@ -33,7 +33,6 @@ r^j (s r^b) r^-j = s r^(b-2j) and s (r^a) s = r^-a, so:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator
 
 from .cyclo import CycloNumber
@@ -85,13 +84,6 @@ class GroupElement:
     def is_identity(self) -> bool:
         return self.eps == 0 and self.rot == 0
 
-    def order(self) -> int:
-        if self.eps:
-            return 2
-        if self.rot == 0:
-            return 1
-        return self.m // gcd(self.rot, self.m)
-
     def __str__(self):
         if self.eps == 0:
             return "e" if self.rot == 0 else f"r^{self.rot}"
@@ -126,17 +118,15 @@ def g_element(m: int, a: int) -> GroupElement:
     return GroupElement(m, eps, rot)
 
 
+@dataclass(frozen=True)
 class DihedralGroup:
     """D_m = <s, r | s^2 = 1 = r^m, s r s = r^-1>, of order 2m."""
 
-    def __init__(self, m: int):
-        if m < 3:
-            raise DomainError(f"dihedral group needs m >= 3, got {m}")
-        self.m = m
+    m: int
 
-    @property
-    def order(self) -> int:
-        return 2 * self.m
+    def __post_init__(self):
+        if self.m < 3:
+            raise DomainError(f"dihedral group needs m >= 3, got {self.m}")
 
     @property
     def n(self) -> int:
@@ -160,9 +150,6 @@ class DihedralGroup:
                 f"classification requires m = 4t with t >= 3, got m = {self.m}"
             )
 
-    def element(self, eps: int, rot: int) -> GroupElement:
-        return GroupElement(self.m, eps, rot)
-
     @property
     def identity(self) -> GroupElement:
         return GroupElement(self.m, 0, 0)
@@ -177,15 +164,6 @@ class DihedralGroup:
         for eps in (0, 1):
             for rot in range(self.m):
                 yield GroupElement(self.m, eps, rot)
-
-    def __eq__(self, other):
-        return isinstance(other, DihedralGroup) and other.m == self.m
-
-    def __hash__(self):
-        return hash(("DihedralGroup", self.m))
-
-    def __repr__(self):
-        return f"DihedralGroup(m={self.m})"
 
 
 @dataclass(frozen=True)
@@ -269,23 +247,25 @@ def centralizer(G: DihedralGroup, sigma: GroupElement) -> Centralizer:
 # -- irreducible representations --------------------------------------------
 
 
+@dataclass(frozen=True)
 class Irrep:
     """An irreducible representation of D_m (m even): 4 linear + (n-1) two-dim."""
 
-    def __init__(self, G: DihedralGroup, kind: str, index: int):
-        if G.m % 2:
+    group: DihedralGroup
+    kind: str
+    index: int
+
+    def __post_init__(self):
+        if self.group.m % 2:
             raise DomainError("irrep tables are implemented for even m")
-        if kind == "linear":
-            if index not in (1, 2, 3, 4):
-                raise DomainError(f"linear characters are indexed 1..4, got {index}")
-        elif kind == "two_dim":
-            if not 1 <= index < G.n:
-                raise DomainError(f"two-dim irreps need 1 <= l < n, got {index}")
+        if self.kind == "linear":
+            if self.index not in (1, 2, 3, 4):
+                raise DomainError(f"linear characters are indexed 1..4, got {self.index}")
+        elif self.kind == "two_dim":
+            if not 1 <= self.index < self.group.n:
+                raise DomainError(f"two-dim irreps need 1 <= l < n, got {self.index}")
         else:
-            raise DomainError(f"unknown irrep kind {kind!r}")
-        self.group = G
-        self.kind = kind
-        self.index = index
+            raise DomainError(f"unknown irrep kind {self.kind!r}")
 
     @property
     def degree(self) -> int:
@@ -338,18 +318,6 @@ class Irrep:
             and 2 * sigma.rot % G.m == 0
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Irrep)
-            and (other.group, other.kind, other.index) == (self.group, self.kind, self.index)
-        )
-
-    def __hash__(self):
-        return hash(("Irrep", self.group.m, self.kind, self.index))
-
-    def __repr__(self):
-        return f"Irrep(D_{self.group.m}, {self.name})"
-
 
 def irreps(G: DihedralGroup) -> list[Irrep]:
     """The 4 linear characters of Table-style and the n-1 two-dimensional irreps."""
@@ -358,14 +326,17 @@ def irreps(G: DihedralGroup) -> list[Irrep]:
     return out
 
 
+@dataclass(frozen=True)
 class CyclicCharacter:
     """Character chi_(k) of the rotation subgroup <r> = Z/m, chi_(k)(r) = w^k."""
 
-    def __init__(self, G: DihedralGroup, k: int):
-        self.group = G
-        self.k = k % G.m
+    group: DihedralGroup
+    k: int
 
     degree = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "k", self.k % self.group.m)
 
     @property
     def name(self) -> str:
@@ -389,19 +360,8 @@ class CyclicCharacter:
             and 2 * sigma.rot % G.m != 0
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclicCharacter)
-            and (other.group, other.k) == (self.group, self.k)
-        )
 
-    def __hash__(self):
-        return hash(("CyclicCharacter", self.group.m, self.k))
-
-    def __repr__(self):
-        return f"CyclicCharacter(D_{self.group.m}, k={self.k})"
-
-
+@dataclass(frozen=True)
 class KleinFourCharacter:
     """Character of the centralizer <sigma> x <r^n> = Z/2 x Z/2 of a reflection.
 
@@ -409,20 +369,21 @@ class KleinFourCharacter:
     the central rotation r^n.
     """
 
-    def __init__(self, G: DihedralGroup, sigma: GroupElement, sign_sigma: int, sign_central: int):
-        if G.m % 2:
-            raise DomainError("reflection centralizers of this shape need even m")
-        _require_member(G, sigma)
-        if sigma.eps != 1:
-            raise DomainError(f"{sigma} is not a reflection")
-        if sign_sigma not in (1, -1) or sign_central not in (1, -1):
-            raise DomainError("signs must be +1 or -1")
-        self.group = G
-        self.sigma = sigma
-        self.sign_sigma = sign_sigma
-        self.sign_central = sign_central
+    group: DihedralGroup
+    sigma: GroupElement
+    sign_sigma: int
+    sign_central: int
 
     degree = 1
+
+    def __post_init__(self):
+        if self.group.m % 2:
+            raise DomainError("reflection centralizers of this shape need even m")
+        _require_member(self.group, self.sigma)
+        if self.sigma.eps != 1:
+            raise DomainError(f"{self.sigma} is not a reflection")
+        if self.sign_sigma not in (1, -1) or self.sign_central not in (1, -1):
+            raise DomainError("signs must be +1 or -1")
 
     @property
     def name(self) -> str:
@@ -457,22 +418,6 @@ class KleinFourCharacter:
             and sigma.eps == 1
             and (sigma.rot - self.sigma.rot) % (G.m // 2) == 0
         )
-
-    def __eq__(self, other):
-        return isinstance(other, KleinFourCharacter) and (
-            other.group,
-            other.sigma,
-            other.sign_sigma,
-            other.sign_central,
-        ) == (self.group, self.sigma, self.sign_sigma, self.sign_central)
-
-    def __hash__(self):
-        return hash(
-            ("KleinFourCharacter", self.group.m, self.sigma, self.sign_sigma, self.sign_central)
-        )
-
-    def __repr__(self):
-        return f"KleinFourCharacter(D_{self.group.m}, {self.sigma}, {self.name})"
 
 
 def centralizer_representations(G: DihedralGroup, cls: ConjugacyClass) -> list:

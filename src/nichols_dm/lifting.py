@@ -271,29 +271,6 @@ class Presentation:
     skew_generators: tuple[SkewGenerator, ...]
     relations: tuple[Relation, ...]
 
-    def skew(self, name: str) -> SkewGenerator:
-        for v in self.skew_generators:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
-    def relation(self, label: str) -> Relation:
-        for rel in self.relations:
-            if rel.label == label:
-                return rel
-        raise KeyError(label)
-
-    def counit_residue(self, rel: Relation) -> CycloNumber:
-        """Image of the relation under the counit; zero iff counital-consistent."""
-        total = CycloNumber.zero(self.m)
-        skew_names = {v.name for v in self.skew_generators}
-        for coeff, word in rel.lhs:
-            if not any(letter in skew_names for letter in word):
-                total = total + coeff
-        for coeff, _ in rel.rhs:
-            total = total - coeff
-        return total
-
     def to_json_dict(self) -> dict:
         gens = [
             {"name": "g", "kind": "grouplike"},

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nichols_dm
 from nichols_dm.cli import _parse_module, _parse_param, main
 from nichols_dm.errors import DomainError
 
@@ -187,6 +192,45 @@ def test_output_is_byte_deterministic(capsys):
     main(["classify", "--m", "12", "--max-size", "1"])
     out2 = capsys.readouterr().out
     assert out1 == out2
+
+
+CLOSED_PIPE_CASES = [
+    (["classify", "--m", "13"], 2),
+    (["nichols", "--m", "12", "--module", "I:(1,6)+(5,6)"], 0),
+    (["classify", "--m", "48", "--max-size", "2"], 0),
+    (
+        ["verify", "--m", "12", "--family", "c", "--I", "(1,6)+(5,6)",
+         "--overlap-budget", "0"],
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, code", CLOSED_PIPE_CASES, ids=["error", "small", "large", "budget"]
+)
+def test_closed_stdout_pipe_keeps_exit_code(argv, code, unbuffered):
+    # a reader that has gone away must not turn the command's exit code into
+    # a traceback (exit 1) or an interpreter-shutdown flush error (exit 120)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(nichols_dm.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nichols_dm.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr.decode() == ""
+    assert proc.returncode == code
 
 
 def test_threads_flag_removed(capsys, monkeypatch):

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from nichols_dm.cyclo import CycloNumber
+from nichols_dm.cyclo import CycloNumber, parse_scalar
 from nichols_dm.errors import DomainError
 from nichols_dm.lifting import (
     FAMILIES,
@@ -13,10 +15,37 @@ from nichols_dm.lifting import (
     presentation_B,
     presentation_L,
 )
+from nichols_dm.rewrite import compile_presentation, hopf_check
 
 
 def one(m=12):
     return CycloNumber.one(m)
+
+
+def skew(pres, name):
+    for v in pres.skew_generators:
+        if v.name == name:
+            return v
+    raise KeyError(name)
+
+
+def relation(pres, label):
+    for rel in pres.relations:
+        if rel.label == label:
+            return rel
+    raise KeyError(label)
+
+
+def counit_residue(pres, rel):
+    """Image of the relation under the counit; zero iff counital-consistent."""
+    total = CycloNumber.zero(pres.m)
+    skew_names = {v.name for v in pres.skew_generators}
+    for coeff, word in rel.lhs:
+        if not any(letter in skew_names for letter in word):
+            total = total + coeff
+    for coeff, _ in rel.rhs:
+        total = total - coeff
+    return total
 
 
 def test_parameter_shape_single_in():
@@ -74,12 +103,12 @@ def test_datum_symmetry_fill():
 def test_presentation_A_single_in_relations():
     # I = {(i,n)}: x^2 = lam (1 - h^{2i}), y^2 = lam (1 - h^{-2i}), xy + yx = 0
     pres = presentation_A(12, [(1, 6)], lam=1)
-    xx = pres.relation("quad:xx:x(1,6)|x(1,6)")
+    xx = relation(pres, "quad:xx:x(1,6)|x(1,6)")
     assert xx.lhs == ((one(), ("x(1,6)", "x(1,6)")),)
     assert xx.rhs == ((one(), (0, 0)), (-one(), (0, 2)))
-    yy = pres.relation("quad:yy:y(1,6)|y(1,6)")
+    yy = relation(pres, "quad:yy:y(1,6)|y(1,6)")
     assert yy.rhs == ((one(), (0, 0)), (-one(), (0, 10)))
-    xy = pres.relation("quad:xy:x(1,6)|y(1,6)")
+    xy = relation(pres, "quad:xy:x(1,6)|y(1,6)")
     assert xy.rhs == ()
     assert len(xy.lhs) == 2
 
@@ -87,18 +116,18 @@ def test_presentation_A_single_in_relations():
 def test_presentation_A_delta_guard_off():
     # q != m-k: the anticommutator is homogeneous for any datum
     pres = presentation_A(12, [(2, 3)])
-    xx = pres.relation("quad:xx:x(2,3)|x(2,3)")
+    xx = relation(pres, "quad:xx:x(2,3)|x(2,3)")
     assert xx.rhs == ()
 
 
 def test_presentation_A_coproduct_and_conjugation_metadata():
     pres = presentation_A(12, [(2, 3), (2, 9)], lam=1)
-    x = pres.skew("x(2,3)")
+    x = skew(pres, "x(2,3)")
     assert x.cop_exp == 2 and x.h_exp == 3 and x.partner == "y(2,3)"
-    y = pres.skew("y(2,3)")
+    y = skew(pres, "y(2,3)")
     assert y.cop_exp == 10 and y.h_exp == 9
     # cross relation carries lambda over h^{p+i}
-    xx = pres.relation("quad:xx:x(2,3)|x(2,9)")
+    xx = relation(pres, "quad:xx:x(2,3)|x(2,9)")
     assert xx.rhs == ((one(), (0, 0)), (-one(), (0, 4)))
 
 
@@ -111,18 +140,18 @@ def test_presentation_A_rejects_bad_family():
 
 def test_presentation_B_guards():
     pres = presentation_B(12, [(2, 3)], [3], mu=1)
-    xz = pres.relation("quad:xz:x(2,3)|z(3)")
+    xz = relation(pres, "quad:xz:x(2,3)|z(3)")
     assert xz.rhs == ()  # theta guard off for q = 3
-    xw = pres.relation("quad:xw:x(2,3)|w(3)")
+    xw = relation(pres, "quad:xw:x(2,3)|w(3)")
     assert xw.rhs == ((one(), (0, 0)), (-one(), (0, 8)))  # 1 - h^{n+p}, n+p = 8
-    yz = pres.relation("quad:yz:y(2,3)|z(3)")
+    yz = relation(pres, "quad:yz:y(2,3)|z(3)")
     assert yz.rhs == ((one(), (0, 0)), (-one(), (0, 4)))  # 1 - h^{n-p}
     # x^2 = 0 = z^2 and z w + w z = 0 in the K-family
-    assert pres.relation("quad:xx:x(2,3)|x(2,3)").rhs == ()
-    assert pres.relation("quad:zz:z(3)|z(3)").rhs == ()
-    assert pres.relation("quad:ww:w(3)|w(3)").rhs == ()
-    assert pres.relation("quad:zw:z(3)|w(3)").rhs == ()
-    z = pres.skew("z(3)")
+    assert relation(pres, "quad:xx:x(2,3)|x(2,3)").rhs == ()
+    assert relation(pres, "quad:zz:z(3)|z(3)").rhs == ()
+    assert relation(pres, "quad:ww:w(3)|w(3)").rhs == ()
+    assert relation(pres, "quad:zw:z(3)|w(3)").rhs == ()
+    z = skew(pres, "z(3)")
     assert z.cop_exp == 6 and z.h_exp == 3 and z.partner == "w(3)"
 
 
@@ -140,7 +169,7 @@ def test_counit_consistency():
         presentation_L(12, [1, 3]),
     ):
         for rel in pres.relations:
-            assert not pres.counit_residue(rel)
+            assert not counit_residue(pres, rel)
 
 
 def _closure_cases():
@@ -176,6 +205,40 @@ def test_conjugation_closure():
             assert tuple(sorted(mapped_rhs, key=str)) == tuple(sorted(image.rhs, key=str))
 
 
+def _counit_corruptions(pres):
+    """pres, and copies whose relations gain pure-group terms.
+
+    The added terms change the counit of a relation, or cancel under it
+    (c at the identity against c at g h^i), or sit on the left as g h.
+    """
+    yield pres
+    for k, text in enumerate(("1", "3/2", "w^3 - 2")):
+        c = parse_scalar(pres.m, text)
+        relations = []
+        for i, rel in enumerate(pres.relations):
+            if i % 3 == 0:
+                rel = dataclasses.replace(rel, rhs=rel.rhs + ((c, (0, k)),))
+            elif i % 3 == 1:
+                rel = dataclasses.replace(rel, rhs=rel.rhs + ((c, (0, 0)), (-c, (1, i))))
+            else:
+                rel = dataclasses.replace(rel, lhs=rel.lhs + ((c, ("g", "h")),))
+            relations.append(rel)
+        yield dataclasses.replace(pres, relations=tuple(relations))
+
+
+def test_hopf_check_counit_matches_the_relation_terms():
+    # hopf_check reads the counit off each relation's element in the monomial
+    # model; the oracle sums the relation's pure-group terms as written
+    for pres in _closure_cases():
+        R = compile_presentation(pres)
+        for P in _counit_corruptions(pres):
+            report = hopf_check(P, R)
+            residues = [(rel.label, counit_residue(P, rel)) for rel in P.relations]
+            expected = [f"counit:{label}:{c}" for label, c in residues if c]
+            assert [f for f in report.failures if f.startswith("counit:")] == expected
+            assert report.counit_ok == (not expected)
+
+
 @pytest.mark.parametrize("m", [12, 16, 20])
 def test_family_members_build_in_their_family_only(m):
     # enumeration and the membership check of the constructor are one rule:
@@ -206,7 +269,7 @@ def test_bosonization_cases():
     assert pres.relations == ref.relations
     pres_l = family_presentation(12, "b", L=[1])
     assert pres_l.kind == "L"
-    z = pres_l.skew("z(1)")
+    z = skew(pres_l, "z(1)")
     assert z.cop_exp == 6  # Delta(z) = z x 1 + h^n x z
     with pytest.raises(DomainError):
         family_presentation(12, "a", [(1, 6)])  # k = n is family (c)
@@ -216,7 +279,7 @@ def test_multiset_generator_names():
     pres = presentation_A(12, [(1, 6), (1, 6)], lam=1)
     names = [v.name for v in pres.skew_generators]
     assert names == ["x(1,6)", "y(1,6)", "x(1,6)#2", "y(1,6)#2"]
-    cross = pres.relation("quad:xx:x(1,6)|x(1,6)#2")
+    cross = relation(pres, "quad:xx:x(1,6)|x(1,6)#2")
     assert cross.rhs == ((one(), (0, 0)), (-one(), (0, 2)))
 
 

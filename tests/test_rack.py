@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from math import gcd
 from typing import Callable, Optional
 
-from nichols_dm.dihedral import DihedralGroup, class_of, conjugacy_classes
+from nichols_dm.dihedral import DihedralGroup, GroupElement, class_of, conjugacy_classes
 from nichols_dm.errors import DomainError
 from nichols_dm.rack import Rack, conjugation_rack, is_type_D
 
@@ -192,7 +192,7 @@ def test_conjugation_rack_reflections():
 def test_conjugation_rack_equivariance():
     # relabeling a class by the group automorphism r -> r^5, s -> s gives an isomorphic rack
     G = DihedralGroup(12)
-    phi = {g: G.element(g.eps, 5 * g.rot) for g in G.elements()}
+    phi = {g: GroupElement(G.m, g.eps, 5 * g.rot) for g in G.elements()}
     for rep in (G.s(), G.s(1)):
         cls = class_of(G, rep)
         image = [phi[g] for g in cls.elements]
