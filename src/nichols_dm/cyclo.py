@@ -4,8 +4,9 @@
 ``1, w, ..., w^(phi(m)-1)``, stored as a tuple of ints over one positive
 common denominator, in lowest terms.  A root of unity is
 ``CycloNumber.root(m, a)``, one shared instance per exponent that
-remembers ``a``, so a product of two roots adds exponents, and a product
-with the shared ``one`` returns the other factor; comparing a value with
+remembers ``a``, so a product of two roots adds exponents, a product of a
+root ``w^a`` with any other value shifts that value's ints by ``a`` before
+reducing, and a product with the shared ``one`` returns the other factor; comparing a value with
 ``1`` or ``-1`` reads its ints and builds nothing.  ``Phi_m`` is
 monic with integer coefficients, so sums and products stay in integers; a
 product is reduced by the sparse nonzero coefficients of ``Phi_m``, and the row
@@ -80,8 +81,8 @@ class _Field:
     ``Phi_m`` is monic with integer coefficients, so every row
     ``x^a mod Phi_m`` is integral; a row is built only when ``w^a`` is first
     asked for.  ``root_lookup`` maps the rows built so far to their
-    exponents: it feeds the root-times-root fast path of ``*`` and nothing
-    that decides a result.
+    exponents: it feeds the fast paths of ``*`` (root times root, and a
+    shift for root times anything) and nothing that decides a result.
     """
 
     __slots__ = ("m", "degree", "tail", "roots", "root_lookup", "zero", "one")
@@ -252,11 +253,12 @@ class CycloNumber:
             return self
         if not self or not other:
             return field.zero
-        ea = self._root_hint(field)
-        if ea is not None:
-            eb = other._root_hint(field)
-            if eb is not None:
-                return field.root((ea + eb) % self.m)
+        ea, eb = self._root_hint(field), other._root_hint(field)
+        if ea is not None and eb is not None:
+            return field.root((ea + eb) % self.m)
+        if ea is not None or eb is not None:  # times w^e: shift by e, then reduce
+            e, x = (ea, other) if ea is not None else (eb, self)
+            return _make(self.m, field.reduce([0] * e + list(x.num)), x.den)
         a, b = self.num, other.num
         terms = [(j, y) for j, y in enumerate(b) if y]
         conv = [0] * (2 * len(a) - 1)

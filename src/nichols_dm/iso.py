@@ -2,13 +2,14 @@
 
 A unit l acts on J-pairs by (i,k) -> (li, l^-1 k), folded into the range
 1 <= i < n by i -> m - i when li lands at or above n, and on odd l-labels
-through l^-1 with the same folding.  `act_datum` carries a whole lifting
-datum along: each parameter entry moves to the image of its indices, with
-lambda/gamma and theta/mu crossing over according to which side of n the
-indices land on.  Two presentations in one family are isomorphic exactly
-when some unit carries one datum onto the other; the orbits of
-`iso_classes` are the images under the units, and a member's witness is
-the least unit that reaches it.
+through l^-1 with the same folding.  `_key_image` moves one parameter entry
+to the image of its indices, lambda/gamma and theta/mu crossing over by the
+side of n the indices land on; `act_datum` moves a whole datum that way.
+`iso_classes` works on grid indices: per (unit, member) a slot map sends
+each free key to the image's free key it lands on, or None when that is
+forced zero.  A datum has no image when a nonzero value meets None, or when
+a target slot stays unfilled and the grid has no zero.  Orbits are the
+images under the units; a member's witness is the least unit reaching it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from typing import Optional, Sequence
 
 from .classify import Pair, in_J
 from .errors import DomainError
-from .lifting import (FAMILIES, LiftingDatum, _scalar, family_members, free_parameter_keys,
-                      parameter_shape)
+from .cyclo import format_scalar
+from .lifting import (FAMILIES, LiftingDatum, _scalar, _transpose, family_members,
+                      free_parameter_keys, parameter_shape)
 
 __all__ = [
     "UnitModM",
@@ -92,39 +94,42 @@ def act_L(unit: UnitModM, L: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(act_ell(unit, r) for r in L))
 
 
-def act_datum(unit: UnitModM, datum: LiftingDatum) -> Optional[LiftingDatum]:
-    """l . (I, L, datum): every entry moves to the image of its indices.
+_CROSSED = {"lambda": "gamma", "gamma": "lambda", "theta": "mu", "mu": "theta"}
 
-    A lambda/gamma entry keyed (p,q,i,k) moves to l.(p,q) + l.(i,k), a
-    theta/mu entry keyed (p,q,r) to l.(p,q) + (l.r,).  lambda and gamma
-    (theta and mu) cross over when the two indices fold to opposite sides
-    of n.  Returns None when a nonzero entry lands on an entry that
+
+def _key_image(unit: UnitModM, name: str, key: tuple) -> tuple[str, tuple]:
+    """Where name[key] lands under l: (p,q,i,k) -> l.(p,q) + l.(i,k) and
+    (p,q,r) -> l.(p,q) + (l.r,), with lambda/gamma (theta/mu) crossing over
+    when the two indices fold to opposite sides of n."""
+    m, n = unit.m, unit.m // 2
+    p_low = (unit.value * key[0]) % m < n
+    if len(key) == 4:
+        img = act_pair(unit, key[:2]) + act_pair(unit, key[2:])
+        same_side = p_low == ((unit.value * key[2]) % m < n)
+    else:
+        img = act_pair(unit, key[:2]) + (act_ell(unit, key[2]),)
+        same_side = p_low == ((unit.inverse * key[2]) % m < n)
+    return (name if same_side else _CROSSED[name]), img
+
+
+def act_datum(unit: UnitModM, datum: LiftingDatum) -> Optional[LiftingDatum]:
+    """l . (I, L, datum): every entry moves to its `_key_image`.
+
+    Returns None when a nonzero entry lands on an entry that
     `parameter_shape` forces to zero: no datum of the image family matches.
     """
-    m, n = unit.m, unit.m // 2
     I, L = act_I(unit, datum.I), act_L(unit, datum.L)
     moved: dict[str, dict] = {"lambda": {}, "gamma": {}, "theta": {}, "mu": {}}
-    for name, other, items in (
-        ("lambda", "gamma", datum.lam),
-        ("gamma", "lambda", datum.gam),
-        ("theta", "mu", datum.theta),
-        ("mu", "theta", datum.mu),
-    ):
+    for name, items in zip(moved, (datum.lam, datum.gam, datum.theta, datum.mu)):
         for key, value in items:
-            p_low = (unit.value * key[0]) % m < n
-            if len(key) == 4:
-                img = act_pair(unit, key[:2]) + act_pair(unit, key[2:])
-                same_side = p_low == ((unit.value * key[2]) % m < n)
-            else:
-                img = act_pair(unit, key[:2]) + (act_ell(unit, key[2]),)
-                same_side = p_low == ((unit.inverse * key[2]) % m < n)
-            moved[name if same_side else other][img] = value
+            target, img = _key_image(unit, name, key)
+            moved[target][img] = value
     if any(moved.values()):
-        shape = parameter_shape(m, I, L)
+        shape = parameter_shape(unit.m, I, L)
         if any(shape[name][key] == "zero" for name in moved for key in moved[name]):
             return None
     lam, gam, theta, mu = (tuple(sorted(moved[name].items())) for name in moved)
-    return LiftingDatum(m, I, L, lam, gam, theta, mu)
+    return LiftingDatum(unit.m, I, L, lam, gam, theta, mu)
 
 
 # the is_isomorphic_* below are read by bench/tracing.py; goes with ROADMAP item 2
@@ -168,34 +173,6 @@ def is_isomorphic_L(m: int, L, L2) -> tuple[bool, Optional[UnitModM]]:
 # -- orbit enumeration --------------------------------------------------------
 
 
-def _grid_data(m: int, I, L, grid) -> list[LiftingDatum]:
-    keys = free_parameter_keys(m, I, L)
-    if not keys:
-        return [LiftingDatum.zero(m, I, L)]
-    out = []
-    for values in product(grid, repeat=len(keys)):
-        params: dict = {"lambda": {}, "gamma": {}, "theta": {}, "mu": {}}
-        for (name, key), value in zip(keys, values):
-            params[name][key] = value
-        out.append(
-            LiftingDatum.build(
-                m,
-                I,
-                L,
-                lam=params["lambda"],
-                gamma=params["gamma"],
-                theta=params["theta"],
-                mu=params["mu"],
-            )
-        )
-    return out
-
-
-def _entry(d: LiftingDatum) -> dict:
-    params = {name: entries for name, entries in d.parameters_json().items() if entries}
-    return {"I": [list(p) for p in d.I], "L": list(d.L), "parameters": params}
-
-
 def iso_classes(
     m: int,
     r_max: int,
@@ -207,47 +184,108 @@ def iso_classes(
     `families` is a nonempty subset of "abcd"; `lifting.family_members`
     lists the members of each.  The parameter grid is read once, up front,
     so a malformed value is rejected even when no member has a free
-    parameter; it is applied to the free parameters of each family member.  Orbits come from the action itself: the first instance not yet
-    placed is the representative, and the images of it under the units,
-    taken in ascending order, claim the unplaced instances they hit.  Each
-    member's witness is therefore the least unit carrying the representative
-    onto it; members are listed in instance order, and repeated grid values
-    give repeated members.
+    parameter.  An instance is (member index, grid index per free key of
+    the member); equal grid values share the index of their first
+    occurrence, so repeated grid values give repeated, equal instances.
+
+    For each (unit, member) that a representative reaches, the image member
+    and a slot map are computed once.  The slot map sends each free key to
+    the position among the image member's free keys of its `_key_image`, or
+    of that image's transpose when the image is tied, or to None when the
+    image is forced zero.  An instance's image moves its indices along the
+    slot map and puts zero in the target slots left unfilled.  As with
+    `act_datum`, there is no image when a nonzero value falls on a None
+    slot, or when a target slot is left unfilled and the grid has no zero.
+
+    Orbits come from the action itself: the first instance not yet placed
+    is the representative, and its images under the units, taken in
+    ascending order, claim the unplaced instances they hit.  Each member's
+    witness is therefore the least unit carrying the representative onto
+    it; members are listed in instance order.
     """
     if not families or not set(families) <= set(FAMILIES):
         raise DomainError(f"families must be a nonempty subset of {FAMILIES!r}, got {families!r}")
     grid = [_scalar(m, value) for value in parameter_grid]
+    first = [grid.index(value) for value in grid]
+    zero = next((j for j, value in enumerate(grid) if not value), None)
+    texts = [format_scalar(value) for value in grid]
+    members = []  # (family, I, L, free keys)
+    index: dict[tuple, int] = {}
+    for fam in FAMILIES:
+        if fam in families:
+            for I, L in family_members(m, fam, r_max):
+                index.setdefault((fam, I, L), len(members))
+                members.append((fam, I, L, free_parameter_keys(m, I, L)))
     instances = [
-        (fam, d)
-        for fam in FAMILIES
-        if fam in families
-        for I, L in family_members(m, fam, r_max)
-        for d in _grid_data(m, I, L, grid)
+        (index[fam, I, L], values)
+        for fam, I, L, keys in members
+        for values in product(first, repeat=len(keys))
     ]
+
+    def act(unit: UnitModM, source: int) -> Optional[tuple[int, list]]:
+        fam, I, L, keys = members[source]
+        target = index.get((fam, act_I(unit, I), act_L(unit, L)))
+        if target is None:
+            return None
+        position = {key: pos for pos, key in enumerate(members[target][3])}
+        slots = []
+        for name, key in keys:
+            name, img = _key_image(unit, name, key)
+            # a tied image's transpose is free; a forced-zero image has a
+            # forced-zero transpose (the guards are symmetric), so misses both
+            tied = (name, _transpose(img)) if len(img) == 4 else None
+            slots.append(position.get((name, img), position.get(tied)))
+        return target, slots
+
+    def image(values: tuple, target: int, slots: list) -> Optional[tuple]:
+        # a target slot that no key fills keeps `zero`; without a zero in the
+        # grid that is None, which no instance holds, so there is no image
+        out = [zero] * len(members[target][3])
+        for value, slot in zip(values, slots):
+            if slot is not None:
+                out[slot] = value
+            elif value != zero:  # a nonzero value on a forced-zero key
+                return None
+        return target, tuple(out)
+
+    def entry(instance: tuple) -> dict:
+        _, I, L, keys = members[instance[0]]
+        params: dict[str, dict] = {}
+        for (name, key), value in zip(keys, instance[1]):
+            if value != zero:  # a lambda/gamma value also sits on the tied transpose
+                for k in (key, _transpose(key)) if len(key) == 4 else (key,):
+                    params.setdefault(name, {})[",".join(map(str, k))] = texts[value]
+        return {"I": [list(p) for p in I], "L": list(L), "parameters": params}
 
     positions: dict[tuple, list[int]] = {}
     for idx, inst in enumerate(instances):
         positions.setdefault(inst, []).append(idx)
+    actions: dict[tuple[int, int], Optional[tuple[int, list]]] = {}
     witness: list[Optional[UnitModM]] = [None] * len(instances)
     orbits: list[dict] = []
-    for idx, (fam, datum) in enumerate(instances):
+    unit_list = units(m)
+    for idx, (source, values) in enumerate(instances):
         if witness[idx] is not None:
             continue
-        members = []
-        for unit in units(m):
-            for jdx in positions.get((fam, act_datum(unit, datum)), ()):
+        claimed = []
+        for unit in unit_list:
+            if (unit.value, source) not in actions:
+                actions[unit.value, source] = act(unit, source)
+            action = actions[unit.value, source]
+            target = image(values, *action) if action else None
+            for jdx in positions.get(target, ()):
                 if witness[jdx] is None:
                     witness[jdx] = unit
-                    members.append(jdx)
-        members.sort()
+                    claimed.append(jdx)
+        claimed.sort()
         orbits.append(
             {
-                "family": fam,
-                "representative": _entry(datum),
-                "orbit_size": len(members),
+                "family": members[source][0],
+                "representative": entry(instances[idx]),
+                "orbit_size": len(claimed),
                 "members": [
-                    {**_entry(instances[jdx][1]), "witness_unit": witness[jdx].value}
-                    for jdx in members
+                    {**entry(instances[jdx]), "witness_unit": witness[jdx].value}
+                    for jdx in claimed
                 ],
             }
         )

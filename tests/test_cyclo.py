@@ -4,7 +4,7 @@ from math import gcd
 from typing import Iterable
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nichols_dm import cyclo
@@ -532,6 +532,19 @@ def test_matches_fraction_oracle(m, data):
     assert_agrees(a**n, oa**n)
     if a:
         assert_agrees(a.inverse(), oa.inverse())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_MODULI), st.data())
+def test_root_times_non_root_matches_fraction_oracle(m, data):
+    # exactly one factor is a root w^e: `*` shifts the other factor by e
+    av = data.draw(_vector(m))
+    a, oa = CycloNumber(m, av), FractionCyclo(m, av)
+    e = data.draw(st.integers(0, m - 1))
+    root = CycloNumber.root(m, e)
+    assume(a._root_hint(cyclo._field(m)) is None)
+    assert_agrees(root * a, _fraction_root(m, e) * oa)
+    assert_agrees(a * root, oa * _fraction_root(m, e))
 
 
 def test_rational_hash_matches_fraction():

@@ -1,5 +1,10 @@
+from collections import Counter
+from itertools import product
+from typing import Optional, Sequence
+
 import pytest
 
+from nichols_dm import iso, lifting
 from nichols_dm.classify import (
     are_equivalent,
     enumerate_I,
@@ -11,7 +16,6 @@ from nichols_dm.cyclo import CycloNumber
 from nichols_dm.errors import DomainError
 from nichols_dm.iso import (
     UnitModM,
-    _grid_data,
     act_datum,
     act_I,
     act_L,
@@ -23,7 +27,14 @@ from nichols_dm.iso import (
     iso_classes,
     units,
 )
-from nichols_dm.lifting import LiftingDatum
+from nichols_dm.lifting import (
+    FAMILIES,
+    LiftingDatum,
+    _scalar,
+    family_members,
+    free_parameter_keys,
+    parameter_shape,
+)
 
 
 def test_unit_validation():
@@ -203,6 +214,199 @@ def _theta_mu_match(
             if not ok:
                 return False
     return True
+
+
+# -- the datum route that iso_classes replaced, kept as an oracle -------------
+# A LiftingDatum per grid point and an act_datum per (unit, datum), moved
+# unchanged, except that the route calls its own copy of the old act_datum, so
+# the oracle shares no key-image code with the slot maps it checks.
+
+
+def _parent_act_datum(unit: UnitModM, datum: LiftingDatum) -> Optional[LiftingDatum]:
+    """l . (I, L, datum): every entry moves to the image of its indices.
+
+    A lambda/gamma entry keyed (p,q,i,k) moves to l.(p,q) + l.(i,k), a
+    theta/mu entry keyed (p,q,r) to l.(p,q) + (l.r,).  lambda and gamma
+    (theta and mu) cross over when the two indices fold to opposite sides
+    of n.  Returns None when a nonzero entry lands on an entry that
+    `parameter_shape` forces to zero: no datum of the image family matches.
+    """
+    m, n = unit.m, unit.m // 2
+    I, L = act_I(unit, datum.I), act_L(unit, datum.L)
+    moved: dict[str, dict] = {"lambda": {}, "gamma": {}, "theta": {}, "mu": {}}
+    for name, other, items in (
+        ("lambda", "gamma", datum.lam),
+        ("gamma", "lambda", datum.gam),
+        ("theta", "mu", datum.theta),
+        ("mu", "theta", datum.mu),
+    ):
+        for key, value in items:
+            p_low = (unit.value * key[0]) % m < n
+            if len(key) == 4:
+                img = act_pair(unit, key[:2]) + act_pair(unit, key[2:])
+                same_side = p_low == ((unit.value * key[2]) % m < n)
+            else:
+                img = act_pair(unit, key[:2]) + (act_ell(unit, key[2]),)
+                same_side = p_low == ((unit.inverse * key[2]) % m < n)
+            moved[name if same_side else other][img] = value
+    if any(moved.values()):
+        shape = parameter_shape(m, I, L)
+        if any(shape[name][key] == "zero" for name in moved for key in moved[name]):
+            return None
+    lam, gam, theta, mu = (tuple(sorted(moved[name].items())) for name in moved)
+    return LiftingDatum(m, I, L, lam, gam, theta, mu)
+
+
+def _grid_data(m: int, I, L, grid) -> list[LiftingDatum]:
+    keys = free_parameter_keys(m, I, L)
+    if not keys:
+        return [LiftingDatum.zero(m, I, L)]
+    out = []
+    for values in product(grid, repeat=len(keys)):
+        params: dict = {"lambda": {}, "gamma": {}, "theta": {}, "mu": {}}
+        for (name, key), value in zip(keys, values):
+            params[name][key] = value
+        out.append(
+            LiftingDatum.build(
+                m,
+                I,
+                L,
+                lam=params["lambda"],
+                gamma=params["gamma"],
+                theta=params["theta"],
+                mu=params["mu"],
+            )
+        )
+    return out
+
+
+def _entry(d: LiftingDatum) -> dict:
+    params = {name: entries for name, entries in d.parameters_json().items() if entries}
+    return {"I": [list(p) for p in d.I], "L": list(d.L), "parameters": params}
+
+
+def _reference_iso_classes(
+    m: int,
+    r_max: int,
+    parameter_grid: Sequence = (0, 1),
+    families: str = "abcd",
+) -> list[dict]:
+    """Orbit decomposition of the graded family instances under the unit action.
+
+    `families` is a nonempty subset of "abcd"; `lifting.family_members`
+    lists the members of each.  The parameter grid is read once, up front,
+    so a malformed value is rejected even when no member has a free
+    parameter; it is applied to the free parameters of each family member.  Orbits come from the action itself: the first instance not yet
+    placed is the representative, and the images of it under the units,
+    taken in ascending order, claim the unplaced instances they hit.  Each
+    member's witness is therefore the least unit carrying the representative
+    onto it; members are listed in instance order, and repeated grid values
+    give repeated members.
+    """
+    if not families or not set(families) <= set(FAMILIES):
+        raise DomainError(f"families must be a nonempty subset of {FAMILIES!r}, got {families!r}")
+    grid = [_scalar(m, value) for value in parameter_grid]
+    instances = [
+        (fam, d)
+        for fam in FAMILIES
+        if fam in families
+        for I, L in family_members(m, fam, r_max)
+        for d in _grid_data(m, I, L, grid)
+    ]
+
+    positions: dict[tuple, list[int]] = {}
+    for idx, inst in enumerate(instances):
+        positions.setdefault(inst, []).append(idx)
+    witness: list[Optional[UnitModM]] = [None] * len(instances)
+    orbits: list[dict] = []
+    for idx, (fam, datum) in enumerate(instances):
+        if witness[idx] is not None:
+            continue
+        members = []
+        for unit in units(m):
+            for jdx in positions.get((fam, _parent_act_datum(unit, datum)), ()):
+                if witness[jdx] is None:
+                    witness[jdx] = unit
+                    members.append(jdx)
+        members.sort()
+        orbits.append(
+            {
+                "family": fam,
+                "representative": _entry(datum),
+                "orbit_size": len(members),
+                "members": [
+                    {**_entry(instances[jdx][1]), "witness_unit": witness[jdx].value}
+                    for jdx in members
+                ],
+            }
+        )
+    return orbits
+
+
+_ORACLE_GRIDS = {
+    "0,1": ("0", "1"),
+    "0,1,1": ("0", "1", "1"),
+    "0,0,1": ("0", "0", "1"),
+    "1,-1": ("1", "-1"),
+    "1,w": ("1", "w"),
+    "0,w^3": ("0", "w^3"),
+    "w^2 - 1,0": ("w^2 - 1", "0"),  # zero last: a nonzero instance is placed first
+    "3/2": ("3/2",),
+    "empty": (),
+}
+
+
+def _oracle_cases():
+    """(m, r_max, families, grid) for the comparison with the datum route.
+
+    Every grid up to size 3 at m = 12 and up to size 2 at m = 16..28, with
+    size 3 at m = 16, 20 for family (d).  A size-3 family (c) on a grid of
+    three values takes the datum route up to a minute, so it runs only once.
+    """
+    sizes = {12: (1, 2, 3), 16: (1, 2), 20: (1, 2), 24: (2,), 28: (2,)}
+    cases = [
+        (m, r, f, g)
+        for m, rs in sizes.items()
+        for r in rs
+        for f in (("abcd", "cd", "d") if m == 12 else ("abcd", "d"))
+        for g in _ORACLE_GRIDS
+        if not (r == 3 and "c" in f and len(_ORACLE_GRIDS[g]) > 2)
+    ]
+    cases += [(m, 3, "d", g) for m in (16, 20) for g in _ORACLE_GRIDS]
+    cases += [(16, 3, "cd", g) for g in ("0,1", "1,-1", "3/2", "empty")]
+    return cases + [(12, 3, "abcd", "0,1,1")]
+
+
+@pytest.mark.parametrize("m, r_max, families, grid", _oracle_cases())
+def test_iso_classes_matches_datum_route(m, r_max, families, grid):
+    values = _ORACLE_GRIDS[grid]
+    assert iso_classes(m, r_max, values, families) == _reference_iso_classes(
+        m, r_max, values, families
+    )
+
+
+def _counting(counts: Counter, name: str, func):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return func(*args, **kwargs)
+
+    return counted
+
+
+def test_iso_classes_work_per_member_not_per_grid_point(monkeypatch):
+    counts: Counter = Counter()
+    shape = _counting(counts, "parameter_shape", lifting.parameter_shape)
+    for module in (lifting, iso):
+        monkeypatch.setattr(module, "parameter_shape", shape)
+    build = _counting(counts, "build", LiftingDatum.build)
+    monkeypatch.setattr(LiftingDatum, "build", staticmethod(build))
+    calls = []
+    for grid in (("0", "1"), ("0", "1", "-1", "w^3")):
+        counts.clear()
+        assert iso_classes(20, 2, grid)
+        assert counts["build"] == 0
+        calls.append(counts["parameter_shape"])
+    assert calls[0] == calls[1] > 0
 
 
 def _grid_instances(m: int, grid, r_max: int = 2) -> list[LiftingDatum]:
