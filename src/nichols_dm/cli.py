@@ -1,10 +1,13 @@
 """Command-line interface with machine-readable JSON output.
 
 Commands: classify, nichols, liftings, verify, iso, rack, reps.  Output
-is a single JSON document on stdout with sorted keys and exact scalars
-rendered as strings ("3/2", "w^5 - 1").  Exit codes: 0 success, 2 flag /
-domain validation errors, 1 internal check failures (non-confluence,
-dimension mismatch, failed Hopf axioms).
+is a single JSON document on stdout: the bytes of
+``json.dumps(doc, sort_keys=True, indent=2, default=str)`` plus a newline,
+so sorted keys, a two-space indent, ASCII with ``\\uXXXX`` escapes, and exact
+scalars rendered as strings ("3/2", "w^5 - 1").  Every command rejects
+``--m`` above ``M_MAX``.  Exit codes: 0 success, 2 flag / domain validation
+errors, 1 internal check failures (non-confluence, dimension mismatch,
+failed Hopf axioms).
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .rack import conjugation_rack, is_type_D
 from .ydmod import Finite, nichols_dimension
 
 SCHEMA = 1
+# the largest --m any command accepts; `rack`'s table has (m/2)^2 entries
+M_MAX = 1024
 
 
 def _list_grammar(item: str, sep: str) -> re.Pattern:
@@ -352,9 +357,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args builds a fresh namespace on every call, so one parser serves all jobs
+_PARSER = build_parser()
+
+
+# -- output -------------------------------------------------------------------
+
+_encode_str = json.encoder.encode_basestring_ascii
+# the exact scalar types the output is mostly made of, each with its C encoder
+_SCALAR = {str: _encode_str, int: int.__repr__}
+
+
+def _emit(o, head: str, nl: str, put) -> None:
+    """Write `head`, then `o` at the indent `nl` ("\\n" + two spaces a level).
+
+    The pieces are those of the indented stdlib encoder, but exact strings,
+    exact ints and flat lists of either are encoded in C.  Any other scalar
+    (bool, None, exact numbers, group elements) takes the compact encoder,
+    whose output for a scalar is the same.
+    """
+    scalar = _SCALAR.get(type(o))
+    if scalar is not None:
+        put(head + scalar(o))
+    elif not isinstance(o, (dict, list, tuple)):
+        # default=str prints exact scalars and group elements in their printed form
+        put(head + json.dumps(o, default=str))
+    elif not o:
+        put(head + ("{}" if isinstance(o, dict) else "[]"))
+    elif isinstance(o, dict):
+        inner = nl + "  "
+        sep = head + "{" + inner
+        # a non-str key makes _encode_str raise TypeError
+        for key, value in sorted(o.items()):
+            _emit(value, sep + _encode_str(key) + ": ", inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    else:
+        inner = nl + "  "
+        kinds = set(map(type, o))
+        scalar = _SCALAR.get(kinds.pop()) if len(kinds) == 1 else None
+        if scalar is not None:
+            put(head + "[" + inner + ("," + inner).join(map(scalar, o)) + nl + "]")
+            return
+        sep = head + "[" + inner
+        for item in o:
+            _emit(item, sep, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+
+
+def encode(doc) -> str:
+    """The text of `json.dumps(doc, sort_keys=True, indent=2, default=str)`."""
+    chunks: list[str] = []
+    _emit(doc, "", "\n", chunks.append)
+    return "".join(chunks)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
+        if args.m > M_MAX:
+            raise DomainError(f"m = {args.m} exceeds the ceiling {M_MAX}")
         payload, code = args.func(args)
     except DomainError as exc:
         payload, code = {"error": {"type": "validation", "message": str(exc)}}, 2
@@ -363,10 +426,8 @@ def main(argv=None) -> int:
         payload, code = {"error": error}, 1
     except RuntimeError as exc:
         payload, code = {"error": {"type": "internal_check", "message": str(exc)}}, 1
-    # default=str prints exact scalars and group elements in their printed form
-    doc = {"schema": SCHEMA, **payload}
     try:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n")
+        sys.stdout.write(encode({"schema": SCHEMA, **payload}) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone: send what is still buffered to /dev/null at exit

@@ -10,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nichols_dm
-from nichols_dm.cli import _parse_module, _parse_param, main
+from nichols_dm import cli
+from nichols_dm.cli import M_MAX, _parse_module, _parse_param, encode, main
+from nichols_dm.cyclo import cyclotomic_polynomial, parse_scalar
+from nichols_dm.dihedral import DihedralGroup
 from nichols_dm.errors import DomainError
+
+GOLDEN = Path(__file__).parent / "golden"
+COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -367,3 +373,132 @@ def test_accepted_parameter_key_round_trips(key_text):
     digits = re.findall(r"\d+", key_text)
     assert re.sub(r"\s", "", key_text) == ",".join(digits)
     assert key == tuple(int(x) for x in digits)
+
+
+# -- the output writer ----------------------------------------------------------
+
+
+def _stdlib(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, default=str)
+
+
+_D12 = DihedralGroup(12)
+_EXACT = [
+    parse_scalar(12, "w^5 - 1"),
+    parse_scalar(12, "3/2"),
+    parse_scalar(12, "0"),
+    _D12.identity,
+    _D12.r(3),
+    _D12.s(1),
+]
+_TEXT = st.text(
+    st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2603\U0001f600'), max_size=8
+)
+_INTS = st.integers() | st.integers(-(2**200), 2**200)
+_LEAVES = _TEXT | _INTS | st.booleans() | st.none() | st.sampled_from(_EXACT)
+_TREES = st.recursive(
+    _LEAVES | st.lists(_TEXT) | st.lists(_INTS),
+    lambda kids: (
+        st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, kids, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_writer_matches_the_stdlib_encoder(doc):
+    assert encode(doc) == _stdlib(doc)
+
+
+@pytest.mark.parametrize("case", COMMANDS, ids=[c["name"] for c in COMMANDS])
+def test_writer_matches_the_stdlib_encoder_on_golden_payloads(case, capsys, monkeypatch):
+    docs = []
+    monkeypatch.setattr(cli, "encode", lambda doc: docs.append(doc) or encode(doc))
+    assert main(list(case["argv"])) == case["exit"]
+    (doc,) = docs
+    assert capsys.readouterr().out == _stdlib(doc) + "\n"
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": [{(1, 2): 3}]}, {None: 0}])
+def test_writer_rejects_non_str_keys(doc):
+    with pytest.raises(TypeError):
+        encode(doc)
+
+
+# -- one parser for every call ------------------------------------------------------
+
+
+def _fresh_run(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(nichols_dm.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nichols_dm.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout
+
+
+def _golden(name):
+    (case,) = [c for c in COMMANDS if c["name"] == name]
+    return case["argv"], case["exit"], (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    iso_w3 = ["iso", "--m", "12", "--max-size", "2", "--grid", "0,w^3"]
+    steps = [
+        (iso_w3, *_fresh_run(iso_w3)),
+        _golden("iso_m12_size2"),  # the default grid comes back
+        _golden("verify_m12_c_budget0"),
+        _golden("verify_m12_c"),  # the budget does not stay
+        _golden("nichols_m12_finite"),
+        _golden("iso_m12_size2"),
+    ]
+    for argv, code, out in steps:
+        assert main(list(argv)) == code
+        assert capsys.readouterr().out == out
+    # an argparse error leaves nothing behind for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--m", "12", "--family", "z", "--I", "(1,6)+(5,6)"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    argv, code, out = _golden("verify_m12_c")
+    assert main(list(argv)) == code
+    assert capsys.readouterr().out == out
+
+
+# -- the ceiling on --m ---------------------------------------------------------------
+
+
+CEILING_CASES = [
+    ["classify"],
+    ["nichols", "--module", "I:(1,6)"],
+    ["liftings", "--family", "c", "--I", "(1,6)"],
+    ["verify", "--family", "c", "--I", "(1,6)"],
+    ["iso"],
+    ["rack", "--class", "s"],
+    ["reps"],
+]
+
+
+@pytest.mark.parametrize("argv", CEILING_CASES, ids=[a[0] for a in CEILING_CASES])
+def test_m_above_the_ceiling_is_rejected_before_any_work(capsys, monkeypatch, argv):
+    groups = []
+    monkeypatch.setattr(cli, "DihedralGroup", groups.append)
+    before = cyclotomic_polynomial.cache_info()
+    code, doc = run_cli(capsys, argv[0], "--m", str(M_MAX + 1), *argv[1:])
+    assert code == 2
+    assert doc["error"] == {
+        "type": "validation",
+        "message": f"m = {M_MAX + 1} exceeds the ceiling {M_MAX}",
+    }
+    assert cyclotomic_polynomial.cache_info() == before
+    assert groups == []
+
+
+def test_m_at_the_ceiling_is_accepted(capsys):
+    n = M_MAX // 2
+    code, doc = run_cli(capsys, "liftings", "--m", str(M_MAX), "--family", "c", "--I", f"(1,{n})")
+    assert code == 0
+    assert doc["presentation"]["m"] == M_MAX
