@@ -35,12 +35,6 @@ __all__ = [
 Pair = tuple[int, int]
 
 
-def _require_modulus(m: int) -> DihedralGroup:
-    G = DihedralGroup(m)
-    G.require_classification_modulus()
-    return G
-
-
 def in_J(m: int, pair: Pair) -> bool:
     i, k = pair
     n = m // 2
@@ -49,7 +43,7 @@ def in_J(m: int, pair: Pair) -> bool:
 
 def support_J(m: int) -> list[Pair]:
     """All (i, k), 1 <= i <= n-1, 1 <= k <= m-1, with ik = n mod m."""
-    _require_modulus(m)
+    DihedralGroup(m).require_classification_modulus()
     n = m // 2
     return [(i, k) for i in range(1, n) for k in range(1, m) if (i * k) % m == n]
 
@@ -100,7 +94,7 @@ def enumerate_I(m: int, r_max: int) -> Iterator[tuple[Pair, ...]]:
 
 def enumerate_L(m: int, r_max: int) -> Iterator[tuple[int, ...]]:
     """All L-families (multisets of odd 1 <= l < n) of size 1..r_max."""
-    _require_modulus(m)
+    DihedralGroup(m).require_classification_modulus()
     if r_max < 1:
         raise DomainError(f"r_max must be >= 1, got {r_max}")
     odd = [ell for ell in range(1, m // 2) if ell % 2]
@@ -152,7 +146,7 @@ def irreducible_survey(m: int) -> list[dict]:
     """Finite/infinite verdict for every irreducible M(O, rho) over D_m."""
     from .dihedral import centralizer_representations, conjugacy_classes
 
-    G = _require_modulus(m)
+    G = DihedralGroup(m).require_classification_modulus()
     rows = []
     for cls in conjugacy_classes(G):
         for rep in centralizer_representations(G, cls):
@@ -184,7 +178,7 @@ def _witness_str(witness) -> str:
 
 def theorem_A_report(m: int, r_max: int) -> dict:
     """The full classification report: J, the N_i, all families, and Table-style verdicts."""
-    G = _require_modulus(m)
+    G = DihedralGroup(m).require_classification_modulus()
     n, t = G.n, G.t
     families_I = [
         {"I": list(I), "dim_module": 2 * len(I), "dim_nichols": 4 ** len(I)}

@@ -109,17 +109,11 @@ def _parse_param(m: int, text):
     return out
 
 
-def _require_classification(m: int) -> DihedralGroup:
-    G = DihedralGroup(m)
-    G.require_classification_modulus()
-    return G
-
-
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_classify(args) -> tuple[dict, int]:
-    _require_classification(args.m)
+    DihedralGroup(args.m).require_classification_modulus()
     report = classify_mod.theorem_A_report(args.m, args.max_size)
     # JSON sorts int keys as ints; the output has always listed N by key text
     report["N"] = {str(i): N_i for i, N_i in report["N"].items()}
@@ -127,7 +121,7 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 
 def cmd_nichols(args) -> tuple[dict, int]:
-    G = _require_classification(args.m)
+    G = DihedralGroup(args.m).require_classification_modulus()
     pairs, ells = _parse_module(args.m, args.module)
     if not pairs and not ells:
         raise DomainError("module spec is empty")
@@ -164,13 +158,13 @@ def _build_presentation(args):
 
 
 def cmd_liftings(args) -> tuple[dict, int]:
-    _require_classification(args.m)
+    DihedralGroup(args.m).require_classification_modulus()
     pres = _build_presentation(args)
     return {"command": "liftings", "presentation": pres.to_json_dict()}, 0
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    _require_classification(args.m)
+    DihedralGroup(args.m).require_classification_modulus()
     pres = _build_presentation(args)
     system = rewrite_mod.compile(pres, overlap_budget=args.overlap_budget)
     certificate = rewrite_mod.certificate_json(system)
@@ -200,7 +194,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_iso(args) -> tuple[dict, int]:
-    _require_classification(args.m)
+    DihedralGroup(args.m).require_classification_modulus()
     grid = [token.strip() for token in args.grid.split(",") if token.strip()]
     orbits = iso_mod.iso_classes(
         args.m, args.max_size, parameter_grid=grid, families=args.family

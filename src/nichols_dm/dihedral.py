@@ -144,11 +144,13 @@ class DihedralGroup:
     def is_classification_modulus(self) -> bool:
         return self.m % 4 == 0 and self.m >= 12
 
-    def require_classification_modulus(self):
+    def require_classification_modulus(self) -> "DihedralGroup":
+        """This group, once m = 4t with t >= 3 is checked."""
         if not self.is_classification_modulus:
             raise DomainError(
                 f"classification requires m = 4t with t >= 3, got m = {self.m}"
             )
+        return self
 
     @property
     def identity(self) -> GroupElement:

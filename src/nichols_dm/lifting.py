@@ -329,9 +329,7 @@ _CONJUGATE_KIND = str.maketrans("xyzw", "yxwz")
 
 def _build(datum: LiftingDatum) -> Presentation:
     m, I, L = datum.m, datum.I, datum.L
-    G = DihedralGroup(m)
-    G.require_classification_modulus()
-    n = G.n
+    n = DihedralGroup(m).require_classification_modulus().n
     one = CycloNumber.one(m)
 
     # each x (z) letter with its g-conjugate y (w): h-exponents negated

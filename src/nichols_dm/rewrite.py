@@ -15,14 +15,14 @@ comes from counting the irreducible words on the graph of their last
 letters (_count_normal_words), never from listing them; normal_basis
 still lists them where a caller wants the words.
 
-The rules stay interreduced: no left-hand side contains another.  A new
-left-hand side leads a reduced element, so it is irreducible and not yet a
-rule, and _add_rule, the only writer of the rules, drops every rule that
-contains it; it looks for such rules only when its count of the factors of
-all left-hand sides says one exists.  So the only ambiguities are overlaps,
-which _ambiguities finds through an index of left-hand-side prefixes.
-_add_rule also keeps lhs_lengths, the index that redex search and the
-count read.
+compile() is a check, not a completion.  Each quadratic relation, reduced
+by the rules before it, becomes one rule, and one that reduces to zero adds
+none.  compile() then checks that no left-hand side contains another, so
+that the only ambiguities are overlaps, which _ambiguities finds through an
+index of left-hand-side prefixes, and that every overlap resolves.  A
+failed check raises CompletionError naming the pair or the ambiguity; no
+rule is ever added to mend it.  _add_rule, the only writer of the rules,
+also keeps lhs_lengths, the index that redex search and the count read.
 
 Every rule of a family presentation reads x_a x_b -> q_ab x_b x_a + T_ab
 with a >= b, the q-term at the identity group element (absent when
@@ -38,8 +38,8 @@ gamma as conj_word does.  The degree-3 parts q_ab q_ac q_bc x_c x_b x_a of
 both sides cancel.  The formula follows the leftmost-redex order of
 normal_form_monomial, so it gives the same element as reducing both
 sides.  _add_rule records each rule's (q, T) split in _quadratic; with any
-other rule present (a rule added by completion, say) every overlap takes
-the general reduction.
+other rule present (a hand-built rule, say) every overlap takes the
+general reduction.
 
 hopf_check applies Delta and the antipode S to each relation's element in
 T(V)#kD_m, the monomial model without rewriting, and reduces the image
@@ -54,8 +54,8 @@ hopf_check checks letter by letter.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
 from .cyclo import CycloNumber
@@ -91,13 +91,11 @@ def _add(acc: dict, key, coeff: CycloNumber) -> None:
 class CompletionCertificate:
     rule_count: int
     ambiguities_checked: int
-    added_rules: int
-    passes: int
     all_resolved: bool
 
 
 class RewriteSystem:
-    """A completed rewriting system for one presentation."""
+    """A checked rewriting system for one presentation."""
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
@@ -113,7 +111,6 @@ class RewriteSystem:
         self.lhs_lengths: tuple[int, ...] = ()  # of the rules, longest first
         self.certificate: Optional[CompletionCertificate] = None
         self._nf_cache: dict[Monomial, Element] = {}
-        self._factor_count: dict[Word, int] = {}  # factor -> left sides containing it
         self._quadratic: dict[Word, tuple] = {}  # (a, b) -> (q_ab or None, T_ab) per quadratic rule
 
     def conj_word(self, g: int, word: Word) -> tuple[int, Word]:
@@ -198,43 +195,17 @@ class RewriteSystem:
                 continue
             # divide on the right by coeff * gamma
             _add(rhs, (w, g_mul(self.m, g, inv_gamma)), -(c * inv_coeff))
-        for w, _ in rhs:
-            if (len(w), w) >= (len(lead), lead):
-                raise CompletionError(
-                    f"oriented rule does not decrease the term order at {w}",
-                    ambiguity=(lead, w),
-                )
         return lead, rhs
 
-    def _add_rule(self, lhs: Word, rhs: Element) -> list[Element]:
-        """Install a rule for an irreducible lhs; rules containing lhs return as relations."""
-        requeue = []
-        if self._factor_count.get(lhs):  # some rule contains lhs
-            for l in [l for l in self.rules if _contains(l, lhs)]:
-                old_rhs = self.rules.pop(l)
-                self._quadratic.pop(l, None)
-                self._count_factors(l, -1)
-                relation = self.monomial(l)  # l - old_rhs
-                relation.update((mono, -coeff) for mono, coeff in old_rhs.items())
-                requeue.append(relation)
+    def _add_rule(self, lhs: Word, rhs: Element) -> None:
+        """Install the rule lhs -> rhs."""
         self.rules[lhs] = rhs
         split = _quadratic_split(lhs, rhs)
         if split is not None:
             self._quadratic[lhs] = split
-        self._count_factors(lhs, 1)
-        if requeue or len(lhs) not in self.lhs_lengths:  # else no length came or went
+        if len(lhs) not in self.lhs_lengths:
             self.lhs_lengths = tuple(sorted({len(l) for l in self.rules}, reverse=True))
         self._nf_cache.clear()
-        return requeue
-
-    def _count_factors(self, lhs: Word, sign: int) -> None:
-        """Add sign to the count of each distinct factor of lhs."""
-        for f in {lhs[i:j] for i in range(len(lhs)) for j in range(i + 1, len(lhs) + 1)}:
-            count = self._factor_count.get(f, 0) + sign
-            if count:
-                self._factor_count[f] = count
-            else:
-                del self._factor_count[f]
 
 
 def _quadratic_split(lhs: Word, rhs: Element) -> Optional[tuple]:
@@ -254,12 +225,6 @@ def _quadratic_split(lhs: Word, rhs: Element) -> Optional[tuple]:
         else:
             return None
     return q, tuple(tail)
-
-
-def _contains(word: Word, sub: Word) -> bool:
-    if len(sub) > len(word):
-        return False
-    return any(word[p : p + len(sub)] == sub for p in range(len(word) - len(sub) + 1))
 
 
 def _relation_element(sys: RewriteSystem, rel: Relation) -> Element:
@@ -373,22 +338,21 @@ def _tail_terms(sys, out, tail, d, scale, negate, letter_first=False) -> None:
 
 
 def compile(P: Presentation, overlap_budget: Optional[int] = None) -> RewriteSystem:
-    """Orient the quadratic relations and complete until all ambiguities resolve.
+    """Orient each quadratic relation once and check the result: a check, not completion.
 
     The group and commutation relations hold identically in the monomial
-    model; compile() verifies that they evaluate to zero and then runs
-    Knuth-Bendix/Buchberger style completion on the rest.  Completion
-    failure (a hit budget, an unorientable residue) raises CompletionError;
-    it is never silent.
+    model; compile() verifies that they evaluate to zero.  Each other
+    relation, reduced by the rules before it, becomes one rule.  Then no
+    left-hand side may contain another, and every overlap must resolve.
+    A failed check or a hit budget raises CompletionError; it is never
+    silent.
     """
     if overlap_budget is not None and overlap_budget < 0:
         raise DomainError(f"overlap budget must be >= 0, got {overlap_budget}")
     sys = RewriteSystem(P)
-    agenda: deque[Element] = deque()
     for rel in P.relations:
         el = _relation_element(sys, rel)
-        structural = rel.label.startswith("group:") or rel.label.startswith("comm:")
-        if structural:
+        if rel.label.startswith("group:") or rel.label.startswith("comm:"):
             if el:
                 raise CompletionError(
                     f"structural relation {rel.label} does not vanish in the "
@@ -396,40 +360,34 @@ def compile(P: Presentation, overlap_budget: Optional[int] = None) -> RewriteSys
                     ambiguity=rel.label,
                 )
             continue
-        agenda.append(el)
-
-    added_rules = 0
-    checked = 0
-    passes = 0
-    while True:
-        passes += 1
-        if passes > 64:
-            raise CompletionError("completion did not stabilize within 64 passes")
-        while agenda:
-            el = sys.reduce(agenda.popleft())
-            if not el:
-                continue
-            agenda.extend(sys._add_rule(*sys._orient(el)))
-            added_rules += passes > 1
-        unresolved = 0
-        for amb in _ambiguities(sys.rules):
-            checked += 1
-            if overlap_budget is not None and checked > overlap_budget:
+        el = sys.reduce(el)
+        if el:
+            sys._add_rule(*sys._orient(el))
+    for lhs in sys.rules:
+        for i, j in combinations(range(len(lhs) + 1), 2):
+            inner = lhs[i:j]
+            if inner != lhs and inner in sys.rules:
                 raise CompletionError(
-                    "overlap budget exceeded during completion", ambiguity=amb
+                    f"the left side {_word_str(sys, inner)} lies inside the left side "
+                    f"{_word_str(sys, lhs)}; the rules are not interreduced",
+                    ambiguity=(lhs, inner),
                 )
-            residue = _ambiguity_residue(sys, amb)
-            if residue:
-                unresolved += 1
-                agenda.append(residue)
-        if not unresolved:
-            break
+    checked = 0
+    for amb in _ambiguities(sys.rules):
+        checked += 1
+        if overlap_budget is not None and checked > overlap_budget:
+            raise CompletionError("overlap budget exceeded during completion", ambiguity=amb)
+        residue = _ambiguity_residue(sys, amb)
+        if residue:
+            _, l1, l2, c = amb
+            raise CompletionError(
+                f"the overlap {_word_str(sys, l1 + l2[c:])} of {_word_str(sys, l1)} and "
+                f"{_word_str(sys, l2)} leaves the residue {_element_str(sys, residue)}; "
+                "the rules are not confluent",
+                ambiguity=amb,
+            )
     sys.certificate = CompletionCertificate(
-        rule_count=len(sys.rules),
-        ambiguities_checked=checked,
-        added_rules=added_rules,
-        passes=passes,
-        all_resolved=True,
+        rule_count=len(sys.rules), ambiguities_checked=checked, all_resolved=True
     )
     return sys
 
@@ -458,7 +416,7 @@ def normal_basis(R: RewriteSystem) -> NormalBasis:
     simply not determined.  dimension and certificate_json count the words
     instead, with no limit.
     """
-    if R.certificate is None or not R.certificate.all_resolved:
+    if R.certificate is None:
         raise CompletionError("rewriting system is not certified confluent")
     words: list[Word] = []
 
@@ -495,7 +453,7 @@ def _count_normal_words(R: RewriteSystem) -> int:
     whose letters repeat into irreducible words of every length, so the
     quotient is infinite-dimensional (Ufnarovskii).
     """
-    if R.certificate is None or not R.certificate.all_resolved:
+    if R.certificate is None:
         raise CompletionError("rewriting system is not certified confluent")
     rules, lengths = R.rules, R.lhs_lengths
     tail = max(lengths, default=1) - 1
@@ -617,7 +575,7 @@ def hopf_check(P: Presentation, R: RewriteSystem) -> HopfReport:
     the monomial model; a relation is respected when the image reduces to
     zero.  The counit kills every letter and sends each group element to 1.
     """
-    if R.certificate is None or not R.certificate.all_resolved:
+    if R.certificate is None:
         raise CompletionError("hopf_check needs a certified system")
     elements = [(rel.label, _relation_element(R, rel)) for rel in P.relations]
     failures = []
@@ -648,10 +606,14 @@ def hopf_check(P: Presentation, R: RewriteSystem) -> HopfReport:
     return HopfReport(delta_ok, counit_ok, antipode_ok, tuple(failures))
 
 
+def _word_str(R: RewriteSystem, word: Word) -> str:
+    return "*".join(R.letters[l] for l in word)
+
+
 def _element_str(R: RewriteSystem, el: Element) -> str:
     parts = []
     for (word, g), coeff in sorted(el.items()):
-        name = "*".join(R.letters[l] for l in word) or "1"
+        name = _word_str(R, word) or "1"
         parts.append(f"({coeff})*{name}*{g_element(R.m, g)}")
     return " + ".join(parts)
 
@@ -669,7 +631,7 @@ def skew_primitives(R: RewriteSystem, degree: GroupElement) -> list[Element]:
     The trivial line k(1 - degree) and all pure-group monomials are
     quotiented away, so the group algebra alone yields the zero space.
     """
-    if R.certificate is None or not R.certificate.all_resolved:
+    if R.certificate is None:
         raise CompletionError("skew_primitives needs a certified system")
     if degree.m != R.m:
         raise DomainError("elements of different dihedral groups")
@@ -760,7 +722,7 @@ def certificate_json(R: RewriteSystem) -> dict:
         "rules": rules,
         "rule_count": cert.rule_count,
         "ambiguities_checked": cert.ambiguities_checked,
-        "added_rules": cert.added_rules,
+        "added_rules": 0,
         "all_resolved": cert.all_resolved,
         "normal_words": words,
         "dimension": words * 2 * R.m,

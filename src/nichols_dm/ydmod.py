@@ -246,11 +246,6 @@ def nichols_dimension(M: YDModule) -> Finite | Infinite:
         raise RuntimeError("rotation-class braiding unexpectedly non-diagonal")
     Q = data.matrix
     for i in range(M.dim):
-        if Q[i][i] != -1:
-            return Infinite(
-                "RealClassScalar", (M.summands[M.basis[i][0]].label,), Q[i][i]
-            )
-    for i in range(M.dim):
         for j in range(i + 1, M.dim):
             label = Q[i][j] * Q[j][i]
             if label != 1:

@@ -95,7 +95,7 @@ def test_group_algebra_alone():
     R = compile_presentation(group_algebra_presentation(12))
     dim, cert = dimension(R)
     assert dim == 24
-    assert cert.all_resolved and cert.added_rules == 0
+    assert cert.all_resolved
     assert normal_basis(R).words == ((),)
 
 
@@ -187,7 +187,7 @@ def test_reduction_decreases_and_terminates():
 
 def test_inconsistent_system_adds_rules_loudly():
     # x*y = 0 clashes with x^2 = 1 on the overlap x*x*y, collapsing y;
-    # completion must surface the added rules in the certificate
+    # the overlap check must see a nonzero residue
     P = presentation_A(12, [(1, 6)], lam=1)
     R = compile_presentation(P)
     x = R.letter_index["x(1,6)"]
@@ -213,36 +213,34 @@ def _with_extra_relations(P, drop_prefix, extra):
     return dataclasses.replace(P, relations=kept + added)
 
 
-def _rule_names(R):
-    return sorted(tuple(R.letters[l] for l in lhs) for lhs in R.rules)
-
-
-def test_completion_displaces_rules_containing_a_new_left_side():
-    # x = 0 on top of x^2 = 0, y^2 = 0, xy + yx = 0: the rule x displaces
-    # the rules x*x and y*x, whose relations then reduce to zero
+def test_a_left_side_inside_another_is_a_completion_error():
+    # x = 0 on top of x^2 = 0, y^2 = 0, xy + yx = 0: the rule x lies inside
+    # the rules x*x and y*x, and compile names the first such pair
     P = _with_extra_relations(presentation_A(12, [(1, 6)]), None, [[("x(1,6)",)]])
-    R = compile_presentation(P)
-    assert R.certificate == CompletionCertificate(
-        rule_count=2, ambiguities_checked=1, added_rules=0, passes=1, all_resolved=True
+    with pytest.raises(CompletionError) as info:
+        compile_presentation(P)
+    assert str(info.value) == (
+        "the left side x(1,6) lies inside the left side x(1,6)*x(1,6); "
+        "the rules are not interreduced"
     )
-    assert _rule_names(R) == [("x(1,6)",), ("y(1,6)", "y(1,6)")]
-    assert dimension(R).dimension == 48
+    assert info.value.ambiguity == ((0, 0), (0,))
 
 
-def test_completion_adds_a_rule_in_a_second_pass():
-    # xy = 0 and yx + x = 0 instead of xy + yx = 0: the overlap x*y*x
-    # leaves the residue x, a rule added by completion in pass two
+def test_a_nonzero_overlap_residue_is_a_completion_error():
+    # xy = 0 and yx + x = 0 instead of xy + yx = 0: the overlap y*y*x
+    # leaves the residue -x, which compile reports instead of adding a rule
     P = _with_extra_relations(
         presentation_A(12, [(1, 6)]),
         "quad:xy",
         [[("x(1,6)", "y(1,6)")], [("y(1,6)", "x(1,6)"), ("x(1,6)",)]],
     )
-    R = compile_presentation(P)
-    assert R.certificate == CompletionCertificate(
-        rule_count=2, ambiguities_checked=9, added_rules=1, passes=2, all_resolved=True
+    with pytest.raises(CompletionError) as info:
+        compile_presentation(P)
+    assert str(info.value) == (
+        "the overlap y(1,6)*y(1,6)*x(1,6) of y(1,6)*y(1,6) and y(1,6)*x(1,6) "
+        "leaves the residue (-1)*x(1,6)*e; the rules are not confluent"
     )
-    assert _rule_names(R) == [("x(1,6)",), ("y(1,6)", "y(1,6)")]
-    assert dimension(R).dimension == 48
+    assert info.value.ambiguity == ("overlap", (1, 1), (1, 0), 1)
 
 
 def _quadratic_families(m, values):
@@ -285,8 +283,8 @@ def test_closed_form_residue_equals_the_reduction():
 
 
 def test_other_rule_shapes_take_the_general_route(monkeypatch):
-    # a rule x*y with x < y, and rules y*x -> -x and x added by completion,
-    # are not quadratic in the closed form's sense: their overlaps reduce
+    # a rule x*y with x < y is not quadratic in the closed form's sense:
+    # its overlaps reduce
     def closed_form(*args):
         raise AssertionError("closed form used on a non-quadratic system")
 
@@ -297,50 +295,28 @@ def test_other_rule_shapes_take_the_general_route(monkeypatch):
     assert (x, y) not in R._quadratic
     residues = [rewrite._ambiguity_residue(R, amb) for amb in rewrite._ambiguities(R.rules)]
     assert any(residues)
-    P = _with_extra_relations(
-        presentation_A(12, [(1, 6)]),
-        "quad:xy",
-        [[("x(1,6)", "y(1,6)")], [("y(1,6)", "x(1,6)"), ("x(1,6)",)]],
-    )
-    assert compile_presentation(P).certificate.added_rules == 1  # a nonzero residue
 
 
 def _assert_interreduced(R):
     for l1 in R.rules:
         for l2 in R.rules:
             if l1 != l2:
-                assert not rewrite._contains(l1, l2), (l1, l2)
+                assert all(l1[p : p + len(l2)] != l2 for p in range(len(l1))), (l1, l2)
     assert R.lhs_lengths == tuple(sorted({len(l) for l in R.rules}, reverse=True))
-    factors = {}
-    for l in R.rules:
-        for f in {l[i:j] for i in range(len(l)) for j in range(i + 1, len(l) + 1)}:
-            factors[f] = factors.get(f, 0) + 1
-    assert R._factor_count == factors
 
 
 def test_rules_stay_interreduced():
-    # the displaced-rule and second-pass systems, and every family up to size 2
-    systems = [
-        _with_extra_relations(presentation_A(12, [(1, 6)]), None, [[("x(1,6)",)]]),
-        _with_extra_relations(
-            presentation_A(12, [(1, 6)]),
-            "quad:xy",
-            [[("x(1,6)", "y(1,6)")], [("y(1,6)", "x(1,6)"), ("x(1,6)",)]],
-        ),
-        *_family_presentations(12, 2, (1,)),
-    ]
-    for P in systems:
+    # every family up to size 2
+    for P in _family_presentations(12, 2, (1,)):
         _assert_interreduced(compile_presentation(P))
 
 
 def test_collapse_to_zero_is_a_completion_error():
-    # x = 1 with x^2 = 0 gives 1 = 0: no word rule expresses that, and
-    # completion says so instead of installing a rule with an empty left side
+    # the relation 1 = 0: no word rule expresses it, and compile says so
+    # instead of installing a rule with an empty left side
     one = CycloNumber.one(12)
     P = presentation_A(12, [(1, 6)])
-    P = dataclasses.replace(
-        P, relations=P.relations + (Relation("extra:x", ((one, ("x(1,6)",)),), ((one, (0, 0)),)),)
-    )
+    P = dataclasses.replace(P, relations=P.relations + (Relation("extra:one", ((one, ()),), ()),))
     with pytest.raises(CompletionError, match="algebra is zero"):
         compile_presentation(P)
 
@@ -424,7 +400,7 @@ def test_count_does_not_recurse_along_a_normal_word():
     # a^N = 0 alone: the normal words 1, a, ..., a^(N-1) sit on one path of N states
     N = sys.getrecursionlimit() + 500
     R = SimpleNamespace(
-        certificate=CompletionCertificate(1, 0, 0, 1, True),
+        certificate=CompletionCertificate(1, 0, True),
         rules={(0,) * N: {}},
         lhs_lengths=(N,),
         letters=("a",),
@@ -658,26 +634,34 @@ def test_ambiguity_index_matches_nested_loop_on_word_sets(words):
     assert rewrite._ambiguities(rules) == _nested_loop_ambiguities(rules)
 
 
-def test_ambiguity_index_matches_nested_loop_during_completion(monkeypatch):
-    # every pass of a completion that displaces a rule or adds one
-    index = rewrite._ambiguities
-    seen = []
+def _family_data(m, I, L, rng):
+    """A nonzero value on every free parameter entry of (I, L), drawn by rng."""
+    from nichols_dm.lifting import free_parameter_keys
 
-    def checked(rules):
-        out = index(rules)
-        assert out == _nested_loop_ambiguities(rules)
-        seen.append(len(out))
-        return out
+    data = {"lam": {}, "gamma": {}, "theta": {}, "mu": {}}
+    names = {"lambda": "lam", "gamma": "gamma", "theta": "theta", "mu": "mu"}
+    for name, key in free_parameter_keys(m, I, L):
+        data[names[name]][key] = rng.choice(("1", "3/2", "w^5", "w^2 - 1", "-w^3"))
+    return data
 
-    monkeypatch.setattr(rewrite, "_ambiguities", checked)
-    A = presentation_A(12, [(1, 6)])
-    compile_presentation(_with_extra_relations(A, None, [[("x(1,6)",)]]))
-    compile_presentation(
-        _with_extra_relations(
-            A, "quad:xy", [[("x(1,6)", "y(1,6)")], [("y(1,6)", "x(1,6)"), ("x(1,6)",)]]
-        )
-    )
-    assert seen == [1, 8, 1]  # ambiguities_checked 1, then 8 + 1 over two passes
+
+def test_families_compile_one_rule_per_quadratic_relation():
+    # every family a-d of size <= 3, zero data and nonzero data: no relation
+    # reduces to zero or to another rule's left side, and every overlap resolves
+    from nichols_dm.lifting import FAMILIES, family_members, family_presentation
+
+    rng = random.Random(21)
+    for m in (12, 16, 20):
+        for family in FAMILIES:
+            for I, L in family_members(m, family, 3):
+                data = [{}]
+                if family in "cd":
+                    data.append(_family_data(m, I, L, rng))
+                for datum in data:
+                    P = family_presentation(m, family, I, L, **datum)
+                    quadratic = sum(rel.label.startswith("quad:") for rel in P.relations)
+                    cert = compile_presentation(P).certificate
+                    assert cert.rule_count == quadratic, (m, family, I, L, datum)
 
 
 def test_dimension_equality_across_families_m12():
