@@ -492,6 +492,44 @@ def test_hopf_check_reports_corrupted_relations():
         assert not report.all_ok
 
 
+def test_hopf_check_of_another_presentation_is_pinned():
+    # R is compiled from A, so the relations of P2 need not reduce to zero in
+    # R; the report is that of Delta and S reduced term by term
+    one = CycloNumber.one(12)
+    A = presentation_A(12, [(1, 6)], lam=1)
+    R = compile_presentation(A)
+    cases = [
+        # x^2 = 1 against the rule x^2 -> 1 - h^2
+        (
+            ((one, (0, 0)),),
+            (False, False, False, (
+                "delta:quad:xx:x(1,6)|x(1,6):(-1)*[((), 2)(x)((), 2)]",
+                "counit:quad:xx:x(1,6)|x(1,6):-1",
+                "antipode:quad:xx:x(1,6)|x(1,6):(-1)*1*r^10",
+            )),
+        ),
+        # x^2 = 1 - h^4
+        (
+            ((one, (0, 0)), (-one, (0, 4))),
+            (False, True, False, (
+                "delta:quad:xx:x(1,6)|x(1,6):(-1)*[((), 2)(x)((), 2)] + (1)*[((), 4)(x)((), 4)]",
+                "antipode:quad:xx:x(1,6)|x(1,6):(1)*1*r^8 + (-1)*1*r^10",
+            )),
+        ),
+        # x^2 = 0
+        (
+            (),
+            (False, True, False, (
+                "delta:quad:xx:x(1,6)|x(1,6):(1)*[((), 0)(x)((), 0)] + (-1)*[((), 2)(x)((), 2)]",
+                "antipode:quad:xx:x(1,6)|x(1,6):(1)*1*e + (-1)*1*r^10",
+            )),
+        ),
+    ]
+    for rhs, expected in cases:
+        report = hopf_check(_with_rhs(A, "quad:xx", rhs), R)
+        assert (report.delta_ok, report.counit_ok, report.antipode_ok, report.failures) == expected
+
+
 def test_skew_primitives_group_algebra():
     R = compile_presentation(group_algebra_presentation(12))
     for degree in (GroupElement(12, 0, 0), GroupElement(12, 0, 2), GroupElement(12, 1, 0)):
