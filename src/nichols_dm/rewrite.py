@@ -50,6 +50,45 @@ is reduced once.  The structural relations are the zero element there, so
 only the quadratic relations carry a condition.  S is antimultiplicative
 on the model when the letters form a Yetter-Drinfeld module, which
 hopf_check checks letter by letter.
+
+The Hopf check of a family relation, r = x_a x_b - q x_b x_a - T with T
+in kD_m, needs no reduction when R was compiled from its presentation.
+Write r = r_2 + r_1 + r_0 by word length, and let every term c (x_a x_b,
+gamma) of r_2 sit at one gamma0 with one coproduct degree
+c_a + c_b = c (c_v = cop_exp(v), h_v = h_exp(v)); put G = h^c gamma0.  By
+the subset formula of _delta, Delta(x_a x_b, gamma) is
+
+    (x_a x_b, gamma) (x) gamma + (h^c gamma) (x) (x_a x_b, gamma)
+      + (x_a, h^c_b gamma) (x) (x_b, gamma)
+      + w^(h_b c_a) (x_b, h^c_a gamma) (x) (x_a, gamma),
+
+so in T(V)#kD_m, Delta(r) - r (x) gamma0 - G (x) r is exactly the sum of
+
+    the two cross terms above, for each term of r_2;
+    (x_v, gamma) (x) gamma + (h^c_v gamma) (x) (x_v, gamma)
+      - (x_v, gamma) (x) gamma0 - G (x) (x_v, gamma), for each c (x_v, gamma) of r_1;
+    gamma (x) gamma - gamma (x) gamma0 - G (x) gamma, for each c gamma of r_0,
+
+each times its coefficient.  Every leg there is a letter or a group
+element, which is normal while no rule has a left side shorter than 2.
+compile has shown that r reduces to zero, so r (x) gamma0 + G (x) r does
+too, and this tensor is the reduced Delta(r): the fully-left and
+fully-right legs of r_2 are never reduced.  _skew_primitive_residue writes
+it down, and hopf_check prints it as _delta would.
+
+When the tensor is zero, Delta(r) = r (x) gamma0 + G (x) r holds in
+T(V)#kD_m before any reduction.  If the letter metadata passes, the model
+is a Hopf algebra, so (eps (x) id) Delta(r) = r gives eps(r) = 0, and
+S(r_(1)) r_(2) = eps(r) gives S(r) gamma0 + G^-1 r = 0, that is
+S(r) = -G^-1 r gamma0^-1.  If also G r G^-1 = r in the model, then
+S(r) = -r G^-1 gamma0^-1, and multiplying by a group element on the right
+turns each rewrite into a rewrite, so S(r) reduces to zero and hopf_check
+skips that reduction.  Every family relation is fixed by G; the
+condition is still checked because compile does not check that the ideal
+is stable under the group, and left multiplication by G^-1 need not keep
+an element that reduces to zero reducing to zero.  Any other relation takes _delta and
+_antipode, as does every relation of a presentation that R was not
+compiled from: those need not reduce to zero.
 """
 
 from __future__ import annotations
@@ -112,6 +151,8 @@ class RewriteSystem:
         self.certificate: Optional[CompletionCertificate] = None
         self._nf_cache: dict[Monomial, Element] = {}
         self._quadratic: dict[Word, tuple] = {}  # (a, b) -> (q_ab or None, T_ab) per quadratic rule
+        # (label, unreduced element) of each non-structural relation, kept by compile
+        self.quadratic_relations: list[tuple[str, Element]] = []
 
     def conj_word(self, g: int, word: Word) -> tuple[int, Word]:
         """g . word = w^exp . word' . g; returns (exp, word')."""
@@ -360,6 +401,7 @@ def compile(P: Presentation, overlap_budget: Optional[int] = None) -> RewriteSys
                     ambiguity=rel.label,
                 )
             continue
+        sys.quadratic_relations.append((rel.label, el))
         el = sys.reduce(el)
         if el:
             sys._add_rule(*sys._orient(el))
@@ -511,7 +553,9 @@ def _delta(R: RewriteSystem, el: Element) -> Tensor:
     w^e_S (v_S, h^a_S gamma) (x) (v_[k]-S, gamma) with a_S the sum of
     cop_exp(v_j) over j not in S and e_S the sum of cop_exp(v_j) h_exp(v_i)
     over j < i, j not in S, i in S.  The terms are built letter by letter on
-    ints, and each leg is then reduced once.
+    ints, and each leg is then reduced once.  This is the general route:
+    skew_primitives takes it, and so does hopf_check for a relation that
+    _skew_primitive_residue cannot write down.
     """
     m = R.m
     out: Tensor = {}
@@ -568,20 +612,101 @@ class HopfReport:
         return self.delta_ok and self.counit_ok and self.antipode_ok
 
 
+def _skew_primitive_residue(R: RewriteSystem, el: Element) -> Optional[tuple[Tensor, int]]:
+    """(Delta(el) - el (x) gamma0 - G (x) el, G), written down; None for another shape.
+
+    el must have words of length <= 2, its degree-2 terms at one group
+    element gamma0 with one coproduct degree c, and G = h^c gamma0.  The
+    tensor is in normal form when no rule has a left side shorter than 2,
+    and it is the reduced Delta(el) when el also reduces to zero (see the
+    module docstring).
+    """
+    m = R.m
+    gamma0 = c = None
+    for word, g in el:
+        if len(word) > 2:
+            return None
+        if len(word) == 2:
+            degree = (R.cop_exp[word[0]] + R.cop_exp[word[1]]) % m
+            if gamma0 is None:
+                gamma0, c = g, degree
+            elif (g, degree) != (gamma0, c):
+                return None
+    if gamma0 is None:
+        return None
+    G = g_mul(m, c, gamma0)
+    out: Tensor = {}
+    for (word, g), coeff in el.items():
+        if len(word) == 2:
+            a, b = word
+            _add(out, (((a,), g_mul(m, R.cop_exp[b], g)), ((b,), g)), coeff)
+            e = R.h_exp[b] * R.cop_exp[a] % m
+            c_ba = coeff * CycloNumber.root(m, e) if e else coeff
+            _add(out, (((b,), g_mul(m, R.cop_exp[a], g)), ((a,), g)), c_ba)
+        else:
+            _add(out, ((word, g), ((), g)), coeff)
+            if word:
+                _add(out, (((), g_mul(m, R.cop_exp[word[0]], g)), (word, g)), coeff)
+            _add(out, ((word, g), ((), gamma0)), -coeff)
+            _add(out, (((), G), (word, g)), -coeff)
+    return out, G
+
+
+def _conjugation_fixes(R: RewriteSystem, el: Element, G: int) -> bool:
+    """Whether G el G^-1 = el in the monomial model."""
+    m = R.m
+    G_inv = g_inv(m, G)
+    for (word, g), coeff in el.items():
+        exp, moved = R.conj_word(G, word)
+        image = (moved, g_mul(m, g_mul(m, G, g), G_inv))
+        if exp:
+            coeff = coeff * CycloNumber.root(m, exp)
+        if image not in el or el[image] != coeff:
+            return False
+    return True
+
+
 def hopf_check(P: Presentation, R: RewriteSystem) -> HopfReport:
     """Verify that Delta, the counit and the antipode descend to the quotient.
 
     Delta, the counit and S are applied to the element of each relation in
     the monomial model; a relation is respected when the image reduces to
     zero.  The counit kills every letter and sends each group element to 1.
+
+    When R was compiled from P (P is R.presentation), the relations are
+    the elements compile kept: the structural ones are zero, and each
+    quadratic one reduces to zero.  Then, while no rule has a left side
+    shorter than 2, Delta of a relation of words of length <= 2 whose
+    degree-2 terms share one group element and one coproduct degree is
+    written down (_skew_primitive_residue), and a relation it shows to be
+    (G, gamma0)-skew-primitive and fixed by G skips the antipode
+    reduction when the letter metadata passes (see the module docstring).
+    Any other relation, and every relation of a P that R was not compiled
+    from, takes _delta and _antipode.
     """
     if R.certificate is None:
         raise CompletionError("hopf_check needs a certified system")
-    elements = [(rel.label, _relation_element(R, rel)) for rel in P.relations]
+    if P is R.presentation:
+        elements = R.quadratic_relations
+        closed = not R.lhs_lengths or R.lhs_lengths[-1] >= 2
+    else:
+        elements = [(rel.label, _relation_element(R, rel)) for rel in P.relations]
+        closed = False
+    # S(ab) = S(b) S(a) in the model iff g swaps each letter with one of opposite degree
+    metadata = [
+        name
+        for v, name in enumerate(R.letters)
+        if R.partner[R.partner[v]] != v or (R.cop_exp[R.partner[v]] + R.cop_exp[v]) % R.m
+    ]
     failures = []
     delta_ok = True
+    primitive = []  # per relation: S(el) is known to reduce to zero
     for label, el in elements:
-        residue = _delta(R, el)
+        found = _skew_primitive_residue(R, el) if closed else None
+        residue = _delta(R, el) if found is None else found[0]
+        primitive.append(
+            found is not None and not residue and not metadata and _conjugation_fixes(R, el, found[1])
+        )
         if residue:
             delta_ok = False
             failures.append(f"delta:{label}:{_tensor_str(R, residue)}")
@@ -591,18 +716,13 @@ def hopf_check(P: Presentation, R: RewriteSystem) -> HopfReport:
         if residue:
             counit_ok = False
             failures.append(f"counit:{label}:{residue}")
-    antipode_ok = True
-    for label, el in elements:
-        residue = R.reduce(_antipode(R, el))
+    antipode_ok = not metadata
+    for (label, el), skip in zip(elements, primitive):
+        residue = {} if skip else R.reduce(_antipode(R, el))
         if residue:
             antipode_ok = False
             failures.append(f"antipode:{label}:{_element_str(R, residue)}")
-    # S(ab) = S(b) S(a) in the model iff g swaps each letter with one of opposite degree
-    for v, name in enumerate(R.letters):
-        p = R.partner[v]
-        if R.partner[p] != v or (R.cop_exp[p] + R.cop_exp[v]) % R.m:
-            antipode_ok = False
-            failures.append(f"antipode:metadata:{name}")
+    failures.extend(f"antipode:metadata:{name}" for name in metadata)
     return HopfReport(delta_ok, counit_ok, antipode_ok, tuple(failures))
 
 

@@ -896,3 +896,90 @@ def test_hopf_check_flags_inconsistent_coproduct_degrees():
     assert (report.delta_ok, report.counit_ok, report.antipode_ok) == (False, True, False)
     assert report.failures[-2:] == ("antipode:metadata:z(3)", "antipode:metadata:w(3)")
     assert sum("metadata" in line for line in report.failures) == 2
+
+
+def test_closed_form_delta_equals_the_general_route(monkeypatch):
+    # every relation of families a-d of size <= 2 at m = 12..48, zero and
+    # nonzero data, and of the corrupted presentations: the written-down
+    # residue equals _delta, and each relation whose antipode hopf_check does
+    # not reduce has S(el) reducing to zero
+    general = []  # the elements hopf_check hands to _antipode
+    antipode = rewrite._antipode
+    monkeypatch.setattr(rewrite, "_antipode", lambda R, el: general.append(el) or antipode(R, el))
+    presentations = [
+        P
+        for m in (12, 24, 36, 48)
+        for values in ((0,), ("3/2", "w^5", "w^2 - 1"))
+        for P in _quadratic_families(m, values)
+    ]
+    skipped = reduced = 0
+    for P in itertools.chain(presentations, _corrupted_presentations()):
+        R = compile_presentation(P)
+        assert R.lhs_lengths[-1] == 2
+        general.clear()
+        hopf_check(P, R)
+        for label, el in R.quadratic_relations:
+            residue, G = rewrite._skew_primitive_residue(R, el)
+            assert residue == rewrite._delta(R, el), (P.I, P.L, label)
+            if any(el is seen for seen in general):
+                reduced += 1
+            else:
+                skipped += 1
+                assert not residue
+                assert R.reduce(antipode(R, el)) == {}, (P.I, P.L, label)
+    # reduced: the three corrupted relations, and every relation of a
+    # presentation with a letter of wrong degree, 3 shifts x (2 letters x 3
+    # relations + 4 x 10 + 2 x 3)
+    assert (skipped, reduced) == (20365, 3 + 3 * (2 * 3 + 4 * 10 + 2 * 3))
+
+
+def test_closed_form_delta_with_a_letter_term():
+    # the rule y x -> -x y + 2 x h^3 + w^5 (1 - h^2) makes el = yx + xy - 2 x h^3
+    # - w^5 (1 - h^2), times any group element, reduce to zero in one step;
+    # its letter term sits at another group element than its degree-2 terms
+    m = 12
+    R = compile_presentation(presentation_A(m, [(1, 6)]))
+    x, y = R.letter_index["x(1,6)"], R.letter_index["y(1,6)"]
+    one, w5 = CycloNumber.one(m), CycloNumber.root(m, 5)
+    two = one + one
+    R._add_rule((y, x), {((x, y), 0): -one, ((x,), 3): two, ((), 0): w5, ((), 2): -w5})
+    rel = {((y, x), 0): one, ((x, y), 0): one, ((x,), 3): -two, ((), 0): -w5, ((), 2): w5}
+    for gamma in (0, 1, m, 2 * m - 1):
+        el = {(word, g_mul(m, g, gamma)): c for (word, g), c in rel.items()}
+        assert R.reduce(el) == {}
+        residue, _ = rewrite._skew_primitive_residue(R, el)
+        assert residue and residue == rewrite._delta(R, el), gamma
+
+
+def test_a_relation_not_fixed_by_G_takes_the_general_antipode():
+    # letters with h-eigenvalue exponent and coproduct degree (1, 2) and
+    # (2, 8), and their g-partners: r = x1 x2 - w^4 x2 x1 - (1 - h^10) is
+    # (h^10, 1)-primitive, but h^10 r h^-10 = -r - 2 (1 - h^10), so the ideal
+    # is not stable under h and S(r) = -h^2 r does not reduce to zero
+    from nichols_dm.lifting import Presentation, SkewGenerator
+
+    m = 12
+    one, q = CycloNumber.one(m), CycloNumber.root(m, 4)
+    gens = (
+        SkewGenerator("x1", "x", (1,), "y1", 1, 2),
+        SkewGenerator("y1", "y", (1,), "x1", 11, 10),
+        SkewGenerator("x2", "x", (2,), "y2", 2, 8),
+        SkewGenerator("y2", "y", (2,), "x2", 10, 4),
+    )
+    rels = (
+        Relation("quad:x", ((one, ("x1", "x2")), (-q, ("x2", "x1"))), ((one, (0, 0)), (-one, (0, 10)))),
+        Relation("quad:y", ((one, ("y1", "y2")), (-q, ("y2", "y1"))), ((one, (0, 0)), (-one, (0, 2)))),
+    )
+    P = Presentation(m, "A", (), (), LiftingDatum.zero(m, (), ()), gens, rels)
+    R = compile_presentation(P)
+    for _, el in R.quadratic_relations:
+        residue, G = rewrite._skew_primitive_residue(R, el)
+        assert residue == rewrite._delta(R, el) == {}
+        assert not rewrite._conjugation_fixes(R, el, G)
+    report = hopf_check(P, R)
+    assert (report.delta_ok, report.counit_ok, report.antipode_ok, report.failures) == (
+        True, True, False, (
+            "antipode:quad:x:(-2)*1*e + (2)*1*r^2",
+            "antipode:quad:y:(-2)*1*e + (2)*1*r^10",
+        ),
+    )
