@@ -282,6 +282,94 @@ def test_closed_form_residue_equals_the_reduction():
     assert seen == {(True, True), (False, True), (True, False), (False, False)}
 
 
+def _corrupted_tailed_systems(m):
+    """Systems of tailed families at m with one rule corrupted, by kind of corruption.
+
+    The corruptions: one tail coefficient changed; q replaced by 2 and by
+    w^e (1 + w), which are not roots; a tail entry w^(n+1) h^(n+1), n = m/2.
+    """
+    one, n = CycloNumber.one(m), m // 2
+    not_roots = (one + one, CycloNumber.root(m, n + 1) * (one + CycloNumber.root(m, 1)))
+    for P in itertools.islice(_quadratic_families(m, ("3/2", "w^5", "w^2 - 1", "-w^3")), 0, None, 7):
+        R = compile_presentation(P)
+        tailed = [lhs for lhs, (_, tail) in R._quadratic.items() if tail]
+        skewed = [lhs for lhs, (q, _) in R._quadratic.items() if q is not None]
+        if not tailed or not skewed:
+            continue
+        lhs = tailed[len(tailed) // 2]
+        rhs = dict(R.rules[lhs])
+        mono = next(mono for mono in rhs if not mono[0])
+        rhs[mono] = rhs[mono] * 3
+        yield "coefficient", R, lhs, rhs
+        lhs = skewed[len(skewed) // 2]
+        for q in not_roots:
+            yield "q", R, lhs, {**R.rules[lhs], (lhs[::-1], 0): q}
+        lhs = tailed[0]
+        yield "tail", R, lhs, {**R.rules[lhs], ((), n + 1): CycloNumber.root(m, n + 1)}
+
+
+@pytest.mark.parametrize("m", [12, 24, 36, 48])
+def test_closed_form_residue_equals_the_reduction_on_corrupted_systems(m):
+    # the oracle above on residues that need not vanish: every overlap of a
+    # tailed family with one rule corrupted against the two-sided reduction
+    one = CycloNumber.one(m)
+    nonzero = dict.fromkeys(("coefficient", "q", "tail"), 0)
+    for kind, R, lhs, rhs in _corrupted_tailed_systems(m):
+        R._add_rule(lhs, rhs)
+        assert len(R._quadratic) == len(R.rules)
+        for amb in rewrite._ambiguities(R.rules):
+            _, (a, b), (_, c), _ = amb
+            general = R.reduce(el_mul(R, R.rules[(a, b)], {((c,), 0): one}))
+            for mono, coeff in R.reduce(el_mul(R, {((a,), 0): one}, R.rules[(b, c)])).items():
+                rewrite._add(general, mono, -coeff)
+            assert rewrite._ambiguity_residue(R, amb) == general, (kind, amb)
+            nonzero[kind] += bool(general)
+    # a scaled tail coefficient keeps every residue zero: each tail entry
+    # cancels on its own where the group element passes the letters
+    assert nonzero["coefficient"] == 0 and nonzero["q"] and nonzero["tail"], nonzero
+
+
+def _with_relation(P, label, lhs, rhs):
+    """P with the relation labelled `label` replaced by lhs = rhs."""
+    relations = tuple(
+        dataclasses.replace(rel, lhs=lhs, rhs=rhs) if rel.label == label else rel
+        for rel in P.relations
+    )
+    return dataclasses.replace(P, relations=relations)
+
+
+def test_a_nonzero_closed_form_residue_is_pinned():
+    # two corrupted A-presentations whose first failing overlap takes the
+    # closed form: the rule x(5,6) x(1,6) -> 2 x(1,6) x(5,6) + ..., whose q
+    # is not a root, and a tail -w^7 h^7 in place of -h^2
+    m = 12
+    one, w7 = CycloNumber.one(m), CycloNumber.root(m, 7)
+    P = presentation_A(m, [(1, 6), (5, 6)], lam=1, gamma={(1, 6, 5, 6): 1})
+    half = (one + one).inverse()
+    cases = [
+        (
+            _with_relation(P, "quad:xx:x(1,6)|x(5,6)",
+                           ((one, ("x(1,6)", "x(5,6)")), (-half, ("x(5,6)", "x(1,6)"))),
+                           ((one, (0, 0)), (-one, (0, 6)))),
+            "the overlap x(5,6)*x(1,6)*x(1,6) of x(5,6)*x(1,6) and x(1,6)*x(1,6) leaves the "
+            "residue (-6)*x(1,6)*e + (6)*x(1,6)*r^6 + (3)*x(5,6)*e + (-3)*x(5,6)*r^2; "
+            "the rules are not confluent",
+            ("overlap", (2, 0), (0, 0), 1),
+        ),
+        (
+            _with_relation(P, "quad:xx:x(1,6)|x(1,6)", ((one, ("x(1,6)", "x(1,6)")),),
+                           ((one, (0, 0)), (-w7, (0, 7)))),
+            "the overlap x(1,6)*x(1,6)*x(1,6) of x(1,6)*x(1,6) and x(1,6)*x(1,6) leaves the "
+            "residue (-2*w)*x(1,6)*r^7; the rules are not confluent",
+            ("overlap", (0, 0), (0, 0), 1),
+        ),
+    ]
+    for P2, message, ambiguity in cases:
+        with pytest.raises(CompletionError) as info:
+            compile_presentation(P2)
+        assert (str(info.value), info.value.ambiguity) == (message, ambiguity)
+
+
 def test_other_rule_shapes_take_the_general_route(monkeypatch):
     # a rule x*y with x < y is not quadratic in the closed form's sense:
     # its overlaps reduce
