@@ -81,8 +81,9 @@ class _Field:
     ``Phi_m`` is monic with integer coefficients, so every row
     ``x^a mod Phi_m`` is integral; a row is built only when ``w^a`` is first
     asked for.  ``root_lookup`` maps the rows built so far to their
-    exponents: it feeds the fast paths of ``*`` (root times root, and a
-    shift for root times anything) and nothing that decides a result.
+    exponents (a negated row reads, for even m, as its exponent plus m/2): it
+    feeds the fast paths of ``*`` (root times root, and a shift for root
+    times anything) and nothing that decides a result.
     """
 
     __slots__ = ("m", "degree", "tail", "roots", "root_lookup", "zero", "one")
@@ -334,11 +335,24 @@ class CycloNumber:
             return hash(Fraction(self.num[0], self.den))
         return hash((self.m, self.num, self.den))
 
+    def root_exponent(self) -> int | None:
+        """a with self == w^a, if found among the roots built so far; else None."""
+        return self._root_hint(_field(self.m))
+
     def _root_hint(self, field: _Field) -> int | None:
-        """Exponent a with self == w^a if w^a is among the roots built so far."""
+        """Exponent a with self == w^a if w^a is among the roots built so far.
+
+        For even m, -w^b = w^(b + m/2) is found through w^b as well.
+        """
         memo = self._root_memo
         if memo is _UNSET:
-            memo = field.root_lookup.get(self.num) if self.den == 1 else None
+            memo = None
+            if self.den == 1:
+                memo = field.root_lookup.get(self.num)
+                if memo is None and self.m % 2 == 0:
+                    memo = field.root_lookup.get(tuple(-c for c in self.num))
+                    if memo is not None:
+                        memo = (memo + self.m // 2) % self.m
             object.__setattr__(self, "_root_memo", memo)
         return memo
 

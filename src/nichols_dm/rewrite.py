@@ -39,7 +39,10 @@ both sides cancel.  The formula follows the leftmost-redex order of
 normal_form_monomial, so it gives the same element as reducing both
 sides.  _add_rule records each rule's (q, T) split in _quadratic; with any
 other rule present (a hand-built rule, say) every overlap takes the
-general reduction.
+general reduction.  _settle sums this residue and _skew_primitive_residue's:
+each term is s c w^e, c normalised to a sign (1 for a root), so terms cancel
+as counts on (monomial, c, e mod m/2) without a scalar product: on a family,
+the Andruskiewitsch-Schneider condition chi_b chi_c(g_a) = 1 for T_bc != 0.
 
 hopf_check applies Delta and the antipode S to each relation's element in
 T(V)#kD_m, the monomial model without rewriting, and reduces the image
@@ -124,6 +127,26 @@ def _add(acc: dict, key, coeff: CycloNumber) -> None:
         acc[key] = new
     else:
         acc.pop(key, None)
+
+
+def _signed(coeff: CycloNumber) -> tuple[CycloNumber, int, int]:
+    """(c, e, s) with coeff = s c w^e: c = 1 for a known root, else e = 0 and c leads positive."""
+    e = coeff.root_exponent()
+    if e is not None:
+        return CycloNumber.one(coeff.m), e, 1
+    return (-coeff, 0, -1) if next((x for x in coeff.num if x), 0) < 0 else (coeff, 0, 1)
+
+
+def _settle(m: int, terms) -> dict:
+    """Sum the terms (key, c, e, s), each s c w^e, per key; they cancel as counts first."""
+    half, counts, out = (m // 2 if m % 2 == 0 else m), {}, {}
+    for key, coeff, e, sign in terms:
+        flip, e = divmod(e % m, half)  # w^(m/2) = -1 for even m
+        counts.setdefault((key, e, coeff.num, coeff.den), [0, coeff])[0] += -sign if flip else sign
+    for (key, e, _, _), (n, coeff) in counts.items():
+        if n:
+            _add(out, key, coeff * CycloNumber.root(m, e) * n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -218,8 +241,10 @@ class RewriteSystem:
 
     def _orient(self, el: Element) -> tuple[Word, Element]:
         lead = self._lead_word(el)
-        if not lead:  # a group element reduces to zero
-            raise CompletionError("the relations give 1 = 0: the algebra is zero", ambiguity=lead)
+        if not lead:  # a relation inside kD_m; it says 1 = 0 only when it is one c gamma
+            message = "1 = 0: the algebra is zero" if len(el) == 1 else (
+                f"{_element_str(self, el)} = 0 in kD_m, which no word rule expresses")
+            raise CompletionError(f"the relations give {message}", ambiguity=lead)
         lead_terms = {g: c for (w, g), c in el.items() if w == lead}
         if len(lead_terms) != 1:
             raise CompletionError(
@@ -252,17 +277,17 @@ class RewriteSystem:
 def _quadratic_split(lhs: Word, rhs: Element) -> Optional[tuple]:
     """(q, T) if the rule reads x_a x_b -> q x_b x_a + T with a >= b, T in kD_m; else None.
 
-    q is None when the rule has no degree-2 term; T is a tuple of
-    (group element, coefficient).
+    q is _signed's (c, e, s) of the scalar, or None when the rule has no
+    degree-2 term; T is a tuple of (group element, c, e, s), one per term.
     """
     if len(lhs) != 2 or lhs[0] < lhs[1]:
         return None
     q, tail = None, []
     for (word, g), coeff in rhs.items():
         if not word:
-            tail.append((g, coeff))
+            tail.append((g, *_signed(coeff)))
         elif word == lhs[::-1] and g == 0:
-            q = coeff
+            q = _signed(coeff)
         else:
             return None
     return q, tuple(tail)
@@ -336,46 +361,28 @@ def _quadratic_residue(sys: RewriteSystem, a: int, b: int, c: int) -> Element:
     """The residue of the overlap x_a x_b x_c of three quadratic rules.
 
     Only the terms whose tail T is nonempty are formed, so a homogeneous
-    system gives {} without a scalar product.
+    system gives {} without a scalar product.  _settle sums the terms.
     """
-    q_ab, t_ab = sys._quadratic[(a, b)]
-    q_bc, t_bc = sys._quadratic[(b, c)]
-    q_ac, t_ac = sys._quadratic[(a, c)]
-    residue: Element = {}
-    if t_bc:
-        if q_ab and q_ac:
-            _tail_terms(sys, residue, t_bc, a, q_ab * q_ac, False)
-        _tail_terms(sys, residue, t_bc, a, None, True, letter_first=True)
-    if t_ac:
-        if q_ab:
-            _tail_terms(sys, residue, t_ac, b, q_ab, False, letter_first=True)
-        if q_bc:
-            _tail_terms(sys, residue, t_ac, b, q_bc, True)
-    if t_ab:
-        _tail_terms(sys, residue, t_ab, c, None, False)
-        if q_bc and q_ac:
-            _tail_terms(sys, residue, t_ab, c, q_bc * q_ac, True, letter_first=True)
-    return residue
-
-
-def _tail_terms(sys, out, tail, d, scale, negate, letter_first=False) -> None:
-    """out += (-1 if negate) * scale * (x_d T if letter_first else T x_d).
-
-    scale None stands for 1; T x_d moves x_d left past each group element.
-    """
-    for g, coeff in tail:
-        factor = scale
-        if letter_first:
-            mono = ((d,), g)
-        else:
-            exp, moved = sys.conj_word(g, (d,))
-            mono = (moved, g)
-            if exp:
-                root = CycloNumber.root(sys.m, exp)
-                factor = root if scale is None else scale * root
-        if factor is not None:
-            coeff = coeff * factor
-        _add(out, mono, -coeff if negate else coeff)
+    quad = sys._quadratic
+    (q_ab, t_ab), (q_bc, t_bc), (q_ac, t_ac) = quad[(a, b)], quad[(b, c)], quad[(a, c)]
+    if not (t_ab or t_bc or t_ac):
+        return {}
+    one, terms = CycloNumber.one(sys.m), []
+    for tail, d, qs, sign, letter_first in (
+        (t_bc, a, (q_ab, q_ac), 1, False), (t_bc, a, (), -1, True),
+        (t_ac, b, (q_ab,), 1, True), (t_ac, b, (q_bc,), -1, False),
+        (t_ab, c, (), 1, False), (t_ab, c, (q_bc, q_ac), -1, True),
+    ):
+        if not tail or None in qs:
+            continue
+        scale, exp = one, 0
+        for qc, qe, qsign in qs:
+            scale, exp, sign = scale * qc, exp + qe, sign * qsign
+        for g, coeff, e, s in tail:
+            conj, moved = (0, (d,)) if letter_first else sys.conj_word(g, (d,))
+            coeff = coeff if scale is one else coeff * scale
+            terms.append(((moved, g), coeff, e + exp + conj, s * sign))
+    return _settle(sys.m, terms)
 
 
 def compile(P: Presentation, overlap_budget: Optional[int] = None) -> RewriteSystem:
@@ -635,21 +642,21 @@ def _skew_primitive_residue(R: RewriteSystem, el: Element) -> Optional[tuple[Ten
     if gamma0 is None:
         return None
     G = g_mul(m, c, gamma0)
-    out: Tensor = {}
+    terms = []
     for (word, g), coeff in el.items():
+        coeff, e, s = _signed(coeff)
         if len(word) == 2:
             a, b = word
-            _add(out, (((a,), g_mul(m, R.cop_exp[b], g)), ((b,), g)), coeff)
-            e = R.h_exp[b] * R.cop_exp[a] % m
-            c_ba = coeff * CycloNumber.root(m, e) if e else coeff
-            _add(out, (((b,), g_mul(m, R.cop_exp[a], g)), ((a,), g)), c_ba)
+            terms.append(((((a,), g_mul(m, R.cop_exp[b], g)), ((b,), g)), coeff, e, s))
+            e_ba = e + R.h_exp[b] * R.cop_exp[a]
+            terms.append(((((b,), g_mul(m, R.cop_exp[a], g)), ((a,), g)), coeff, e_ba, s))
         else:
-            _add(out, ((word, g), ((), g)), coeff)
+            terms.append((((word, g), ((), g)), coeff, e, s))
             if word:
-                _add(out, (((), g_mul(m, R.cop_exp[word[0]], g)), (word, g)), coeff)
-            _add(out, ((word, g), ((), gamma0)), -coeff)
-            _add(out, (((), G), (word, g)), -coeff)
-    return out, G
+                terms.append(((((), g_mul(m, R.cop_exp[word[0]], g)), (word, g)), coeff, e, s))
+            terms.append((((word, g), ((), gamma0)), coeff, e, -s))
+            terms.append(((((), G), (word, g)), coeff, e, -s))
+    return _settle(m, terms), G
 
 
 def _conjugation_fixes(R: RewriteSystem, el: Element, G: int) -> bool:
@@ -772,15 +779,7 @@ def skew_primitives(R: RewriteSystem, degree: GroupElement) -> list[Element]:
         _add(t, (d_mono, mono), -one)
         columns[mono] = t
     coords = sorted({key for t in columns.values() for key in t})
-    rows = []
-    for coord in coords:
-        row = {
-            mono: t[coord]
-            for mono, t in columns.items()
-            if coord in t
-        }
-        if row:
-            rows.append(row)
+    rows = [{mono: t[coord] for mono, t in columns.items() if coord in t} for coord in coords]
     return _nullspace(R.m, unknowns, rows)
 
 

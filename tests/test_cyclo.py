@@ -547,6 +547,52 @@ def test_root_times_non_root_matches_fraction_oracle(m, data):
     assert_agrees(a * root, oa * _fraction_root(m, e))
 
 
+@pytest.mark.parametrize("m", [12, 24, 36, 48, 15])
+def test_root_hint_is_never_wrong(m):
+    # sums, differences and products of two roots, and their negatives: a
+    # hint, where there is one, is an exponent of the value; for even m,
+    # -w^a is found as w^(a + m/2)
+    field = cyclo._field(m)
+    roots = [CycloNumber.root(m, a) for a in range(m)]
+    for a, ra in enumerate(roots):
+        for rb in roots:
+            for x in (ra + rb, ra - rb, ra * rb * 2, CycloNumber(m, (ra * rb).coeffs)):
+                for y in (x, -x):
+                    e = CycloNumber(m, y.coeffs)._root_hint(field)
+                    assert e is None or y == roots[e], (m, y, e)
+
+
+@pytest.mark.parametrize("m", [12, 24, 36, 48, 15])
+def test_negated_root_is_found_through_its_root(m, monkeypatch):
+    # on a field with no other row built, -w^a has the hint a + m/2 for even
+    # m, found through the row of w^a, and builds no row; odd m has none
+    monkeypatch.setattr(cyclo, "_FIELDS", {})
+    field = cyclo._field(m)
+    for a in range(0, m, 5):
+        minus = -CycloNumber.root(m, a)
+        rows = len(field.root_lookup)
+        assert minus._root_hint(field) == ((a + m // 2) % m if m % 2 == 0 else None)
+        assert len(field.root_lookup) == rows
+
+
+@pytest.mark.parametrize("m", [12, 24, 36, 48])
+def test_signed_root_fast_path_matches_the_convolution(m):
+    # +-w^a times any value, by the shift or the root-times-root path, equals
+    # the plain product of the coefficient vectors reduced by Phi_m
+    field = cyclo._field(m)
+    d = len(cyclotomic_polynomial(m)) - 1
+    others = [CycloNumber(m, [(3 * j + k) % 7 - 3 for j in range(d)]) for k in range(4)]
+    others += [CycloNumber.root(m, 5), -CycloNumber.root(m, m - 1),
+               CycloNumber.from_rational(m, Fraction(-2, 3))]
+    for a in range(m):
+        for x in (CycloNumber.root(m, a), -CycloNumber.root(m, a)):
+            assert x._root_hint(field) is not None
+            for y in others:
+                plain = CycloNumber(m, poly_mul(x.coeffs, y.coeffs))
+                assert x * y == plain and y * x == plain, (m, x, y)
+            assert x * x.inverse() == 1
+
+
 def test_rational_hash_matches_fraction():
     assert CycloNumber.one(12) == 1
     assert len({CycloNumber.one(12), 1}) == 1

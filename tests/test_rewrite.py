@@ -3,6 +3,7 @@ import functools
 import itertools
 import random
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -282,6 +283,34 @@ def test_closed_form_residue_equals_the_reduction():
     assert seen == {(True, True), (False, True), (True, False), (False, False)}
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((12, 24, 7, 15)), st.data())
+def test_settle_equals_the_naive_sum(m, data):
+    # random terms s c w^e with repeated keys, c and -c, e in 0..2m and some
+    # pairs that cancel; passed as drawn and through _signed
+    one, w = CycloNumber.one(m), CycloNumber.root(m, 1)
+    base = [one, CycloNumber.from_rational(m, Fraction(3, 2)), w - one, w * w * 2 + one, w]
+    coeffs = base + [-c for c in base]
+    keys = [((0,), 0), ((1,), 3), ((), 5)]
+    term = st.tuples(st.sampled_from(keys), st.sampled_from(coeffs),
+                     st.integers(0, 2 * m), st.sampled_from((1, -1)))
+    terms = data.draw(st.lists(term, max_size=10))
+    partners = st.lists(st.sampled_from(terms), max_size=4) if terms else st.just([])
+    for key, c, e, s in data.draw(partners):
+        # a cancelling partner: -c w^e, or c w^(e + m/2) for even m
+        half = m % 2 == 0 and data.draw(st.booleans())
+        terms.append((key, c, e + m // 2, s) if half else (key, -c, e + m, s))
+    naive = {}
+    for key, c, e, s in terms:
+        rewrite._add(naive, key, c * CycloNumber.root(m, e) * s)
+    assert rewrite._settle(m, terms) == naive
+    signed = []
+    for key, c, e, s in terms:
+        c, e0, s0 = rewrite._signed(c)
+        signed.append((key, c, e + e0, s * s0))
+    assert rewrite._settle(m, signed) == naive
+
+
 def _corrupted_tailed_systems(m):
     """Systems of tailed families at m with one rule corrupted, by kind of corruption.
 
@@ -407,6 +436,23 @@ def test_collapse_to_zero_is_a_completion_error():
     P = dataclasses.replace(P, relations=P.relations + (Relation("extra:one", ((one, ()),), ()),))
     with pytest.raises(CompletionError, match="algebra is zero"):
         compile_presentation(P)
+
+
+def test_a_relation_inside_the_group_algebra_is_named():
+    # 1 - h^4 = 0 leaves a nonzero quotient, so compile names the element of
+    # kD_m instead of saying 1 = 0; a single term 2 h^3 still says 1 = 0
+    one = CycloNumber.one(12)
+    P = presentation_A(12, [(1, 6)])
+    cases = [
+        (((one, ()), (-one, ("h",) * 4)),
+         "the relations give (1)*1*e + (-1)*1*r^4 = 0 in kD_m, which no word rule expresses"),
+        (((one + one, ("h",) * 3),), "the relations give 1 = 0: the algebra is zero"),
+    ]
+    for lhs, message in cases:
+        extra = dataclasses.replace(P, relations=P.relations + (Relation("extra:group", lhs, ()),))
+        with pytest.raises(CompletionError) as info:
+            compile_presentation(extra)
+        assert str(info.value) == message
 
 
 def _with_letter(P, name, **fields):
