@@ -84,6 +84,37 @@ def reduce_with_strategy(R, el, rightmost):
     return out
 
 
+def reference_reduce(R, el):
+    """Reduction through the memoised, recursive normal form of each monomial.
+
+    The normal form of a monomial is itself when it is irreducible, and
+    otherwise the normal forms of the terms that rewriting its leftmost
+    redex gives; each is cached for the call.
+    """
+    cache = {}
+
+    def normal_form(mono):
+        if mono in cache:
+            return cache[mono]
+        word, g = mono
+        match = R._find_redex(word)
+        if match is None:
+            result = {mono: CycloNumber.one(R.m)}
+        else:
+            result = {}
+            for new_mono, coeff in R._apply_rule(word, g, match):
+                for m3, c3 in normal_form(new_mono).items():
+                    rewrite._add(result, m3, coeff * c3)
+        cache[mono] = result
+        return result
+
+    out = {}
+    for mono, coeff in el.items():
+        for m2, c2 in normal_form(mono).items():
+            rewrite._add(out, m2, coeff * c2)
+    return out
+
+
 def group_algebra_presentation(m):
     """Just the group algebra of D_m (no skew-primitives); 2m normal words.
 
@@ -186,15 +217,20 @@ def test_reduction_decreases_and_terminates():
             assert R._find_redex(w) is None
 
 
-def test_inconsistent_system_adds_rules_loudly():
-    # x*y = 0 clashes with x^2 = 1 on the overlap x*x*y, collapsing y;
-    # the overlap check must see a nonzero residue
-    P = presentation_A(12, [(1, 6)], lam=1)
-    R = compile_presentation(P)
+def _clashing_system():
+    """The A-system at m = 12 with the rules x*y -> 0 and x*x -> 1 put in by hand."""
+    R = compile_presentation(presentation_A(12, [(1, 6)], lam=1))
     x = R.letter_index["x(1,6)"]
     y = R.letter_index["y(1,6)"]
     R._add_rule((x, y), {})
     R._add_rule((x, x), {((), g_encode(12, 0, 0)): CycloNumber.one(12)})
+    return R
+
+
+def test_inconsistent_system_adds_rules_loudly():
+    # x*y = 0 clashes with x^2 = 1 on the overlap x*x*y, collapsing y;
+    # the overlap check must see a nonzero residue
+    R = _clashing_system()
     from nichols_dm.rewrite import _ambiguities, _ambiguity_residue
 
     residues = [
@@ -356,6 +392,46 @@ def test_closed_form_residue_equals_the_reduction_on_corrupted_systems(m):
     # a scaled tail coefficient keeps every residue zero: each tail entry
     # cancels on its own where the group element passes the letters
     assert nonzero["coefficient"] == 0 and nonzero["q"] and nonzero["tail"], nonzero
+
+
+def _random_elements(R, rng, count):
+    """count elements of up to 4 terms: words of up to 6 letters, any group element."""
+    m = R.m
+    coeffs = [CycloNumber.one(m), CycloNumber.from_rational(m, Fraction(3, 2)),
+              CycloNumber.root(m, 5), CycloNumber.root(m, 2) - CycloNumber.one(m)]
+    letters = range(len(R.letters))
+    for _ in range(count):
+        el = {}
+        for _ in range(rng.randint(1, 4)):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+            rewrite._add(el, (word, rng.randrange(2 * m)), rng.choice(coeffs))
+        yield el
+
+
+def test_reduce_equals_the_recursive_normal_form_on_families():
+    rng = random.Random(24)
+    for m in (12, 24):
+        for values in ((0,), ("3/2", "w^5", "w^2 - 1")):
+            for P in _quadratic_families(m, values):
+                R = compile_presentation(P)
+                for el in _random_elements(R, rng, 4):
+                    assert R.reduce(el) == reference_reduce(R, el), (P.I, P.L, el)
+
+
+def test_reduce_equals_the_recursive_normal_form_on_non_confluent_systems():
+    # the strategy decides the normal form here: leftmost redex first
+    rng = random.Random(25)
+    systems = [_clashing_system()]
+    for m in (12, 24):
+        for _, R, lhs, rhs in _corrupted_tailed_systems(m):
+            R._add_rule(lhs, rhs)
+            systems.append(R)
+    differ = 0
+    for R in systems:
+        for el in _random_elements(R, rng, 30):
+            assert R.reduce(el) == reference_reduce(R, el), el
+            differ += reduce_with_strategy(R, el, rightmost=True) != reference_reduce(R, el)
+    assert differ
 
 
 def _with_relation(P, label, lhs, rhs):
@@ -624,6 +700,25 @@ def test_hopf_check_reports_corrupted_relations():
         report = hopf_check(P, compile_presentation(P))
         assert (report.delta_ok, report.counit_ok, report.antipode_ok, report.failures) == expected
         assert not report.all_ok
+
+
+def test_hopf_check_lists_failures_by_kind_then_by_relation():
+    # every relation of a two-pair A-presentation fails Delta, the counit and
+    # S; the delta lines come first, then the counit, then the antipode and
+    # last the letters of inconsistent metadata, each kind in relation order
+    one = CycloNumber.one(12)
+    A = presentation_A(12, [(1, 6), (5, 6)], lam=1, gamma={(1, 6, 5, 6): 1})
+    P = _with_rhs(A, "quad:", ((one, (0, 0)),))
+    for P, metadata in ((P, ()), (_with_cop_exp(P, "y(1,6)", 5), ("x(1,6)", "y(1,6)"))):
+        R = compile_presentation(P)
+        labels = [label for label, _ in R.quadratic_relations]
+        assert len(labels) == 10
+        report = hopf_check(P, R)
+        heads = [f"{kind}:{label}:" for kind in ("delta", "counit", "antipode") for label in labels]
+        heads += [f"antipode:metadata:{name}" for name in metadata]
+        assert (report.delta_ok, report.counit_ok, report.antipode_ok) == (False, False, False)
+        assert len(report.failures) == len(heads)
+        assert all(line.startswith(head) for line, head in zip(report.failures, heads)), report.failures
 
 
 def test_hopf_check_of_another_presentation_is_pinned():
