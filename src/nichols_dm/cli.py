@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--overlap-budget",
         type=int,
         default=None,
-        help="abort completion after this many ambiguity checks",
+        help="stop the overlap check after this many overlaps",
     )
     p.set_defaults(func=cmd_verify)
 

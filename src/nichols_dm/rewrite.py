@@ -7,13 +7,14 @@ h v h^-1 = w^e v), so the group and commutation relations of a
 presentation hold identically in this model; compile() verifies that and
 orients only the quadratic relations.  Rewrite rules have pure skew-word
 left-hand sides and strictly deglex-smaller right-hand sides under the
-declared generator precedence, so reduction terminates and Bergman's
-diamond lemma applies: once every ambiguity reduces to zero, the
-irreducible monomials (square-free sorted words times group elements)
-form a basis and their count certifies the dimension.  The dimension
-comes from counting the irreducible words on the graph of their last
-letters (_count_normal_words), never from listing them; normal_basis
-still lists them where a caller wants the words.
+declared generator precedence, so reduction terminates.  reduce, the
+only reduction, rewrites the leftmost redex of every term in rounds,
+with no cache: it is linear, and the strategy fixes the normal form of
+each monomial, confluent or not.  By Bergman's diamond lemma, once every
+ambiguity reduces to zero the irreducible monomials form a basis, and
+their count, taken on the graph of their last letters
+(_count_normal_words) and never by listing them, certifies the
+dimension; normal_basis lists them where a caller wants the words.
 
 compile() is a check, not a completion.  Each quadratic relation, reduced
 by the rules before it, becomes one rule, and one that reduces to zero adds
@@ -35,24 +36,23 @@ the rule (a, c) exists, the residue of the overlap x_a x_b x_c
 
 where x_d T = sum c_gamma x_d gamma, and T x_d moves x_d left past each
 gamma as conj_word does.  The degree-3 parts q_ab q_ac q_bc x_c x_b x_a of
-both sides cancel.  The formula follows the leftmost-redex order of
-normal_form_monomial, so it gives the same element as reducing both
-sides.  _add_rule records each rule's (q, T) split in _quadratic; with any
-other rule present (a hand-built rule, say) every overlap takes the
-general reduction.  _settle sums this residue and _skew_primitive_residue's:
-each term is s c w^e, c normalised to a sign (1 for a root), so terms cancel
-as counts on (monomial, c, e mod m/2) without a scalar product: on a family,
-the Andruskiewitsch-Schneider condition chi_b chi_c(g_a) = 1 for T_bc != 0.
+both sides cancel.  It follows reduce's leftmost-redex order, so it
+equals reducing both sides.  _add_rule records each rule's (q, T) split
+in _quadratic; with any other rule present (a hand-built rule, say)
+every overlap takes the general reduction.  _settle sums this residue and
+_skew_primitive_residue's: each term is s c w^e, c normalised to a sign
+(1 for a root), so terms cancel as counts on (monomial, c, e mod m/2)
+without a scalar product: on a family, the Andruskiewitsch-Schneider
+condition chi_b chi_c(g_a) = 1 for T_bc != 0.
 
 hopf_check applies Delta and the antipode S to each relation's element in
 T(V)#kD_m, the monomial model without rewriting, and reduces the image
 once (reduction onto normal words is an algebra map).  Delta and S of a
 monomial are written in closed form on integer exponents of w and of the
-int code of D_m, with one scalar product per term, and each leg of Delta
-is reduced once.  The structural relations are the zero element there, so
-only the quadratic relations carry a condition.  S is antimultiplicative
-on the model when the letters form a Yetter-Drinfeld module, which
-hopf_check checks letter by letter.
+int code of D_m, one scalar product per term.  The structural relations
+are zero there, so only the quadratic relations carry a condition.  S is
+antimultiplicative on the model when the letters form a Yetter-Drinfeld
+module, which hopf_check checks letter by letter.
 
 The Hopf check of a family relation, r = x_a x_b - q x_b x_a - T with T
 in kD_m, needs no reduction when R was compiled from its presentation.
@@ -89,16 +89,16 @@ turns each rewrite into a rewrite, so S(r) reduces to zero and hopf_check
 skips that reduction.  Every family relation is fixed by G; the
 condition is still checked because compile does not check that the ideal
 is stable under the group, and left multiplication by G^-1 need not keep
-an element that reduces to zero reducing to zero.  Any other relation takes _delta and
-_antipode, as does every relation of a presentation that R was not
-compiled from: those need not reduce to zero.
+an element that reduces to zero reducing to zero.  Any other relation,
+and every relation of a presentation that R was not compiled from, takes
+_delta and _antipode: those need not reduce to zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .cyclo import CycloNumber
 from .dihedral import GroupElement, g_element, g_encode, g_inv, g_mul
@@ -172,7 +172,6 @@ class RewriteSystem:
         self.rules: dict[Word, Element] = {}
         self.lhs_lengths: tuple[int, ...] = ()  # of the rules, longest first
         self.certificate: Optional[CompletionCertificate] = None
-        self._nf_cache: dict[Monomial, Element] = {}
         self._quadratic: dict[Word, tuple] = {}  # (a, b) -> (q_ab or None, T_ab) per quadratic rule
         # (label, unreduced element) of each non-structural relation, kept by compile
         self.quadratic_relations: list[tuple[str, Element]] = []
@@ -211,27 +210,19 @@ class RewriteSystem:
                 c = c * CycloNumber.root(self.m, exp)
             yield (prefix + v + moved, g_mul(self.m, delta, g)), c
 
-    def normal_form_monomial(self, mono: Monomial) -> Element:
-        cached = self._nf_cache.get(mono)
-        if cached is not None:
-            return cached
-        word, g = mono
-        match = self._find_redex(word)
-        if match is None:
-            result = {mono: CycloNumber.one(self.m)}
-        else:
-            result = {}
-            for new_mono, coeff in self._apply_rule(word, g, match):
-                for m3, c3 in self.normal_form_monomial(new_mono).items():
-                    _add(result, m3, coeff * c3)
-        self._nf_cache[mono] = result
-        return result
-
     def reduce(self, el: Element) -> Element:
+        """The normal form of el: each round rewrites the leftmost redex of every term."""
         out: Element = {}
-        for mono, coeff in el.items():
-            for m2, c2 in self.normal_form_monomial(mono).items():
-                _add(out, m2, coeff * c2)
+        while el:
+            rewritten: Element = {}
+            for (word, g), coeff in el.items():
+                match = self._find_redex(word)
+                if match is None:
+                    _add(out, (word, g), coeff)
+                    continue
+                for mono, c in self._apply_rule(word, g, match):
+                    _add(rewritten, mono, coeff * c)
+            el = rewritten
         return out
 
     # -- rule management ---------------------------------------------------
@@ -267,11 +258,12 @@ class RewriteSystem:
         """Install the rule lhs -> rhs."""
         self.rules[lhs] = rhs
         split = _quadratic_split(lhs, rhs)
-        if split is not None:
+        if split is None:
+            self._quadratic.pop(lhs, None)
+        else:
             self._quadratic[lhs] = split
         if len(lhs) not in self.lhs_lengths:
             self.lhs_lengths = tuple(sorted({len(l) for l in self.rules}, reverse=True))
-        self._nf_cache.clear()
 
 
 def _quadratic_split(lhs: Word, rhs: Element) -> Optional[tuple]:
@@ -313,8 +305,8 @@ def _relation_element(sys: RewriteSystem, rel: Relation) -> Element:
     return el
 
 
-def _ambiguities(rules: dict) -> list[tuple]:
-    """Every overlap (l1 ends with the first c letters of l2); the rules are interreduced.
+def _ambiguities(rules: dict) -> Iterator[tuple]:
+    """Yield every overlap (l1 ends with the first c letters of l2); the rules are interreduced.
 
     Ordered by l1, then l2, in (length, word) order, then by c.  The
     candidates l2 for a suffix of l1 come from an index of proper prefixes.
@@ -324,15 +316,13 @@ def _ambiguities(rules: dict) -> list[tuple]:
     for rank, l2 in enumerate(words):
         for c in range(1, len(l2)):
             starting.setdefault(l2[:c], []).append((rank, l2))
-    out = []
     for l1 in words:
         found = [
             (rank, c, l2)
             for c in range(1, len(l1))
             for rank, l2 in starting.get(l1[len(l1) - c :], ())
         ]
-        out.extend(("overlap", l1, l2, c) for _, c, l2 in sorted(found))
-    return out
+        yield from (("overlap", l1, l2, c) for _, c, l2 in sorted(found))
 
 
 def _ambiguity_residue(sys: RewriteSystem, amb: tuple) -> Element:
@@ -344,17 +334,12 @@ def _ambiguity_residue(sys: RewriteSystem, amb: tuple) -> Element:
     _, l1, l2, c = amb
     if len(sys._quadratic) == len(sys.rules) and (l1[0], l2[1]) in sys._quadratic:
         return _quadratic_residue(sys, l1[0], l1[1], l2[1])
-    # the overlap word is l1 + tail = head + l2; the head carries the identity
-    head, tail = l1[: len(l1) - c], l2[c:]
-    left: Element = {}
-    for (v, delta), coeff in sys.rules[l1].items():
-        exp, moved = sys.conj_word(delta, tail)
-        _add(left, (v + moved, delta), coeff * CycloNumber.root(sys.m, exp) if exp else coeff)
-    residue = sys.reduce(left)
-    right = {(head + v, delta): coeff for (v, delta), coeff in sys.rules[l2].items()}
-    for mono, coeff in sys.reduce(right).items():
+    word, residue = l1 + l2[c:], {}
+    for mono, coeff in sys._apply_rule(word, 0, (0, l1)):
+        _add(residue, mono, coeff)
+    for mono, coeff in sys._apply_rule(word, 0, (len(l1) - c, l2)):
         _add(residue, mono, -coeff)
-    return residue
+    return sys.reduce(residue)
 
 
 def _quadratic_residue(sys: RewriteSystem, a: int, b: int, c: int) -> Element:
@@ -564,7 +549,7 @@ def _delta(R: RewriteSystem, el: Element) -> Tensor:
     skew_primitives takes it, and so does hopf_check for a relation that
     _skew_primitive_residue cannot write down.
     """
-    m = R.m
+    m, one = R.m, CycloNumber.one(R.m)
     out: Tensor = {}
     for (word, g), coeff in el.items():
         states = [((), 0, (), 0)]  # (left word, left rotation, right word, exponent)
@@ -580,9 +565,10 @@ def _delta(R: RewriteSystem, el: Element) -> Tensor:
             c = coeff * CycloNumber.root(m, e) if e % m else coeff
             _add(t, ((left, g_mul(m, a % m, g)), (right, g)), c)
         for (m1, m2), c in t.items():
-            for n1, d1 in R.normal_form_monomial(m1).items():
-                for n2, d2 in R.normal_form_monomial(m2).items():
-                    _add(out, (n1, n2), c * d1 * d2)
+            right = R.reduce({m2: one})
+            for n1, d1 in R.reduce({m1: c}).items():
+                for n2, d2 in right.items():
+                    _add(out, (n1, n2), d1 * d2)
     return out
 
 
@@ -705,32 +691,22 @@ def hopf_check(P: Presentation, R: RewriteSystem) -> HopfReport:
         for v, name in enumerate(R.letters)
         if R.partner[R.partner[v]] != v or (R.cop_exp[R.partner[v]] + R.cop_exp[v]) % R.m
     ]
-    failures = []
-    delta_ok = True
-    primitive = []  # per relation: S(el) is known to reduce to zero
+    deltas, counits, antipodes = [], [], []
     for label, el in elements:
         found = _skew_primitive_residue(R, el) if closed else None
         residue = _delta(R, el) if found is None else found[0]
-        primitive.append(
-            found is not None and not residue and not metadata and _conjugation_fixes(R, el, found[1])
-        )
         if residue:
-            delta_ok = False
-            failures.append(f"delta:{label}:{_tensor_str(R, residue)}")
-    counit_ok = True
-    for label, el in elements:
-        residue = sum((c for (word, _), c in el.items() if not word), CycloNumber.zero(R.m))
-        if residue:
-            counit_ok = False
-            failures.append(f"counit:{label}:{residue}")
-    antipode_ok = not metadata
-    for (label, el), skip in zip(elements, primitive):
-        residue = {} if skip else R.reduce(_antipode(R, el))
-        if residue:
-            antipode_ok = False
-            failures.append(f"antipode:{label}:{_element_str(R, residue)}")
-    failures.extend(f"antipode:metadata:{name}" for name in metadata)
-    return HopfReport(delta_ok, counit_ok, antipode_ok, tuple(failures))
+            deltas.append(f"delta:{label}:{_tensor_str(R, residue)}")
+        counit = sum((c for (word, _), c in el.items() if not word), CycloNumber.zero(R.m))
+        if counit:
+            counits.append(f"counit:{label}:{counit}")
+        # S(el) is known to reduce to zero when el is skew-primitive and fixed by G
+        if found is None or residue or metadata or not _conjugation_fixes(R, el, found[1]):
+            residue = R.reduce(_antipode(R, el))
+            if residue:
+                antipodes.append(f"antipode:{label}:{_element_str(R, residue)}")
+    antipodes.extend(f"antipode:metadata:{name}" for name in metadata)
+    return HopfReport(not deltas, not counits, not antipodes, tuple(deltas + counits + antipodes))
 
 
 def _word_str(R: RewriteSystem, word: Word) -> str:

@@ -490,6 +490,24 @@ def test_other_rule_shapes_take_the_general_route(monkeypatch):
     assert any(residues)
 
 
+def test_a_rule_replaced_by_another_shape_drops_its_split():
+    # x*x -> 1 - h^2 replaced by x*x -> y, which is no (q, T) rule: the
+    # overlap x*x*x must take the reduction, not the closed form of the old rule
+    one = CycloNumber.one(12)
+    R = compile_presentation(presentation_A(12, [(1, 6)], lam=1))
+    x, y = R.letter_index["x(1,6)"], R.letter_index["y(1,6)"]
+    R._add_rule((x, x), {((y,), 0): one})
+    assert (x, x) not in R._quadratic
+    amb = ("overlap", (x, x), (x, x), 1)
+    assert amb in rewrite._ambiguities(R.rules)
+    general = R.reduce(el_mul(R, R.rules[(x, x)], {((x,), 0): one}))
+    for mono, coeff in R.reduce(el_mul(R, {((x,), 0): one}, R.rules[(x, x)])).items():
+        rewrite._add(general, mono, -coeff)
+    residue = rewrite._ambiguity_residue(R, amb)
+    assert residue == general
+    assert rewrite._element_str(R, residue) == "(-2)*x(1,6)*y(1,6)*e"
+
+
 def _assert_interreduced(R):
     for l1 in R.rules:
         for l2 in R.rules:
@@ -890,7 +908,7 @@ def _nested_loop_ambiguities(rules):
 @given(st.sampled_from(_FAMILY_MODULI), st.data())
 def test_ambiguity_index_matches_nested_loop_on_families(m, data):
     R = compile_presentation(data.draw(st.sampled_from(_families_up_to_3(m))))
-    assert rewrite._ambiguities(R.rules) == _nested_loop_ambiguities(R.rules)
+    assert list(rewrite._ambiguities(R.rules)) == _nested_loop_ambiguities(R.rules)
 
 
 @settings(max_examples=200, deadline=None)
@@ -898,7 +916,7 @@ def test_ambiguity_index_matches_nested_loop_on_families(m, data):
 def test_ambiguity_index_matches_nested_loop_on_word_sets(words):
     # left sides of several lengths, so overlaps of length c >= 2 occur
     rules = dict.fromkeys(words, {})
-    assert rewrite._ambiguities(rules) == _nested_loop_ambiguities(rules)
+    assert list(rewrite._ambiguities(rules)) == _nested_loop_ambiguities(rules)
 
 
 def _family_data(m, I, L, rng):
