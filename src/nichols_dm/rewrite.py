@@ -702,9 +702,9 @@ def hopf_check(P: Presentation, R: RewriteSystem) -> HopfReport:
             counits.append(f"counit:{label}:{counit}")
         # S(el) is known to reduce to zero when el is skew-primitive and fixed by G
         if found is None or residue or metadata or not _conjugation_fixes(R, el, found[1]):
-            residue = R.reduce(_antipode(R, el))
-            if residue:
-                antipodes.append(f"antipode:{label}:{_element_str(R, residue)}")
+            image = R.reduce(_antipode(R, el))
+            if image:
+                antipodes.append(f"antipode:{label}:{_element_str(R, image)}")
     antipodes.extend(f"antipode:metadata:{name}" for name in metadata)
     return HopfReport(not deltas, not counits, not antipodes, tuple(deltas + counits + antipodes))
 
