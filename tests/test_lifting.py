@@ -1,7 +1,9 @@
 import dataclasses
+import re
 
 import pytest
 
+from nichols_dm.cli import _parse_param
 from nichols_dm.cyclo import CycloNumber, parse_scalar
 from nichols_dm.errors import DomainError
 from nichols_dm.lifting import (
@@ -98,6 +100,52 @@ def test_datum_symmetry_fill():
     datum = LiftingDatum.build(12, [(1, 6), (5, 6)], lam={(5, 6, 1, 6): 3})
     assert datum.lam_value((1, 6, 5, 6)) == CycloNumber.from_rational(12, 3)
     assert datum.lam_value((5, 6, 1, 6)) == CycloNumber.from_rational(12, 3)
+
+
+_FLAGS = {"lambda": "lam", "gamma": "gamma", "theta": "theta", "mu": "mu"}
+
+
+def _round_trip_cases():
+    values = ("1", "-1", "w^3", "3/2")
+    for m in (12, 20):
+        for family in "cd":
+            for I, L in family_members(m, family, 2):
+                keys = free_parameter_keys(m, I, L)
+                # each free entry takes each of the four values once
+                for shift in range(len(values) if keys else 1):
+                    given = {flag: {} for flag in _FLAGS.values()}
+                    for j, (name, key) in enumerate(keys):
+                        given[_FLAGS[name]][key] = values[(j + shift) % len(values)]
+                    yield m, I, L, given
+
+
+def test_parameters_json_round_trips_through_keyed_flags():
+    # the parameters of a certificate, fed back as keyed --lambda/--gamma/
+    # --theta/--mu flags, rebuild the datum they came from
+    cases = 0
+    for m, I, L, given in _round_trip_cases():
+        datum = LiftingDatum.build(m, I, L, **given)
+        flags = {
+            _FLAGS[name]: ";".join(f"{key}={value}" for key, value in entries.items()) or None
+            for name, entries in datum.parameters_json().items()
+        }
+        again = LiftingDatum.build(m, I, L, **{flag: _parse_param(m, text) for flag, text in flags.items()})
+        assert again == datum, (m, I, L, flags)
+        cases += 1
+    assert cases > 100
+
+
+def test_tied_entry_given_under_its_transpose_fills_both_keys():
+    datum = LiftingDatum.build(12, [(1, 6), (5, 6)], gamma={(5, 6, 1, 6): "w^3"})
+    assert datum.parameters_json()["gamma"] == {"1,6,5,6": "w^3", "5,6,1,6": "w^3"}
+    assert datum == LiftingDatum.build(12, [(1, 6), (5, 6)], gamma={(1, 6, 5, 6): "w^3"})
+
+
+def test_theta_without_an_L_part_is_not_indexed():
+    with pytest.raises(DomainError, match=re.escape("theta entry (1, 6, 3) is not indexed by this family")):
+        LiftingDatum.build(12, [(1, 6)], theta={(1, 6, 3): 1})
+    with pytest.raises(DomainError, match=re.escape("mu entry (1, 6, 3) is not indexed by this family")):
+        LiftingDatum.build(12, [(1, 6)], mu={(1, 6, 3): 1})
 
 
 def test_presentation_A_single_in_relations():
