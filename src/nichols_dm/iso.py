@@ -113,23 +113,18 @@ def _key_image(unit: UnitModM, name: str, key: tuple) -> tuple[str, tuple]:
 
 
 def act_datum(unit: UnitModM, datum: LiftingDatum) -> Optional[LiftingDatum]:
-    """l . (I, L, datum): every entry moves to its `_key_image`.
+    """l . (I, L, datum): every entry of `params` moves to its `_key_image`.
 
     Returns None when a nonzero entry lands on an entry that
     `parameter_shape` forces to zero: no datum of the image family matches.
     """
     I, L = act_I(unit, datum.I), act_L(unit, datum.L)
-    moved: dict[str, dict] = {"lambda": {}, "gamma": {}, "theta": {}, "mu": {}}
-    for name, items in zip(moved, (datum.lam, datum.gam, datum.theta, datum.mu)):
-        for key, value in items:
-            target, img = _key_image(unit, name, key)
-            moved[target][img] = value
-    if any(moved.values()):
+    moved = {_key_image(unit, name, key): value for (name, key), value in datum.params}
+    if moved:
         shape = parameter_shape(unit.m, I, L)
-        if any(shape[name][key] == "zero" for name in moved for key in moved[name]):
+        if any(shape[name][key] == "zero" for name, key in moved):
             return None
-    lam, gam, theta, mu = (tuple(sorted(moved[name].items())) for name in moved)
-    return LiftingDatum(unit.m, I, L, lam, gam, theta, mu)
+    return LiftingDatum(unit.m, I, L, tuple(sorted(moved.items())))
 
 
 # the is_isomorphic_* below are read by bench/tracing.py; goes with ROADMAP item 2

@@ -2,11 +2,11 @@
 
 A presentation has group-likes g, h (with g^2 = 1 = h^m, ghg = h^{m-1})
 and skew-primitive generators x/y per J-pair and z/w per odd l, together
-with the delta-guarded quadratic relations.  Deformation parameters
-(lambda, gamma, theta, mu) are keyed by index-value tuples; a
-guard that never fires (or a vanishing group factor 1 - h^0) forces the
-entry to zero, and the symmetry lambda_{p,m-k,i,k} = lambda_{i,k,p,m-k},
-gamma_{p,k,i,k} = gamma_{i,k,p,k} identifies transposed keys.
+with the delta-guarded quadratic relations.  A lifting datum is one table
+of deformation parameters keyed by (name, key), name one of lambda, gamma,
+theta, mu; a guard that never fires (or a vanishing group factor 1 - h^0)
+forces an entry to zero, and the symmetry lambda_{p,m-k,i,k} =
+lambda_{i,k,p,m-k}, gamma_{p,k,i,k} = gamma_{i,k,p,k} ties transposed keys.
 
 `_build` writes each x/z generator and each displayed relation family
 (xx, xy, zz, zw, xz, xw) once; conjugation by g (x <-> y, z <-> w,
@@ -55,6 +55,7 @@ __all__ = [
 
 LambdaKey = tuple[int, int, int, int]  # (p, q, i, k)
 ThetaKey = tuple[int, int, int]  # (p, q, l)
+_NAMES = ("lambda", "gamma", "theta", "mu")
 
 
 def _scalar(m: int, value) -> CycloNumber:
@@ -99,7 +100,7 @@ def parameter_shape(m: int, I: Sequence[Pair], L: Sequence[int] = ()) -> dict:
     I = tuple(sorted(I))
     L = tuple(sorted(L))
     values_I = sorted(set(I))
-    shape: dict[str, dict] = {"lambda": {}, "gamma": {}, "theta": {}, "mu": {}}
+    shape: dict[str, dict] = {name: {} for name in _NAMES}
     single = len(I) == 1
     for a in values_I:
         for b in values_I:
@@ -127,7 +128,7 @@ def parameter_shape(m: int, I: Sequence[Pair], L: Sequence[int] = ()) -> dict:
 def free_parameter_keys(m: int, I: Sequence[Pair], L: Sequence[int] = ()) -> list[tuple[str, tuple]]:
     shape = parameter_shape(m, I, L)
     out = []
-    for name in ("lambda", "gamma", "theta", "mu"):
+    for name in _NAMES:
         for key, status in sorted(shape[name].items()):
             if status == "free":
                 out.append((name, key))
@@ -136,15 +137,12 @@ def free_parameter_keys(m: int, I: Sequence[Pair], L: Sequence[int] = ()) -> lis
 
 @dataclass(frozen=True)
 class LiftingDatum:
-    """Validated parameter families for a presentation over D_m."""
+    """Validated parameters: ((name, key), value) per nonzero entry, a tied one under both keys."""
 
     m: int
     I: tuple[Pair, ...]
     L: tuple[int, ...]
-    lam: tuple[tuple[LambdaKey, CycloNumber], ...]
-    gam: tuple[tuple[LambdaKey, CycloNumber], ...]
-    theta: tuple[tuple[ThetaKey, CycloNumber], ...]
-    mu: tuple[tuple[ThetaKey, CycloNumber], ...]
+    params: tuple[tuple[tuple[str, tuple], CycloNumber], ...]
 
     @staticmethod
     def build(
@@ -159,49 +157,26 @@ class LiftingDatum:
         I = tuple(sorted(I))
         L = tuple(sorted(L))
         shape = parameter_shape(m, I, L)
-        lam_map = _normalize_family(m, "lambda", lam, shape["lambda"])
-        gam_map = _normalize_family(m, "gamma", gamma, shape["gamma"])
-        theta_map = _normalize_family(m, "theta", theta, shape["theta"])
-        mu_map = _normalize_family(m, "mu", mu, shape["mu"])
-        if not L and (any(theta_map.values()) or any(mu_map.values())):
-            raise DomainError("theta/mu require an L part")
-        return LiftingDatum(
-            m,
-            I,
-            L,
-            tuple(sorted(lam_map.items())),
-            tuple(sorted(gam_map.items())),
-            tuple(sorted(theta_map.items())),
-            tuple(sorted(mu_map.items())),
-        )
+        params = {
+            (name, key): value
+            for name, given in zip(_NAMES, (lam, gamma, theta, mu))
+            for key, value in _normalize_family(m, name, given, shape[name]).items()
+        }
+        return LiftingDatum(m, I, L, tuple(sorted(params.items())))
 
     @staticmethod
     def zero(m: int, I: Sequence[Pair], L: Sequence[int] = ()) -> "LiftingDatum":
         return LiftingDatum.build(m, I, L)
 
-    def lam_value(self, key: LambdaKey) -> CycloNumber:
-        return dict(self.lam).get(key, CycloNumber.zero(self.m))
-
-    def gam_value(self, key: LambdaKey) -> CycloNumber:
-        return dict(self.gam).get(key, CycloNumber.zero(self.m))
-
-    def theta_value(self, key: ThetaKey) -> CycloNumber:
-        return dict(self.theta).get(key, CycloNumber.zero(self.m))
-
-    def mu_value(self, key: ThetaKey) -> CycloNumber:
-        return dict(self.mu).get(key, CycloNumber.zero(self.m))
+    def value(self, name: str, key: tuple) -> CycloNumber:
+        return dict(self.params).get((name, key), CycloNumber.zero(self.m))
 
     def parameters_json(self) -> dict:
-        """The four families as {"lambda": {"p,q,i,k": scalar text}, ...}, empty ones included."""
-        return {
-            name: {",".join(str(x) for x in key): format_scalar(v) for key, v in items}
-            for name, items in (
-                ("lambda", self.lam),
-                ("gamma", self.gam),
-                ("theta", self.theta),
-                ("mu", self.mu),
-            )
-        }
+        """The table by name as {"lambda": {"p,q,i,k": scalar text}, ...}, empty names included."""
+        out: dict[str, dict] = {name: {} for name in _NAMES}
+        for (name, key), v in self.params:
+            out[name][",".join(str(x) for x in key)] = format_scalar(v)
+        return out
 
 
 def _normalize_family(m: int, name: str, given, shape: Mapping) -> dict:
@@ -245,8 +220,6 @@ def _normalize_family(m: int, name: str, given, shape: Mapping) -> dict:
 @dataclass(frozen=True)
 class SkewGenerator:
     name: str
-    kind: str  # x | y | z | w
-    entry: tuple  # (p, q) or (l,)
     partner: str  # image under conjugation by g
     h_exp: int  # h v h^-1 = w^h_exp v
     cop_exp: int  # Delta(v) = v (x) 1 + h^cop_exp (x) v
@@ -336,10 +309,10 @@ def _build(datum: LiftingDatum) -> Presentation:
     gens: list[SkewGenerator] = []
     xy_names = _occurrence_names(I, "xy")
     zw_names = _occurrence_names(L, "zw")
-    letters = [("xy", (p, q), q, p) for p, q in I] + [("zw", (ell,), ell, n) for ell in L]
-    for (kinds, entry, h_exp, cop_exp), (a, b) in zip(letters, xy_names + zw_names):
-        gens.append(SkewGenerator(a, kinds[0], entry, b, h_exp % m, cop_exp % m))
-        gens.append(SkewGenerator(b, kinds[1], entry, a, -h_exp % m, -cop_exp % m))
+    letters = [(q, p) for p, q in I] + [(ell, n) for ell in L]
+    for (h_exp, cop_exp), (a, b) in zip(letters, xy_names + zw_names):
+        gens.append(SkewGenerator(a, b, h_exp % m, cop_exp % m))
+        gens.append(SkewGenerator(b, a, -h_exp % m, -cop_exp % m))
     partner = {v.name: v.partner for v in gens}
 
     rels: list[Relation] = [
@@ -395,9 +368,9 @@ def _build(datum: LiftingDatum) -> Presentation:
     for s, (p, q) in enumerate(I):
         for t in range(s, len(I)):
             i, k = I[t]
-            quad("xx", xs[s], xs[t], datum.lam_value((p, q, i, k)), p + i)
+            quad("xx", xs[s], xs[t], datum.value("lambda", (p, q, i, k)), p + i)
         for t, (i, k) in enumerate(I):
-            quad("xy", xs[s], ys[t], datum.gam_value((p, q, i, k)), p - i)
+            quad("xy", xs[s], ys[t], datum.value("gamma", (p, q, i, k)), p - i)
     for s in range(len(L)):
         for t in range(s, len(L)):
             quad("zz", zs[s], zs[t])
@@ -405,8 +378,8 @@ def _build(datum: LiftingDatum) -> Presentation:
             quad("zw", zs[s], ws[t])
     for s, (p, q) in enumerate(I):
         for u, ell in enumerate(L):
-            quad("xz", xs[s], zs[u], datum.theta_value((p, q, ell)), n + p)
-            quad("xw", xs[s], ws[u], datum.mu_value((p, q, ell)), n + p)
+            quad("xz", xs[s], zs[u], datum.value("theta", (p, q, ell)), n + p)
+            quad("xw", xs[s], ws[u], datum.value("mu", (p, q, ell)), n + p)
 
     kind = "B" if I and L else "A" if I else "L"
     return Presentation(m, kind, I, L, datum, tuple(gens), tuple(rels))

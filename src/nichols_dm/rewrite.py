@@ -410,7 +410,8 @@ def compile(P: Presentation, overlap_budget: Optional[int] = None) -> RewriteSys
     for amb in _ambiguities(sys.rules):
         checked += 1
         if overlap_budget is not None and checked > overlap_budget:
-            raise CompletionError("overlap budget exceeded during completion", ambiguity=amb)
+            raise CompletionError(f"overlap budget of {overlap_budget} exceeded; the overlap "
+                                  "check did not finish", ambiguity=amb)
         residue = _ambiguity_residue(sys, amb)
         if residue:
             _, l1, l2, c = amb

@@ -383,7 +383,7 @@ def test_criterion_8_isomorphism_actions():
                 12, I, lam=params["lambda"], gamma=params["gamma"]
             )
             verdict, _ = is_isomorphic_A(12, I, datum, None, I, zero, None)
-            is_zero = not any(v for _, v in datum.lam + datum.gam + datum.theta + datum.mu)
+            is_zero = not datum.params
             assert verdict == is_zero, (I, values)
     # L-singleton orbits at m = 12: {{1},{5}} and {{3}}
     orbits = iso_classes(12, 1, families="b")

@@ -173,10 +173,10 @@ def _lambda_gamma_match(
             same_side = (((unit.value * p) % m) < n) == (((unit.value * i) % m) < n)
             guard_l = (q + k) % m == 0  # delta_{q, m-k}
             guard_g = (q - k) % m == 0  # delta_{q, k}
-            lam = d1.lam_value(pq + ik) if guard_l else zero
-            gam = d1.gam_value(pq + ik) if guard_g else zero
-            lam2 = d2.lam_value(img) if guard_l else zero
-            gam2 = d2.gam_value(img) if guard_g else zero
+            lam = d1.value("lambda", pq + ik) if guard_l else zero
+            gam = d1.value("gamma", pq + ik) if guard_g else zero
+            lam2 = d2.value("lambda", img) if guard_l else zero
+            gam2 = d2.value("gamma", img) if guard_g else zero
             if same_side:
                 if lam != lam2 or gam != gam2:
                     return False
@@ -199,10 +199,10 @@ def _theta_mu_match(
             r_low = ((unit.inverse * r) % m) < n
             guard_t = (q + r) % m == 0  # delta_{q, m-r}
             guard_m = (q - r) % m == 0  # delta_{q, r}
-            th = d1.theta_value(pq + (r,)) if guard_t else zero
-            mu = d1.mu_value(pq + (r,)) if guard_m else zero
-            th2 = d2.theta_value(img)
-            mu2 = d2.mu_value(img)
+            th = d1.value("theta", pq + (r,)) if guard_t else zero
+            mu = d1.value("mu", pq + (r,)) if guard_m else zero
+            th2 = d2.value("theta", img)
+            mu2 = d2.value("mu", img)
             if p_low and r_low:
                 ok = th == (th2 if guard_t else zero) and mu == (mu2 if guard_m else zero)
             elif not p_low and not r_low:
@@ -233,28 +233,22 @@ def _parent_act_datum(unit: UnitModM, datum: LiftingDatum) -> Optional[LiftingDa
     """
     m, n = unit.m, unit.m // 2
     I, L = act_I(unit, datum.I), act_L(unit, datum.L)
-    moved: dict[str, dict] = {"lambda": {}, "gamma": {}, "theta": {}, "mu": {}}
-    for name, other, items in (
-        ("lambda", "gamma", datum.lam),
-        ("gamma", "lambda", datum.gam),
-        ("theta", "mu", datum.theta),
-        ("mu", "theta", datum.mu),
-    ):
-        for key, value in items:
-            p_low = (unit.value * key[0]) % m < n
-            if len(key) == 4:
-                img = act_pair(unit, key[:2]) + act_pair(unit, key[2:])
-                same_side = p_low == ((unit.value * key[2]) % m < n)
-            else:
-                img = act_pair(unit, key[:2]) + (act_ell(unit, key[2]),)
-                same_side = p_low == ((unit.inverse * key[2]) % m < n)
-            moved[name if same_side else other][img] = value
-    if any(moved.values()):
+    other = {"lambda": "gamma", "gamma": "lambda", "theta": "mu", "mu": "theta"}
+    moved: dict[tuple, object] = {}
+    for (name, key), value in datum.params:
+        p_low = (unit.value * key[0]) % m < n
+        if len(key) == 4:
+            img = act_pair(unit, key[:2]) + act_pair(unit, key[2:])
+            same_side = p_low == ((unit.value * key[2]) % m < n)
+        else:
+            img = act_pair(unit, key[:2]) + (act_ell(unit, key[2]),)
+            same_side = p_low == ((unit.inverse * key[2]) % m < n)
+        moved[name if same_side else other[name], img] = value
+    if moved:
         shape = parameter_shape(m, I, L)
-        if any(shape[name][key] == "zero" for name in moved for key in moved[name]):
+        if any(shape[name][key] == "zero" for name, key in moved):
             return None
-    lam, gam, theta, mu = (tuple(sorted(moved[name].items())) for name in moved)
-    return LiftingDatum(m, I, L, lam, gam, theta, mu)
+    return LiftingDatum(m, I, L, tuple(sorted(moved.items())))
 
 
 def _grid_data(m: int, I, L, grid) -> list[LiftingDatum]:

@@ -98,8 +98,8 @@ def test_datum_guard_violations():
 
 def test_datum_symmetry_fill():
     datum = LiftingDatum.build(12, [(1, 6), (5, 6)], lam={(5, 6, 1, 6): 3})
-    assert datum.lam_value((1, 6, 5, 6)) == CycloNumber.from_rational(12, 3)
-    assert datum.lam_value((5, 6, 1, 6)) == CycloNumber.from_rational(12, 3)
+    assert datum.value("lambda", (1, 6, 5, 6)) == CycloNumber.from_rational(12, 3)
+    assert datum.value("lambda", (5, 6, 1, 6)) == CycloNumber.from_rational(12, 3)
 
 
 _FLAGS = {"lambda": "lam", "gamma": "gamma", "theta": "theta", "mu": "mu"}
@@ -129,7 +129,8 @@ def test_parameters_json_round_trips_through_keyed_flags():
             _FLAGS[name]: ";".join(f"{key}={value}" for key, value in entries.items()) or None
             for name, entries in datum.parameters_json().items()
         }
-        again = LiftingDatum.build(m, I, L, **{flag: _parse_param(m, text) for flag, text in flags.items()})
+        parsed = {flag: _parse_param(m, text) for flag, text in flags.items()}
+        again = LiftingDatum.build(m, I, L, **parsed)
         assert again == datum, (m, I, L, flags)
         cases += 1
     assert cases > 100
@@ -142,10 +143,10 @@ def test_tied_entry_given_under_its_transpose_fills_both_keys():
 
 
 def test_theta_without_an_L_part_is_not_indexed():
-    with pytest.raises(DomainError, match=re.escape("theta entry (1, 6, 3) is not indexed by this family")):
-        LiftingDatum.build(12, [(1, 6)], theta={(1, 6, 3): 1})
-    with pytest.raises(DomainError, match=re.escape("mu entry (1, 6, 3) is not indexed by this family")):
-        LiftingDatum.build(12, [(1, 6)], mu={(1, 6, 3): 1})
+    for name in ("theta", "mu"):
+        message = f"{name} entry (1, 6, 3) is not indexed by this family"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            LiftingDatum.build(12, [(1, 6)], **{name: {(1, 6, 3): 1}})
 
 
 def test_presentation_A_single_in_relations():

@@ -1208,10 +1208,10 @@ def test_a_relation_not_fixed_by_G_takes_the_general_antipode():
     m = 12
     one, q = CycloNumber.one(m), CycloNumber.root(m, 4)
     gens = (
-        SkewGenerator("x1", "x", (1,), "y1", 1, 2),
-        SkewGenerator("y1", "y", (1,), "x1", 11, 10),
-        SkewGenerator("x2", "x", (2,), "y2", 2, 8),
-        SkewGenerator("y2", "y", (2,), "x2", 10, 4),
+        SkewGenerator("x1", "y1", 1, 2),
+        SkewGenerator("y1", "x1", 11, 10),
+        SkewGenerator("x2", "y2", 2, 8),
+        SkewGenerator("y2", "x2", 10, 4),
     )
     rels = (
         Relation("quad:x", ((one, ("x1", "x2")), (-q, ("x2", "x1"))), ((one, (0, 0)), (-one, (0, 10)))),
