@@ -5,6 +5,7 @@ from typing import Optional, Sequence
 import pytest
 
 from nichols_dm import iso, lifting
+from nichols_dm.cli import _parse_param
 from nichols_dm.classify import (
     are_equivalent,
     enumerate_I,
@@ -401,6 +402,31 @@ def test_iso_classes_work_per_member_not_per_grid_point(monkeypatch):
         assert counts["build"] == 0
         calls.append(counts["parameter_shape"])
     assert calls[0] == calls[1] > 0
+
+
+_KEYED_FLAGS = {"lambda": "lam", "gamma": "gamma", "theta": "theta", "mu": "mu"}
+
+
+def test_iso_parameters_round_trip_through_keyed_flags():
+    # a member's "parameters", fed back as keyed --lambda/--gamma/--theta/--mu
+    # flags, build a datum whose own writer prints the same table
+    members = 0
+    for m in (12, 20):
+        for grid in (("0", "1"), ("0", "w^3"), ("1", "-1"), ("0", "3/2", "-1")):
+            for orbit in iso_classes(m, 2, grid):
+                for member in orbit["members"]:
+                    given = {
+                        _KEYED_FLAGS[name]: _parse_param(
+                            m, ";".join(f"{key}={value}" for key, value in entries.items())
+                        )
+                        for name, entries in member["parameters"].items()
+                    }
+                    I = [tuple(pair) for pair in member["I"]]
+                    datum = LiftingDatum.build(m, I, member["L"], **given)
+                    written = {name: e for name, e in datum.parameters_json().items() if e}
+                    assert written == member["parameters"], (m, grid, member)
+                    members += 1
+    assert members == 2247
 
 
 def _grid_instances(m: int, grid, r_max: int = 2) -> list[LiftingDatum]:
