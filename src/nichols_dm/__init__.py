@@ -50,7 +50,6 @@ from .lifting import (
 from .rack import Rack, conjugation_rack, is_type_D
 from .rewrite import (
     RewriteSystem,
-    compile_presentation,
     dimension,
     hopf_check,
     normal_basis,
@@ -91,7 +90,6 @@ __all__ = [
     "braiding",
     "centralizer",
     "class_of",
-    "compile_presentation",
     "conjugacy_classes",
     "conjugation_rack",
     "cyclotomic_polynomial",

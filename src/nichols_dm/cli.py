@@ -103,6 +103,8 @@ def _parse_param(m: int, text):
             continue
         key_text, _, value_text = chunk.partition("=")
         key = tuple(_numbers(_KEY_RE, key_text, "parameter key", "p,q,i,k=value"))
+        if key in out:
+            raise DomainError(f"parameter key {','.join(map(str, key))} is given twice in {text!r}")
         out[key] = parse_scalar(m, value_text)
     if not out:
         raise DomainError(f"cannot parse parameter assignment {text!r}")

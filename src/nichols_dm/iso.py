@@ -23,7 +23,7 @@ from .classify import Pair, in_J
 from .errors import DomainError
 from .cyclo import format_scalar
 from .lifting import (FAMILIES, LiftingDatum, _scalar, _transpose, family_members,
-                      free_parameter_keys, parameter_shape)
+                      free_parameter_keys, parameter_shape, parameters_json)
 
 __all__ = [
     "UnitModM",
@@ -245,11 +245,7 @@ def iso_classes(
 
     def entry(instance: tuple) -> dict:
         _, I, L, keys = members[instance[0]]
-        params: dict[str, dict] = {}
-        for (name, key), value in zip(keys, instance[1]):
-            if value != zero:  # a lambda/gamma value also sits on the tied transpose
-                for k in (key, _transpose(key)) if len(key) == 4 else (key,):
-                    params.setdefault(name, {})[",".join(map(str, k))] = texts[value]
+        params = parameters_json((key, texts[v]) for key, v in zip(keys, instance[1]) if v != zero)
         return {"I": [list(p) for p in I], "L": list(L), "parameters": params}
 
     positions: dict[tuple, list[int]] = {}

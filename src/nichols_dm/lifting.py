@@ -48,6 +48,7 @@ __all__ = [
     "family_presentation",
     "free_parameter_keys",
     "parameter_shape",
+    "parameters_json",
     "presentation_A",
     "presentation_B",
     "presentation_L",
@@ -172,11 +173,17 @@ class LiftingDatum:
         return dict(self.params).get((name, key), CycloNumber.zero(self.m))
 
     def parameters_json(self) -> dict:
-        """The table by name as {"lambda": {"p,q,i,k": scalar text}, ...}, empty names included."""
-        out: dict[str, dict] = {name: {} for name in _NAMES}
-        for (name, key), v in self.params:
-            out[name][",".join(str(x) for x in key)] = format_scalar(v)
-        return out
+        return parameters_json((entry, format_scalar(v)) for entry, v in self.params)
+
+
+def parameters_json(entries) -> dict:
+    """{"lambda": {"p,q,i,k": text}, ...} from ((name, key), text) per nonzero entry, a
+    lambda/gamma one under its transpose too; a name with no entry is left out."""
+    out: dict[str, dict] = {}
+    for (name, key), text in entries:
+        for k in (key, _transpose(key)) if len(key) == 4 else (key,):
+            out.setdefault(name, {})[",".join(map(str, k))] = text
+    return out
 
 
 def _normalize_family(m: int, name: str, given, shape: Mapping) -> dict:

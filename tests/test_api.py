@@ -45,7 +45,7 @@ PUBLIC = """
     CompletionError CyclicCharacter CycloNumber DihedralGroup DomainError Finite
     GroupElement Infinite Irrep KleinFourCharacter LiftingDatum N_i Presentation Rack
     RewriteSystem UnitModM YDModule act_ell act_pair are_equivalent braiding
-    centralizer class_of compile_presentation conjugacy_classes conjugation_rack
+    centralizer class_of conjugacy_classes conjugation_rack
     cyclotomic_polynomial dimension direct_sum enumerate_I enumerate_K enumerate_L
     hopf_check induce irreps is_isomorphic_A is_isomorphic_B is_type_D iso_classes
     nichols_dimension normal_basis presentation_A presentation_B skew_primitives

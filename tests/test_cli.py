@@ -97,6 +97,14 @@ def test_verify_family_c(capsys):
     assert doc["hopf"]["counit_ok"] is True
     assert doc["hopf"]["antipode_ok"] is True
     assert doc["certificate"]["all_resolved"] is True
+    assert doc["parameters"] == {"lambda": {"1,6,1,6": "1"}}
+    assert "added_rules" not in doc["certificate"]
+
+
+def test_verify_zero_datum_prints_no_parameter_names(capsys):
+    code, doc = run_cli(capsys, "verify", "--m", "12", "--family", "c", "--I", "(1,6)")
+    assert code == 0
+    assert doc["parameters"] == {}
 
 
 def test_verify_beyond_the_listing_limit(capsys):
@@ -310,6 +318,17 @@ def test_iso_rejects_malformed_grid_that_no_member_reads(capsys):
 def test_specs_allow_whitespace_and_lowercase_prefix():
     assert _parse_module(12, " k : ( 2 , 3 ) + (2,3) | 3 + 5 ") == ([(2, 3), (2, 3)], [3, 5])
     assert _parse_param(12, " 1 , 6 , 5 , 6 = 1 ")[(1, 6, 5, 6)] == 1
+
+
+def test_repeated_parameter_key_is_rejected(capsys):
+    # it used to keep the last value: lambda = 2 with exit 0
+    code, doc = run_cli(capsys, "liftings", "--m", "12", "--family", "c", "--I", "(1,6)",
+                        "--lambda", "1,6,1,6=1;1,6,1,6=2")
+    assert code == 2
+    assert doc["error"]["type"] == "validation"
+    assert "1,6,1,6 is given twice" in doc["error"]["message"]
+    with pytest.raises(DomainError, match="1,6,1,6 is given twice"):
+        _parse_param(12, "1,6,1,6=1; 1, 6,1,6 =1")
 
 
 def _canonical(kind, pairs, ells):

@@ -276,8 +276,7 @@ def _grid_data(m: int, I, L, grid) -> list[LiftingDatum]:
 
 
 def _entry(d: LiftingDatum) -> dict:
-    params = {name: entries for name, entries in d.parameters_json().items() if entries}
-    return {"I": [list(p) for p in d.I], "L": list(d.L), "parameters": params}
+    return {"I": [list(p) for p in d.I], "L": list(d.L), "parameters": d.parameters_json()}
 
 
 def _reference_iso_classes(
@@ -423,8 +422,7 @@ def test_iso_parameters_round_trip_through_keyed_flags():
                     }
                     I = [tuple(pair) for pair in member["I"]]
                     datum = LiftingDatum.build(m, I, member["L"], **given)
-                    written = {name: e for name, e in datum.parameters_json().items() if e}
-                    assert written == member["parameters"], (m, grid, member)
+                    assert datum.parameters_json() == member["parameters"], (m, grid, member)
                     members += 1
     assert members == 2247
 
@@ -543,10 +541,10 @@ def test_is_isomorphic_A_is_equivalence_on_grid():
 def test_iso_dimension_cross_validation():
     # isomorphic A-type presentations certify the same dimension
     from nichols_dm.lifting import presentation_A
-    from nichols_dm.rewrite import compile_presentation, dimension
+    from nichols_dm.rewrite import compile, dimension
 
     verdict, _ = is_isomorphic_A(12, [(1, 6)], 1, None, [(5, 6)], 1, None)
     assert verdict
-    d1 = dimension(compile_presentation(presentation_A(12, [(1, 6)], lam=1)))
-    d2 = dimension(compile_presentation(presentation_A(12, [(5, 6)], lam=1)))
+    d1 = dimension(compile(presentation_A(12, [(1, 6)], lam=1)))
+    d2 = dimension(compile(presentation_A(12, [(5, 6)], lam=1)))
     assert d1.dimension == d2.dimension == 96

@@ -17,7 +17,7 @@ from nichols_dm.lifting import (
     presentation_B,
     presentation_L,
 )
-from nichols_dm.rewrite import compile_presentation, hopf_check
+from nichols_dm.rewrite import compile, hopf_check
 
 
 def one(m=12):
@@ -126,7 +126,7 @@ def test_parameters_json_round_trips_through_keyed_flags():
     for m, I, L, given in _round_trip_cases():
         datum = LiftingDatum.build(m, I, L, **given)
         flags = {
-            _FLAGS[name]: ";".join(f"{key}={value}" for key, value in entries.items()) or None
+            _FLAGS[name]: ";".join(f"{key}={value}" for key, value in entries.items())
             for name, entries in datum.parameters_json().items()
         }
         parsed = {flag: _parse_param(m, text) for flag, text in flags.items()}
@@ -279,7 +279,7 @@ def test_hopf_check_counit_matches_the_relation_terms():
     # hopf_check reads the counit off each relation's element in the monomial
     # model; the oracle sums the relation's pure-group terms as written
     for pres in _closure_cases():
-        R = compile_presentation(pres)
+        R = compile(pres)
         for P in _counit_corruptions(pres):
             report = hopf_check(P, R)
             residues = [(rel.label, counit_residue(P, rel)) for rel in P.relations]
