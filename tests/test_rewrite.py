@@ -546,6 +546,45 @@ def test_a_relation_inside_the_group_algebra_is_named():
         assert str(info.value) == message
 
 
+def _printed_structural_relations(P):
+    """The group:/comm: relations of P's JSON, parsed back into Relations."""
+    from nichols_dm.cyclo import parse_scalar
+
+    out = []
+    for rel in P.to_json_dict()["relations"]:
+        if rel["label"].startswith(("group:", "comm:")):
+            lhs = tuple((parse_scalar(P.m, c), tuple(word)) for c, word in rel["lhs_terms"])
+            rhs = tuple((parse_scalar(P.m, c), tuple(g)) for c, g in rel["rhs_group_combo"])
+            out.append(Relation(rel["label"], lhs, rhs))
+    return out
+
+
+def _assert_printed_structural_relations_vanish(P):
+    """Each printed group/commutation relation is zero in the model of P's letters."""
+    R = rewrite.RewriteSystem(P)
+    relations = _printed_structural_relations(P)
+    comm = [f"comm:{x}:{v.name}" for v in P.skew_generators for x in "gh"]
+    assert [rel.label for rel in relations] == ["group:g2", "group:hm", "group:ghg"] + comm
+    for rel in relations:
+        assert rewrite._relation_element(R, rel) == {}, (P.I, P.L, rel.label)
+
+
+@pytest.mark.parametrize("m", [12, 16, 20])
+def test_printed_structural_relations_vanish_in_the_monomial_model(m):
+    # families (a)-(d) up to size 2, with the zero datum and, for (c) and (d),
+    # every free entry set to 1
+    from nichols_dm.lifting import FAMILIES, family_members, family_presentation
+
+    names = {"a": (), "b": (), "c": ("lam", "gamma"), "d": ("lam", "gamma", "theta", "mu")}
+    for family in FAMILIES:
+        for I, L in family_members(m, family, 2):
+            _assert_printed_structural_relations_vanish(family_presentation(m, family, I, L))
+            if names[family]:
+                data = {name: 1 for name in names[family]}
+                _assert_printed_structural_relations_vanish(
+                    family_presentation(m, family, I, L, **data))
+
+
 def _with_letter(P, name, **fields):
     """P with the metadata `fields` of its letter `name` replaced, relations kept."""
     gens = tuple(
