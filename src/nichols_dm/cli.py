@@ -47,7 +47,10 @@ def _numbers(grammar: re.Pattern, text: str, what: str, form: str) -> list[int]:
     """The integers in `text`, which `grammar` must match in full."""
     if not grammar.fullmatch(text):
         raise DomainError(f"cannot parse {what} {text!r}; expected {form}")
-    return [int(x) for x in re.findall(r"\d+", text, re.ASCII)]
+    try:
+        return [int(x) for x in re.findall(r"\d+", text, re.ASCII)]
+    except ValueError as exc:  # more digits than int() reads
+        raise DomainError(f"cannot read {what} {text!r}: {exc}") from None
 
 
 def _parse_pairs(m: int, text: str) -> list[tuple[int, int]]:
@@ -223,7 +226,10 @@ def cmd_rack(args) -> tuple[dict, int]:
         match = re.fullmatch(r"r\^?(\d+)", text)
         if not match:
             raise DomainError(f"unknown class spec {text!r}; use e, s, sr or r^i")
-        rep = G.r(int(match.group(1)))
+        try:
+            rep = G.r(int(match.group(1)))
+        except ValueError as exc:  # more digits than int() reads
+            raise DomainError(f"cannot read class spec {text!r}: {exc}") from None
     cls = class_of(G, rep)
     rack = conjugation_rack(G, cls)
     verdict, witness = is_type_D(G, cls)

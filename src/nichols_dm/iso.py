@@ -268,16 +268,15 @@ def iso_classes(
                 if witness[jdx] is None:
                     witness[jdx] = unit
                     claimed.append(jdx)
-        claimed.sort()
+        claimed.sort()  # the identity claims idx, so it comes first
+        entries = [{**entry(instances[jdx]), "witness_unit": witness[jdx].value} for jdx in claimed]
+        representative = {key: value for key, value in entries[0].items() if key != "witness_unit"}
         orbits.append(
             {
                 "family": members[source][0],
-                "representative": entry(instances[idx]),
+                "representative": representative,
                 "orbit_size": len(claimed),
-                "members": [
-                    {**entry(instances[jdx]), "witness_unit": witness[jdx].value}
-                    for jdx in claimed
-                ],
+                "members": entries,
             }
         )
     return orbits

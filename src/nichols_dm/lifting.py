@@ -1,11 +1,10 @@
 """Quadratic lifting presentations over D_m: A-type, B-type and bosonizations.
 
-A presentation has group-likes g, h (with g^2 = 1 = h^m, ghg = h^{m-1})
-and skew-primitive generators x/y per J-pair and z/w per odd l, together
-with the delta-guarded quadratic relations.  A lifting datum is one table
-of deformation parameters keyed by (name, key), name one of lambda, gamma,
-theta, mu; a guard that never fires (or a vanishing group factor 1 - h^0)
-forces an entry to zero, and the symmetry lambda_{p,m-k,i,k} =
+A presentation is T(V)#kD_m, V spanned by x/y per J-pair and z/w per odd
+l, modulo the delta-guarded quadratic relations.  A lifting datum is one
+table of deformation parameters keyed by (name, key), name one of lambda,
+gamma, theta, mu; a guard that never fires (or a vanishing group factor
+1 - h^0) forces an entry to zero, and the symmetry lambda_{p,m-k,i,k} =
 lambda_{i,k,p,m-k}, gamma_{p,k,i,k} = gamma_{i,k,p,k} ties transposed keys.
 
 `_build` writes each x/z generator and each displayed relation family
@@ -274,7 +273,7 @@ class Presentation:
                     [format_scalar(c), [eps, hexp]] for c, (eps, hexp) in rel.rhs
                 ],
             }
-            for rel in self.relations
+            for rel in self._structural_relations() + self.relations
         ]
         return {
             "m": self.m,
@@ -285,6 +284,21 @@ class Presentation:
             "relations": rels,
             "parameters": self.datum.parameters_json(),
         }
+
+    def _structural_relations(self) -> tuple[Relation, ...]:
+        """The group relations and g v = partner(v) g, h v = w^h_exp v h, read off the letters."""
+        m, one = self.m, CycloNumber.one(self.m)
+        rels = [
+            Relation("group:g2", ((one, ("g", "g")),), ((one, (0, 0)),)),
+            Relation("group:hm", ((one, ("h",) * m),), ((one, (0, 0)),)),
+            Relation("group:ghg", ((one, ("g", "h", "g")),), ((one, (0, m - 1)),)),
+        ]
+        for v in self.skew_generators:
+            g_terms = ((one, ("g", v.name)), (-one, (v.partner, "g")))
+            h_terms = ((one, ("h", v.name)), (-CycloNumber.root(m, v.h_exp), (v.name, "h")))
+            rels.append(Relation(f"comm:g:{v.name}", g_terms, ()))
+            rels.append(Relation(f"comm:h:{v.name}", h_terms, ()))
+        return tuple(rels)
 
 
 def _occurrence_names(entries, base_names):
@@ -322,34 +336,7 @@ def _build(datum: LiftingDatum) -> Presentation:
         gens.append(SkewGenerator(b, a, -h_exp % m, -cop_exp % m))
     partner = {v.name: v.partner for v in gens}
 
-    rels: list[Relation] = [
-        Relation("group:g2", ((one, ("g", "g")),), ((one, (0, 0)),)),
-        Relation("group:hm", ((one, tuple(["h"] * m)),), ((one, (0, 0)),)),
-        Relation(
-            "group:ghg",
-            ((one, ("g", "h", "g")),),
-            ((one, (0, m - 1)),),
-        ),
-    ]
-    for v in gens:
-        rels.append(
-            Relation(
-                f"comm:g:{v.name}",
-                ((one, ("g", v.name)), (-one, (v.partner, "g"))),
-                (),
-            )
-        )
-        rels.append(
-            Relation(
-                f"comm:h:{v.name}",
-                (
-                    (one, ("h", v.name)),
-                    (-CycloNumber.root(m, v.h_exp), (v.name, "h")),
-                ),
-                (),
-            )
-        )
-
+    rels: list[Relation] = []
     zero = CycloNumber.zero(m)
 
     def relation(kind: str, a: str, b: str, value: CycloNumber, exp: int) -> Relation:

@@ -2,22 +2,20 @@
 
 Monomials are pairs (w, gamma): w a word in the skew-primitive letters,
 gamma an element of D_m.  Multiplication moves group elements to the
-right through the commutation rules (g v g^-1 = partner(v),
-h v h^-1 = w^e v), so the group and commutation relations of a
-presentation hold identically in this model; compile() verifies that and
-orients only the quadratic relations.  Rewrite rules have pure skew-word
-left-hand sides and strictly deglex-smaller right-hand sides under the
-declared generator precedence, so reduction terminates.  reduce, the
-only reduction, rewrites the leftmost redex of every term in rounds,
-with no cache: it is linear, and the strategy fixes the normal form of
-each monomial, confluent or not.  By Bergman's diamond lemma, once every
-ambiguity reduces to zero the irreducible monomials form a basis, and
-their count, taken on the graph of their last letters
-(_count_normal_words) and never by listing them, certifies the
-dimension; normal_basis lists them where a caller wants the words.
+right by the letters' rules g v g^-1 = partner(v), h v h^-1 = w^e v.
+Rewrite rules have pure skew-word left-hand sides and strictly
+deglex-smaller right-hand sides under the declared generator precedence,
+so reduction terminates.  reduce, the only reduction, rewrites the
+leftmost redex of every term in rounds, with no cache: it is linear, and
+the strategy fixes the normal form of each monomial, confluent or not.
+By Bergman's diamond lemma, once every ambiguity reduces to zero the
+irreducible monomials form a basis, and their count, taken on the graph
+of their last letters (_count_normal_words) and never by listing them,
+certifies the dimension; normal_basis lists them where a caller wants
+the words.
 
-compile() is a check, not a completion.  Each quadratic relation, reduced
-by the rules before it, becomes one rule, and one that reduces to zero adds
+compile() is a check, not a completion.  Each relation, reduced by the
+rules before it, becomes one rule, and one that reduces to zero adds
 none.  compile() then checks that no left-hand side contains another, so
 that the only ambiguities are overlaps, which _ambiguities finds through an
 index of left-hand-side prefixes, and that every overlap resolves.  A
@@ -49,10 +47,9 @@ hopf_check applies Delta and the antipode S to each relation's element in
 T(V)#kD_m, the monomial model without rewriting, and reduces the image
 once (reduction onto normal words is an algebra map).  Delta and S of a
 monomial are written in closed form on integer exponents of w and of the
-int code of D_m, one scalar product per term.  The structural relations
-are zero there, so only the quadratic relations carry a condition.  S is
-antimultiplicative on the model when the letters form a Yetter-Drinfeld
-module, which hopf_check checks letter by letter.
+int code of D_m, one scalar product per term.  S is antimultiplicative
+on the model when the letters form a Yetter-Drinfeld module, which
+hopf_check checks letter by letter.
 
 The Hopf check of a family relation, r = x_a x_b - q x_b x_a - T with T
 in kD_m, needs no reduction when R was compiled from its presentation.
@@ -172,7 +169,7 @@ class RewriteSystem:
         self.lhs_lengths: tuple[int, ...] = ()  # of the rules, longest first
         self.certificate: Optional[CompletionCertificate] = None
         self._quadratic: dict[Word, tuple] = {}  # (a, b) -> (q_ab or None, T_ab) per quadratic rule
-        # (label, unreduced element) of each non-structural relation, kept by compile
+        # (label, unreduced element) of each relation, kept by compile
         self.quadratic_relations: list[tuple[str, Element]] = []
 
     def conj_word(self, g: int, word: Word) -> tuple[int, Word]:
@@ -370,28 +367,18 @@ def _quadratic_residue(sys: RewriteSystem, a: int, b: int, c: int) -> Element:
 
 
 def compile(P: Presentation, overlap_budget: Optional[int] = None) -> RewriteSystem:
-    """Orient each quadratic relation once and check the result: a check, not completion.
+    """Orient each relation once and check the result: a check, not completion.
 
-    The group and commutation relations hold identically in the monomial
-    model; compile() verifies that they evaluate to zero.  Each other
-    relation, reduced by the rules before it, becomes one rule.  Then no
-    left-hand side may contain another, and every overlap must resolve.
-    A failed check or a hit budget raises CompletionError; it is never
-    silent.
+    Each relation, reduced by the rules before it, becomes one rule or
+    none.  Then no left-hand side may contain another, and every overlap
+    must resolve.  A failed check or a hit budget raises CompletionError;
+    it is never silent.
     """
     if overlap_budget is not None and overlap_budget < 0:
         raise DomainError(f"overlap budget must be >= 0, got {overlap_budget}")
     sys = RewriteSystem(P)
     for rel in P.relations:
         el = _relation_element(sys, rel)
-        if rel.label.startswith("group:") or rel.label.startswith("comm:"):
-            if el:
-                raise CompletionError(
-                    f"structural relation {rel.label} does not vanish in the "
-                    "monomial model; presentation metadata is inconsistent",
-                    ambiguity=rel.label,
-                )
-            continue
         sys.quadratic_relations.append((rel.label, el))
         el = sys.reduce(el)
         if el:
@@ -662,13 +649,12 @@ def hopf_check(P: Presentation, R: RewriteSystem) -> HopfReport:
     zero.  The counit kills every letter and sends each group element to 1.
 
     When R was compiled from P (P is R.presentation), the relations are
-    the elements compile kept: the structural ones are zero, and each
-    quadratic one reduces to zero.  Then, while no rule has a left side
-    shorter than 2, Delta of a relation of words of length <= 2 whose
-    degree-2 terms share one group element and one coproduct degree is
-    written down (_skew_primitive_residue), and a relation it shows to be
-    (G, gamma0)-skew-primitive and fixed by G skips the antipode
-    reduction when the letter metadata passes (see the module docstring).
+    the elements compile kept, each reducing to zero.  Then, while no rule
+    has a left side shorter than 2, Delta of a relation of words of length
+    <= 2 whose degree-2 terms share one group element and one coproduct
+    degree is written down (_skew_primitive_residue), and a relation it
+    shows to be (G, gamma0)-skew-primitive and fixed by G skips the
+    antipode reduction when the letter metadata passes (module docstring).
     Any other relation, and every relation of a P that R was not compiled
     from, takes _delta and _antipode.
     """

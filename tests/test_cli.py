@@ -304,6 +304,27 @@ def test_malformed_scalar_is_a_validation_error(capsys, argv):
     assert doc["error"]["type"] == "validation"
 
 
+_HUGE = "9" * 5000  # more digits than int() reads by default
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rack", "--m", "12", "--class", f"r^{_HUGE}"],
+        ["nichols", "--m", "12", "--module", f"I:(1,{_HUGE})"],
+        ["nichols", "--m", "12", "--module", f"L:{_HUGE}"],
+        ["verify", "--m", "12", "--family", "c", "--I", "(1,6)", "--lambda", f"{_HUGE},6,1,6=1"],
+    ],
+    ids=["rack-class", "nichols-pair", "nichols-ell", "verify-key"],
+)
+def test_oversized_integer_is_a_validation_error(capsys, argv):
+    # int() refuses the digits with a ValueError, which used to end in a traceback
+    code, doc = run_cli(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "validation"
+    assert doc["error"]["message"].startswith("cannot read ")
+
+
 def test_iso_rejects_malformed_grid_that_no_member_reads(capsys):
     # family (a) has no free parameter, so "junk" used to exit 0 and be echoed
     code, doc = run_cli(capsys, "iso", "--m", "12", "--family", "a", "--max-size", "1",

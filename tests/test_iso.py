@@ -403,6 +403,23 @@ def test_iso_classes_work_per_member_not_per_grid_point(monkeypatch):
     assert calls[0] == calls[1] > 0
 
 
+@pytest.mark.parametrize(
+    "m, grid, members",
+    [(12, ("0", "1"), 89), (20, ("0", "1"), 252), (20, ("0", "w^3", "-1"), 928)],
+)
+def test_iso_classes_write_each_member_once(monkeypatch, m, grid, members):
+    # the representative reuses its own member entry, so the parameter
+    # writer runs once per member and not once more per orbit
+    counts: Counter = Counter()
+    monkeypatch.setattr(iso, "parameters_json", _counting(counts, "write", iso.parameters_json))
+    orbits = iso_classes(m, 2, grid)
+    assert sum(len(orbit["members"]) for orbit in orbits) == members
+    assert counts["write"] == members
+    for orbit in orbits:
+        first = dict(orbit["members"][0])
+        assert first.pop("witness_unit") == 1 and first == orbit["representative"]
+
+
 _KEYED_FLAGS = {"lambda": "lam", "gamma": "gamma", "theta": "theta", "mu": "mu"}
 
 
