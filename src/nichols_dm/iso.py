@@ -268,15 +268,16 @@ def iso_classes(
                 if witness[jdx] is None:
                     witness[jdx] = unit
                     claimed.append(jdx)
-        claimed.sort()  # the identity claims idx, so it comes first
-        entries = [{**entry(instances[jdx]), "witness_unit": witness[jdx].value} for jdx in claimed]
-        representative = {key: value for key, value in entries[0].items() if key != "witness_unit"}
+        claimed.sort()
+        entries = [entry(instances[jdx]) for jdx in claimed]
         orbits.append(
             {
                 "family": members[source][0],
-                "representative": representative,
+                "representative": entries[0],  # the identity claims idx, the least
                 "orbit_size": len(claimed),
-                "members": entries,
+                "members": [
+                    {**e, "witness_unit": witness[jdx].value} for e, jdx in zip(entries, claimed)
+                ],
             }
         )
     return orbits

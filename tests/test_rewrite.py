@@ -10,14 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nichols_dm.cyclo import CycloNumber
+from nichols_dm.cyclo import CycloNumber, parse_scalar
 from nichols_dm.dihedral import DihedralGroup, GroupElement, g_element, g_encode, g_inv, g_mul
 from nichols_dm import rewrite
 from nichols_dm.errors import CompletionError, DomainError
 from nichols_dm.lifting import (
+    FAMILIES,
     LiftingDatum,
     Relation,
     _build,
+    family_members,
+    family_presentation,
     presentation_A,
     presentation_B,
     presentation_L,
@@ -548,8 +551,6 @@ def test_a_relation_inside_the_group_algebra_is_named():
 
 def _printed_structural_relations(P):
     """The group:/comm: relations of P's JSON, parsed back into Relations."""
-    from nichols_dm.cyclo import parse_scalar
-
     out = []
     for rel in P.to_json_dict()["relations"]:
         if rel["label"].startswith(("group:", "comm:")):
@@ -573,8 +574,6 @@ def _assert_printed_structural_relations_vanish(P):
 def test_printed_structural_relations_vanish_in_the_monomial_model(m):
     # families (a)-(d) up to size 2, with the zero datum and, for (c) and (d),
     # every free entry set to 1
-    from nichols_dm.lifting import FAMILIES, family_members, family_presentation
-
     names = {"a": (), "b": (), "c": ("lam", "gamma"), "d": ("lam", "gamma", "theta", "mu")}
     for family in FAMILIES:
         for I, L in family_members(m, family, 2):
