@@ -480,6 +480,27 @@ def test_act_datum_agrees_with_pairwise_oracle(m, grid):
     assert accepted > len(data)
 
 
+@pytest.mark.parametrize("m, grid, pairs", [(12, ("0", "1", "-1"), 32993), (20, ("0", "1"), 9592)])
+def test_is_isomorphic_B_matches_datum_route(m, grid, pairs):
+    # each datum a of families (c), (d) against every datum b of a member
+    # that a unit carries a's member to: the verdict and the witness are
+    # those of the first unit whose datum-route image of a is b
+    us = units(m)
+    data: dict = {}
+    for fam in "cd":
+        for I, L in family_members(m, fam, 2):
+            data[I, L] = _grid_data(m, I, L, grid)
+    compared = 0
+    for a in (a for family in data.values() for a in family):
+        images = [_parent_act_datum(u, a) for u in us]
+        for target in {(act_I(u, a.I), act_L(u, a.L)) for u in us}:
+            for b in data[target]:
+                u = next((u for u, image in zip(us, images) if image == b), None)
+                assert is_isomorphic_B(m, (a.I, a.L, a), (b.I, b.L, b)) == (u is not None, u)
+                compared += 1
+    assert compared == pairs
+
+
 @pytest.mark.parametrize("m, grid", [(12, ("0", "1", "-1")), (20, ("0", "1"))])
 def test_act_datum_is_group_action(m, grid):
     us = units(m)
