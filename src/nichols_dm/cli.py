@@ -22,7 +22,7 @@ from . import classify as classify_mod
 from . import iso as iso_mod
 from . import lifting as lifting_mod
 from . import rewrite as rewrite_mod
-from .cyclo import parse_scalar
+from .cyclo import _too_long, parse_scalar
 from .dihedral import DihedralGroup, class_of, conjugacy_classes, irreps
 from .errors import CompletionError, DomainError
 from .rack import conjugation_rack, is_type_D
@@ -49,8 +49,8 @@ def _numbers(grammar: re.Pattern, text: str, what: str, form: str) -> list[int]:
         raise DomainError(f"cannot parse {what} {text!r}; expected {form}")
     try:
         return [int(x) for x in re.findall(r"\d+", text, re.ASCII)]
-    except ValueError as exc:  # more digits than int() reads
-        raise DomainError(f"cannot read {what} {text!r}: {exc}") from None
+    except ValueError:  # more digits than int() reads
+        raise _too_long(what, text) from None
 
 
 def _parse_pairs(m: int, text: str) -> list[tuple[int, int]]:
@@ -228,8 +228,8 @@ def cmd_rack(args) -> tuple[dict, int]:
             raise DomainError(f"unknown class spec {text!r}; use e, s, sr or r^i")
         try:
             rep = G.r(int(match.group(1)))
-        except ValueError as exc:  # more digits than int() reads
-            raise DomainError(f"cannot read class spec {text!r}: {exc}") from None
+        except ValueError:  # more digits than int() reads
+            raise _too_long("class spec", text) from None
     cls = class_of(G, rep)
     rack = conjugation_rack(G, cls)
     verdict, witness = is_type_D(G, cls)

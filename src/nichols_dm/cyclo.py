@@ -424,6 +424,13 @@ _SCALAR_RE = re.compile(rf"[+-]?\s*{_TERM}(?:\s*[+-]\s*{_TERM})*")
 _TERM_RE = re.compile(rf"([+-]?)(?:({_COEF})\*?)?(w(?:\^([0-9]+))?)?")
 
 
+def _too_long(what: str, text: str) -> DomainError:
+    """The error for a number in `text` with more digits than int() reads: it
+    names the field and the digit count, not the digits."""
+    digits = max(map(len, re.findall(r"\d+", text, re.ASCII)))
+    return DomainError(f"cannot read {what}: a number of {digits} digits is too long")
+
+
 def parse_scalar(m: int, text: str) -> CycloNumber:
     """Parse the syntax emitted by format_scalar back into a CycloNumber.
 
@@ -444,8 +451,8 @@ def parse_scalar(m: int, text: str) -> CycloNumber:
             exp = int(exp or 1)
         except ZeroDivisionError:
             raise DomainError(f"zero denominator in scalar {text!r}") from None
-        except ValueError as exc:  # more digits than int() reads
-            raise DomainError(f"cannot read scalar {text!r}: {exc}") from None
+        except ValueError:  # more digits than int() reads
+            raise _too_long("scalar", text) from None
         if sign == "-":
             value = -value
         if power:

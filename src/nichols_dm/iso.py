@@ -2,14 +2,10 @@
 
 A unit l acts on J-pairs by (i,k) -> (li, l^-1 k), folded into the range
 1 <= i < n by i -> m - i when li lands at or above n, and on odd l-labels
-through l^-1 with the same folding.  `_key_image` moves one parameter entry
-to the image of its indices, lambda/gamma and theta/mu crossing over by the
-side of n the indices land on; `act_datum` moves a whole datum that way.
-`iso_classes` works on grid indices: per (unit, member) a slot map sends
-each free key to the image's free key it lands on, or None when that is
-forced zero.  A datum has no image when a nonzero value meets None, or when
-a target slot stays unfilled and the grid has no zero.  Orbits are the
-images under the units; a member's witness is the least unit reaching it.
+through l^-1 with the same folding.  On parameters it acts by slot maps
+(`_slots`, `_image`), which both `iso_classes` and the `is_isomorphic_*`
+tests use.  Orbits are the images under the units; a member's witness is
+the least unit reaching it.
 """
 
 from __future__ import annotations
@@ -21,9 +17,9 @@ from typing import Optional, Sequence
 
 from .classify import Pair, in_J
 from .errors import DomainError
-from .cyclo import format_scalar
+from .cyclo import CycloNumber, format_scalar
 from .lifting import (FAMILIES, LiftingDatum, _scalar, _transpose, family_members,
-                      free_parameter_keys, parameter_shape, parameters_json)
+                      free_parameter_keys, parameters_json)
 
 __all__ = [
     "UnitModM",
@@ -72,8 +68,7 @@ def act_pair(unit: UnitModM, pair: Pair) -> Pair:
     lk = (unit.inverse * k) % m
     if li == 0 or li == n:
         raise RuntimeError(f"unit action degenerated on {pair}: li = {li}")
-    folded = (li, lk) if li < n else ((m - li) % m, lk)
-    return folded
+    return (li, lk) if li < n else (m - li, lk)
 
 
 def act_ell(unit: UnitModM, r: int) -> int:
@@ -112,25 +107,43 @@ def _key_image(unit: UnitModM, name: str, key: tuple) -> tuple[str, tuple]:
     return (name if same_side else _CROSSED[name]), img
 
 
-def act_datum(unit: UnitModM, datum: LiftingDatum) -> Optional[LiftingDatum]:
-    """l . (I, L, datum): every entry of `params` moves to its `_key_image`.
+def _slots(unit: UnitModM, keys: Sequence, target_keys: Sequence) -> list[Optional[int]]:
+    """Each free key's position among `target_keys`, the image member's free
+    keys: that of its `_key_image`, or of the image's transpose when the image
+    is tied, or None when the image is forced zero."""
+    position = {key: pos for pos, key in enumerate(target_keys)}
+    slots = []
+    for name, key in keys:
+        name, img = _key_image(unit, name, key)
+        # a tied image's transpose is free; a forced-zero image has a
+        # forced-zero transpose (the guards are symmetric), so misses both
+        tied = (name, _transpose(img)) if len(img) == 4 else None
+        slots.append(position.get((name, img), position.get(tied)))
+    return slots
 
-    Returns None when a nonzero entry lands on an entry that
-    `parameter_shape` forces to zero: no datum of the image family matches.
-    """
-    I, L = act_I(unit, datum.I), act_L(unit, datum.L)
-    moved = {_key_image(unit, name, key): value for (name, key), value in datum.params}
-    if moved:
-        shape = parameter_shape(unit.m, I, L)
-        if any(shape[name][key] == "zero" for name, key in moved):
+
+def _image(values: Sequence, slots: Sequence, size: int, zero) -> Optional[tuple]:
+    """`values` moved along `slots` into `size` target slots, `zero` in those
+    left unfilled; None when a nonzero value meets a None slot (no image)."""
+    out = [zero] * size
+    for value, slot in zip(values, slots):
+        if slot is not None:
+            out[slot] = value
+        elif value != zero:
             return None
-    return LiftingDatum(unit.m, I, L, tuple(sorted(moved.items())))
+    return tuple(out)
 
 
 # the is_isomorphic_* below are read by bench/tracing.py; goes with ROADMAP item 2
 def _first_unit(d1: LiftingDatum, d2: LiftingDatum) -> tuple[bool, Optional[UnitModM]]:
+    keys1, keys2 = (free_parameter_keys(d.m, d.I, d.L) for d in (d1, d2))
+    values1 = [d1.value(*key) for key in keys1]
+    values2 = tuple(d2.value(*key) for key in keys2)
+    zero = CycloNumber.zero(d1.m)
     for unit in units(d1.m):
-        if act_datum(unit, d1) == d2:
+        if (d1.m, act_I(unit, d1.I), act_L(unit, d1.L)) == (d2.m, d2.I, d2.L) and (
+            _image(values1, _slots(unit, keys1, keys2), len(keys2), zero) == values2
+        ):
             return True, unit
     return False, None
 
@@ -178,70 +191,37 @@ def iso_classes(
 
     `families` is a nonempty subset of "abcd"; `lifting.family_members`
     lists the members of each.  The parameter grid is read once, up front,
-    so a malformed value is rejected even when no member has a free
+    so a malformed or empty grid is rejected even when no member has a free
     parameter.  An instance is (member index, grid index per free key of
     the member); equal grid values share the index of their first
     occurrence, so repeated grid values give repeated, equal instances.
+    The image member and the `_slots` are computed once per (unit, member)
+    that a representative reaches.
 
-    For each (unit, member) that a representative reaches, the image member
-    and a slot map are computed once.  The slot map sends each free key to
-    the position among the image member's free keys of its `_key_image`, or
-    of that image's transpose when the image is tied, or to None when the
-    image is forced zero.  An instance's image moves its indices along the
-    slot map and puts zero in the target slots left unfilled.  As with
-    `act_datum`, there is no image when a nonzero value falls on a None
-    slot, or when a target slot is left unfilled and the grid has no zero.
-
-    Orbits come from the action itself: the first instance not yet placed
-    is the representative, and its images under the units, taken in
-    ascending order, claim the unplaced instances they hit.  Each member's
-    witness is therefore the least unit carrying the representative onto
-    it; members are listed in instance order.
+    The first instance not yet placed is a representative; its images under
+    the units, in ascending order, claim the unplaced instances they hit, so
+    each member's witness is the least unit carrying the representative onto
+    it.  Members are listed in instance order.
     """
     if not families or not set(families) <= set(FAMILIES):
         raise DomainError(f"families must be a nonempty subset of {FAMILIES!r}, got {families!r}")
     grid = [_scalar(m, value) for value in parameter_grid]
+    if not grid:
+        raise DomainError("the parameter grid is empty")
     first = [grid.index(value) for value in grid]
     zero = next((j for j, value in enumerate(grid) if not value), None)
     texts = [format_scalar(value) for value in grid]
     members = []  # (family, I, L, free keys)
     index: dict[tuple, int] = {}
-    for fam in FAMILIES:
-        if fam in families:
-            for I, L in family_members(m, fam, r_max):
-                index.setdefault((fam, I, L), len(members))
-                members.append((fam, I, L, free_parameter_keys(m, I, L)))
+    for fam in sorted(set(families)):  # in the order of FAMILIES
+        for I, L in family_members(m, fam, r_max):
+            index.setdefault((fam, I, L), len(members))
+            members.append((fam, I, L, free_parameter_keys(m, I, L)))
     instances = [
         (index[fam, I, L], values)
         for fam, I, L, keys in members
         for values in product(first, repeat=len(keys))
     ]
-
-    def act(unit: UnitModM, source: int) -> Optional[tuple[int, list]]:
-        fam, I, L, keys = members[source]
-        target = index.get((fam, act_I(unit, I), act_L(unit, L)))
-        if target is None:
-            return None
-        position = {key: pos for pos, key in enumerate(members[target][3])}
-        slots = []
-        for name, key in keys:
-            name, img = _key_image(unit, name, key)
-            # a tied image's transpose is free; a forced-zero image has a
-            # forced-zero transpose (the guards are symmetric), so misses both
-            tied = (name, _transpose(img)) if len(img) == 4 else None
-            slots.append(position.get((name, img), position.get(tied)))
-        return target, slots
-
-    def image(values: tuple, target: int, slots: list) -> Optional[tuple]:
-        # a target slot that no key fills keeps `zero`; without a zero in the
-        # grid that is None, which no instance holds, so there is no image
-        out = [zero] * len(members[target][3])
-        for value, slot in zip(values, slots):
-            if slot is not None:
-                out[slot] = value
-            elif value != zero:  # a nonzero value on a forced-zero key
-                return None
-        return target, tuple(out)
 
     def entry(instance: tuple) -> dict:
         _, I, L, keys = members[instance[0]]
@@ -251,7 +231,7 @@ def iso_classes(
     positions: dict[tuple, list[int]] = {}
     for idx, inst in enumerate(instances):
         positions.setdefault(inst, []).append(idx)
-    actions: dict[tuple[int, int], Optional[tuple[int, list]]] = {}
+    actions: dict[tuple[int, int], tuple[int, list]] = {}
     witness: list[Optional[UnitModM]] = [None] * len(instances)
     orbits: list[dict] = []
     unit_list = units(m)
@@ -261,10 +241,13 @@ def iso_classes(
         claimed = []
         for unit in unit_list:
             if (unit.value, source) not in actions:
-                actions[unit.value, source] = act(unit, source)
-            action = actions[unit.value, source]
-            target = image(values, *action) if action else None
-            for jdx in positions.get(target, ()):
+                fam, I, L, keys = members[source]
+                target = index[fam, act_I(unit, I), act_L(unit, L)]
+                actions[unit.value, source] = target, _slots(unit, keys, members[target][3])
+            target, slots = actions[unit.value, source]
+            # a grid without zero leaves None in an unfilled slot: no instance
+            image = _image(values, slots, len(members[target][3]), zero)
+            for jdx in positions.get((target, image), ()):
                 if witness[jdx] is None:
                     witness[jdx] = unit
                     claimed.append(jdx)

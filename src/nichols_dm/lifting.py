@@ -46,7 +46,6 @@ __all__ = [
     "family_members",
     "family_presentation",
     "free_parameter_keys",
-    "parameter_shape",
     "parameters_json",
     "presentation_A",
     "presentation_B",

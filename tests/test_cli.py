@@ -314,15 +314,19 @@ _HUGE = "9" * 5000  # more digits than int() reads by default
         ["nichols", "--m", "12", "--module", f"I:(1,{_HUGE})"],
         ["nichols", "--m", "12", "--module", f"L:{_HUGE}"],
         ["verify", "--m", "12", "--family", "c", "--I", "(1,6)", "--lambda", f"{_HUGE},6,1,6=1"],
+        ["verify", "--m", "12", "--family", "c", "--I", "(1,6)", "--lambda", f"{_HUGE}*w"],
     ],
-    ids=["rack-class", "nichols-pair", "nichols-ell", "verify-key"],
+    ids=["rack-class", "nichols-pair", "nichols-ell", "verify-key", "verify-scalar"],
 )
 def test_oversized_integer_is_a_validation_error(capsys, argv):
-    # int() refuses the digits with a ValueError, which used to end in a traceback
+    # int() refuses the digits with a ValueError, which used to end in a traceback;
+    # the message names the field and the digit count, not the digits themselves
     code, doc = run_cli(capsys, *argv)
     assert code == 2
     assert doc["error"]["type"] == "validation"
-    assert doc["error"]["message"].startswith("cannot read ")
+    message = doc["error"]["message"]
+    assert message.startswith("cannot read ") and "5000 digits" in message
+    assert len(message) < 200 and "sys." not in message
 
 
 def test_iso_rejects_malformed_grid_that_no_member_reads(capsys):
@@ -334,6 +338,14 @@ def test_iso_rejects_malformed_grid_that_no_member_reads(capsys):
         "type": "validation",
         "message": "cannot parse scalar 'junk'; expected e.g. 1/2*w^2 - w + 3",
     }
+
+
+@pytest.mark.parametrize("grid", ["", ","])
+def test_iso_rejects_empty_grid(capsys, grid):
+    # it used to exit 0 and silently drop every member with a free parameter
+    code, doc = run_cli(capsys, "iso", "--m", "12", "--max-size", "2", "--grid", grid)
+    assert code == 2
+    assert doc["error"] == {"type": "validation", "message": "the parameter grid is empty"}
 
 
 def test_specs_allow_whitespace_and_lowercase_prefix():
