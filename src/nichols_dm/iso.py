@@ -4,7 +4,7 @@ A unit l acts on J-pairs by (i,k) -> (li, l^-1 k), folded into the range
 1 <= i < n by i -> m - i when li lands at or above n, and on odd l-labels
 through l^-1 with the same folding.  On parameters it acts by slot maps
 (`_slots`, `_image`), which both `iso_classes` and the `is_isomorphic_*`
-tests use.  Orbits are the images under the units; a member's witness is
+checks use.  Orbits are the images under the units; a member's witness is
 the least unit reaching it.
 """
 
@@ -68,7 +68,8 @@ def act_pair(unit: UnitModM, pair: Pair) -> Pair:
     lk = (unit.inverse * k) % m
     if li == 0 or li == n:
         raise RuntimeError(f"unit action degenerated on {pair}: li = {li}")
-    return (li, lk) if li < n else (m - li, lk)
+    folded = (li, lk) if li < n else ((m - li) % m, lk)
+    return folded
 
 
 def act_ell(unit: UnitModM, r: int) -> int:
@@ -92,31 +93,28 @@ def act_L(unit: UnitModM, L: Sequence[int]) -> tuple[int, ...]:
 _CROSSED = {"lambda": "gamma", "gamma": "lambda", "theta": "mu", "mu": "theta"}
 
 
-def _key_image(unit: UnitModM, name: str, key: tuple) -> tuple[str, tuple]:
-    """Where name[key] lands under l: (p,q,i,k) -> l.(p,q) + l.(i,k) and
-    (p,q,r) -> l.(p,q) + (l.r,), with lambda/gamma (theta/mu) crossing over
-    when the two indices fold to opposite sides of n."""
-    m, n = unit.m, unit.m // 2
-    p_low = (unit.value * key[0]) % m < n
-    if len(key) == 4:
-        img = act_pair(unit, key[:2]) + act_pair(unit, key[2:])
-        same_side = p_low == ((unit.value * key[2]) % m < n)
-    else:
-        img = act_pair(unit, key[:2]) + (act_ell(unit, key[2]),)
-        same_side = p_low == ((unit.inverse * key[2]) % m < n)
-    return (name if same_side else _CROSSED[name]), img
-
-
 def _slots(unit: UnitModM, keys: Sequence, target_keys: Sequence) -> list[Optional[int]]:
-    """Each free key's position among `target_keys`, the image member's free
-    keys: that of its `_key_image`, or of the image's transpose when the image
-    is tied, or None when the image is forced zero."""
+    """Each free key's position among `target_keys`, the image member's free keys.
+
+    name[(p,q,i,k)] lands on l.(p,q) + l.(i,k) and name[(p,q,r)] on
+    l.(p,q) + (l.r,), lambda/gamma (theta/mu) crossing over when the two
+    indices fold to opposite sides of n.  A tied image takes the position of
+    its transpose; a forced-zero image has none (None).
+    """
+    m, n = unit.m, unit.m // 2
     position = {key: pos for pos, key in enumerate(target_keys)}
     slots = []
     for name, key in keys:
-        name, img = _key_image(unit, name, key)
-        # a tied image's transpose is free; a forced-zero image has a
-        # forced-zero transpose (the guards are symmetric), so misses both
+        p_low = (unit.value * key[0]) % m < n
+        if len(key) == 4:
+            img = act_pair(unit, key[:2]) + act_pair(unit, key[2:])
+            same_side = p_low == ((unit.value * key[2]) % m < n)
+        else:
+            img = act_pair(unit, key[:2]) + (act_ell(unit, key[2]),)
+            same_side = p_low == ((unit.inverse * key[2]) % m < n)
+        name = name if same_side else _CROSSED[name]
+        # a forced-zero image has a forced-zero transpose (the guards are
+        # symmetric), so misses both
         tied = (name, _transpose(img)) if len(img) == 4 else None
         slots.append(position.get((name, img), position.get(tied)))
     return slots
@@ -213,10 +211,11 @@ def iso_classes(
     texts = [format_scalar(value) for value in grid]
     members = []  # (family, I, L, free keys)
     index: dict[tuple, int] = {}
-    for fam in sorted(set(families)):  # in the order of FAMILIES
-        for I, L in family_members(m, fam, r_max):
-            index.setdefault((fam, I, L), len(members))
-            members.append((fam, I, L, free_parameter_keys(m, I, L)))
+    for fam in FAMILIES:
+        if fam in families:
+            for I, L in family_members(m, fam, r_max):
+                index.setdefault((fam, I, L), len(members))
+                members.append((fam, I, L, free_parameter_keys(m, I, L)))
     instances = [
         (index[fam, I, L], values)
         for fam, I, L, keys in members
