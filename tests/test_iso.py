@@ -455,6 +455,20 @@ def _grid_instances(m: int, grid, r_max: int = 2) -> list[LiftingDatum]:
     return [d for I, L in families for d in _grid_data(m, I, L, grid)]
 
 
+def _slot_point(d: LiftingDatum) -> tuple:
+    """(I, L, the datum's values at its free keys), what the slot maps act on."""
+    return d.I, d.L, tuple(d.value(*key) for key in free_parameter_keys(d.m, d.I, d.L))
+
+
+def _slot_act(u: UnitModM, x: tuple) -> Optional[tuple]:
+    """The image of `x` along the slot maps of `iso`, or None when it has none."""
+    I, L, values = x
+    target = (act_I(u, I), act_L(u, L))
+    keys, target_keys = free_parameter_keys(u.m, I, L), free_parameter_keys(u.m, *target)
+    image = _image(values, _slots(u, keys, target_keys), len(target_keys), CycloNumber.zero(u.m))
+    return None if image is None else (*target, image)
+
+
 @pytest.mark.parametrize(
     "m, grid",
     [
@@ -470,21 +484,16 @@ def test_act_datum_agrees_with_pairwise_oracle(m, grid):
     by_family: dict = {}
     for d in data:
         by_family.setdefault((d.I, d.L), []).append(d)
-    zero = CycloNumber.zero(m)
     accepted = 0
     for a in data:
-        keys = free_parameter_keys(m, a.I, a.L)
-        values = [a.value(*key) for key in keys]
+        x = _slot_point(a)
         for u in units(m):
-            target = (act_I(u, a.I), act_L(u, a.L))
-            target_keys = free_parameter_keys(m, *target)
-            image = _image(values, _slots(u, keys, target_keys), len(target_keys), zero)
-            for b in by_family[target]:
+            image = _slot_act(u, x)
+            for b in by_family[(act_I(u, a.I), act_L(u, a.L))]:
                 oracle = _lambda_gamma_match(m, a.I, u, a, b) and _theta_mu_match(
                     m, a.I, a.L, u, a, b
                 )
-                mapped = image == tuple(b.value(*key) for key in target_keys)
-                assert mapped == oracle, (u.value, a, b)
+                assert (image == _slot_point(b)) == oracle, (u.value, a, b)
                 accepted += oracle
     assert accepted > len(data)
 
@@ -512,25 +521,16 @@ def test_is_isomorphic_B_matches_datum_route(m, grid, pairs):
 
 @pytest.mark.parametrize("m, grid", [(12, ("0", "1", "-1")), (20, ("0", "1"))])
 def test_act_datum_is_group_action(m, grid):
-    zero = CycloNumber.zero(m)
-
-    def act(u: UnitModM, x: tuple) -> Optional[tuple]:
-        I, L, values = x
-        keys, target = free_parameter_keys(m, I, L), (act_I(u, I), act_L(u, L))
-        target_keys = free_parameter_keys(m, *target)
-        image = _image(values, _slots(u, keys, target_keys), len(target_keys), zero)
-        return None if image is None else (*target, image)
-
     us = units(m)
     for d in _grid_instances(m, grid):
-        x = (d.I, d.L, tuple(d.value(*key) for key in free_parameter_keys(m, d.I, d.L)))
-        assert act(us[0], x) == x
+        x = _slot_point(d)
+        assert _slot_act(us[0], x) == x
         for u2 in us:
-            y = act(u2, x)
+            y = _slot_act(u2, x)
             if y is None:
                 continue
             for u1 in us:
-                assert act(u1, y) == act(u1 * u2, x)
+                assert _slot_act(u1, y) == _slot_act(u1 * u2, x)
 
 
 def test_is_isomorphic_L_orbits():
