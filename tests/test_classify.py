@@ -220,3 +220,38 @@ def test_theorem_A_report_m12():
     finite_rows = [r for r in rows if r["verdict"] == "finite"]
     # t odd-l rows over r^n, plus the |J| chi_(k) rows
     assert len(finite_rows) == 3 + 7
+
+
+def _survey_oracle(G, cls, rep) -> dict:
+    """The verdict of one survey row, read off the class and representation alone."""
+    from nichols_dm.rack import is_type_D
+
+    if cls.is_reflection_class:
+        verdict, witness = is_type_D(G, cls)
+        assert verdict
+        return {
+            "verdict": "infinite",
+            "certificate": "TypeD",
+            "witness": f"({witness.first}, {witness.second})",
+        }
+    action = rep.monomial_action(cls.representative)
+    assert all(row == col for col, (row, _) in enumerate(action))
+    scalars = [scalar for _, scalar in action]
+    assert all(scalar == scalars[0] for scalar in scalars)
+    if scalars[0] == -1:
+        return {"verdict": "finite", "dimension": 2 ** (cls.size * rep.degree)}
+    return {"verdict": "infinite", "certificate": "RealClassScalar", "witness": str(scalars[0])}
+
+
+@pytest.mark.parametrize("m", range(12, 49, 4))
+def test_irreducible_survey_matches_class_and_scalar_oracle(m):
+    from nichols_dm.classify import irreducible_survey
+    from nichols_dm.dihedral import centralizer_representations, conjugacy_classes
+
+    G = DihedralGroup(m)
+    pairs = [(cls, rep) for cls in conjugacy_classes(G) for rep in centralizer_representations(G, cls)]
+    rows = irreducible_survey(m)
+    assert len(rows) == len(pairs)
+    for row, (cls, rep) in zip(rows, pairs):
+        head = {"class": cls.name, "class_size": cls.size, "rep": rep.name, "rep_degree": rep.degree}
+        assert row == {**head, **_survey_oracle(G, cls, rep)}
