@@ -19,6 +19,7 @@ from typing import Iterator, Sequence
 
 from .dihedral import CyclicCharacter, DihedralGroup, Irrep, class_of
 from .errors import DomainError
+from .rack import TypeDWitness
 from .ydmod import Finite, YDModule, direct_sum, induce, nichols_dimension
 
 __all__ = [
@@ -169,8 +170,6 @@ def irreducible_survey(m: int) -> list[dict]:
 
 
 def _witness_str(witness) -> str:
-    from .rack import TypeDWitness
-
     if isinstance(witness, TypeDWitness):
         return f"({witness.first}, {witness.second})"
     return str(witness)

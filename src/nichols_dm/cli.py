@@ -200,7 +200,10 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def cmd_iso(args) -> tuple[dict, int]:
     DihedralGroup(args.m).require_classification_modulus()
-    grid = [token.strip() for token in args.grid.split(",") if token.strip()]
+    items = [token.strip() for token in args.grid.split(",")]
+    grid = [item for item in items if item]
+    if grid and len(grid) < len(items):
+        raise DomainError(f"item {items.index('') + 1} of the parameter grid is empty")
     orbits = iso_mod.iso_classes(
         args.m, args.max_size, parameter_grid=grid, families=args.family
     )

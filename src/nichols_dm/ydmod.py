@@ -7,7 +7,9 @@ closed-form test that builds no centralizer (nichols_dm.dihedral states
 the forms).  The basis is indexed by (coset, vector) pairs, the
 coaction sends the i-th block to sigma_i = g_i sigma g_i^-1, and the group
 acts through the coset factorization g g_i = g_j gamma.  The braiding is
-c(u (x) v) = deg(u).v (x) u.
+c(u (x) v) = deg(u).v (x) u.  A module keeps its summands, each a class and
+a representation; the basis, its indices and the coset transversal are
+built on first use, since the class scalar decides most survey rows first.
 
 Every centralizer representation used here is monomial, so group actions
 and braidings are scaled permutations of the basis; every coefficient is a
@@ -17,6 +19,7 @@ root of unity ``CycloNumber.root(m, a)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .cyclo import CycloNumber
@@ -41,9 +44,21 @@ __all__ = [
 class YDSummand:
     cls: ConjugacyClass
     rep: object
-    sigmas: tuple[GroupElement, ...]
-    coset_reps: tuple[GroupElement, ...]
-    label: str
+
+    @cached_property
+    def sigmas(self) -> tuple[GroupElement, ...]:
+        sigma = self.cls.representative
+        return (sigma,) + tuple(x for x in self.cls.elements if x != sigma)
+
+    @cached_property
+    def coset_reps(self) -> tuple[GroupElement, ...]:
+        sigma = self.cls.representative
+        G = DihedralGroup(sigma.m)
+        return tuple(_coset_rep(G, sigma, target) for target in self.sigmas)
+
+    @property
+    def label(self) -> str:
+        return f"M({self.cls.name}, {self.rep.name})"
 
     @property
     def dim(self) -> int:
@@ -56,16 +71,23 @@ class YDModule:
     def __init__(self, group: DihedralGroup, summands: Sequence[YDSummand]):
         self.group = group
         self.summands = tuple(summands)
-        basis = []
-        for si, summand in enumerate(self.summands):
-            for ci in range(len(summand.sigmas)):
-                for vi in range(summand.rep.degree):
-                    basis.append((si, ci, vi))
-        self.basis = tuple(basis)
-        self._index = {b: i for i, b in enumerate(basis)}
-        self._sigma_index = [
-            {sig: i for i, sig in enumerate(s.sigmas)} for s in self.summands
-        ]
+
+    @cached_property
+    def basis(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(
+            (si, ci, vi)
+            for si, summand in enumerate(self.summands)
+            for ci in range(len(summand.sigmas))
+            for vi in range(summand.rep.degree)
+        )
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, int, int], int]:
+        return {b: i for i, b in enumerate(self.basis)}
+
+    @cached_property
+    def _sigma_index(self) -> list[dict[GroupElement, int]]:
+        return [{sig: i for i, sig in enumerate(s.sigmas)} for s in self.summands]
 
     @property
     def dim(self) -> int:
@@ -99,18 +121,15 @@ class YDModule:
     def summand_scalar(self, si: int) -> CycloNumber:
         """The scalar by which sigma acts on its own block (Schur's lemma)."""
         summand = self.summands[si]
-        sigma = summand.sigmas[0]
-        action = summand.rep.monomial_action(sigma)
-        scalars = set()
-        for col, (row, scalar) in enumerate(action):
-            if row != col:
-                raise DomainError(
-                    f"{summand.label}: sigma does not act diagonally on the block"
-                )
-            scalars.add(scalar)
-        if len(scalars) != 1:
+        action = summand.rep.monomial_action(summand.cls.representative)
+        if any(row != col for col, (row, _) in enumerate(action)):
+            raise DomainError(
+                f"{summand.label}: sigma does not act diagonally on the block"
+            )
+        first = action[0][1]
+        if any(scalar != first for _, scalar in action[1:]):
             raise DomainError(f"{summand.label}: sigma does not act by a scalar")
-        return scalars.pop()
+        return first
 
     def __repr__(self):
         return f"YDModule(D_{self.group.m}, {self.label}, dim={self.dim})"
@@ -121,11 +140,7 @@ def induce(G: DihedralGroup, cls: ConjugacyClass, rep) -> YDModule:
     sigma = cls.representative
     if not hasattr(rep, "represents") or not rep.represents(G, sigma):
         raise DomainError(f"{rep!r} is not a representation of the centralizer of {sigma}")
-    sigmas = (sigma,) + tuple(x for x in cls.elements if x != sigma)
-    coset_reps = tuple(_coset_rep(G, sigma, target) for target in sigmas)
-    label = f"M({cls.name}, {rep.name})"
-    summand = YDSummand(cls, rep, sigmas, coset_reps, label)
-    return YDModule(G, (summand,))
+    return YDModule(G, (YDSummand(cls, rep),))
 
 
 def _coset_rep(G: DihedralGroup, sigma: GroupElement, target: GroupElement) -> GroupElement:

@@ -348,6 +348,20 @@ def test_iso_rejects_empty_grid(capsys, grid):
     assert doc["error"] == {"type": "validation", "message": "the parameter grid is empty"}
 
 
+@pytest.mark.parametrize(
+    "grid, position", [("0,,1", 2), (" ,1", 1), ("0,1,", 3), ("0, ,1, ", 2)]
+)
+def test_iso_rejects_a_blank_grid_item(capsys, grid, position):
+    # a blank item among nonblank ones used to be dropped, changing the members listed
+    code, doc = run_cli(capsys, "iso", "--m", "12", "--max-size", "1", "--family", "c",
+                        "--grid", grid)
+    assert code == 2
+    assert doc["error"] == {
+        "type": "validation",
+        "message": f"item {position} of the parameter grid is empty",
+    }
+
+
 def test_specs_allow_whitespace_and_lowercase_prefix():
     assert _parse_module(12, " k : ( 2 , 3 ) + (2,3) | 3 + 5 ") == ([(2, 3), (2, 3)], [3, 5])
     assert _parse_param(12, " 1 , 6 , 5 , 6 = 1 ")[(1, 6, 5, 6)] == 1

@@ -2,6 +2,7 @@ import pytest
 
 from nichols_dm.cyclo import CycloNumber
 from nichols_dm.dihedral import (
+    ConjugacyClass,
     CyclicCharacter,
     DihedralGroup,
     GroupElement,
@@ -185,6 +186,20 @@ def test_induced_cosets_match_brute_force(m):
         for rep in reps:
             (summand,) = induce(G, cls, rep).summands
             assert (summand.sigmas, summand.coset_reps) == (sigmas, coset_reps), (cls.name, rep)
+
+
+@pytest.mark.parametrize("m", ORACLE_MS)
+def test_induced_cosets_of_a_class_listed_out_of_order(m):
+    # a hand-built class whose representative is not its first element
+    G = DihedralGroup(m)
+    for canonical in conjugacy_classes(G):
+        for sigma in canonical.elements[1:]:
+            cls = ConjugacyClass(sigma, canonical.elements)
+            sigmas = (sigma,) + tuple(x for x in canonical.elements if x != sigma)
+            coset_reps = tuple(_brute_coset_rep(G, sigma, x) for x in sigmas)
+            rep = _TrivialCharacter(_brute_centralizer(G, sigma))
+            (summand,) = induce(G, cls, rep).summands
+            assert (summand.sigmas, summand.coset_reps) == (sigmas, coset_reps), (cls.name, sigma)
 
 
 def test_irrep_inventory_and_dimension_count(d12):

@@ -2,6 +2,7 @@ import functools
 
 import pytest
 
+from nichols_dm import ydmod
 from nichols_dm.cyclo import CycloNumber
 from nichols_dm.dihedral import (
     CyclicCharacter,
@@ -17,6 +18,8 @@ from nichols_dm.rack import TypeDWitness
 from nichols_dm.ydmod import (
     Finite,
     Infinite,
+    YDModule,
+    YDSummand,
     braiding,
     direct_sum,
     induce,
@@ -281,3 +284,50 @@ def test_nichols_dimension_domain_guard():
     M = induce(G, class_of(G, G.r(1)), CyclicCharacter(G, 4))
     with pytest.raises(DomainError):
         nichols_dimension(M)
+
+
+@pytest.mark.parametrize("m", [12, 20])
+def test_rows_decided_before_the_braiding_build_no_transversal(m, monkeypatch):
+    G = DihedralGroup(m)
+    decided = []
+    for cls in conjugacy_classes(G):
+        for rep in centralizer_representations(G, cls):
+            result = nichols_dimension(induce(G, cls, rep))
+            if isinstance(result, Infinite) and result.rule in ("RealClassScalar", "TypeD"):
+                decided.append((cls, rep, result))
+    assert {result.rule for _, _, result in decided} == {"RealClassScalar", "TypeD"}
+
+    def refuse(*args):
+        raise AssertionError("the coset transversal was built")
+
+    monkeypatch.setattr(ydmod, "_coset_rep", refuse)
+    for cls, rep, result in decided:
+        assert nichols_dimension(induce(G, cls, rep)) == result, (cls.name, rep.name)
+
+
+class _FixedAction:
+    """A stand-in representation whose action is the same columns at every element."""
+
+    degree = 2
+    name = "stub"
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def monomial_action(self, a):
+        return self.columns
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        (((1, 1), (0, 1)), "does not act diagonally"),
+        (((0, 1), (1, -1)), "does not act by a scalar"),
+    ],
+)
+def test_summand_scalar_rejects_a_non_scalar_action(d12, columns, message):
+    one = CycloNumber.one(12)
+    columns = tuple((row, one if c == 1 else -one) for row, c in columns)
+    M = YDModule(d12, (YDSummand(class_of(d12, d12.r(6)), _FixedAction(columns)),))
+    with pytest.raises(DomainError, match=f"M\\(r\\^6, stub\\): sigma {message}"):
+        M.summand_scalar(0)
