@@ -355,3 +355,67 @@ def test_theorem_B_catalogue_m12():
     for I, L in members["d"]:
         assert all(p in {(2, 3), (2, 9)} for p in I)
         assert set(L) == {3}
+
+
+def _off_diagonal_cases():
+    """(m, family, I, L, name, key) per free lambda/gamma key of a family (c)
+    or (d) member at m = 12, 16, 20 up to size 2 whose transpose differs."""
+    for m in (12, 16, 20):
+        for family in "cd":
+            for I, L in family_members(m, family, 2):
+                for name, key in free_parameter_keys(m, I, L):
+                    transpose = key[2:] + key[:2] if len(key) == 4 else key
+                    if transpose != key:
+                        yield m, family, I, L, name, key, transpose
+
+
+def test_value_under_the_transpose_gives_the_same_datum():
+    # a value given under a free key or under its transpose is one datum:
+    # the same value at both keys, the same parameters and the same JSON
+    cases = 0
+    for m, family, I, L, name, key, transpose in _off_diagonal_cases():
+        flag = _FLAGS[name]
+        value = CycloNumber.root(m, 1) + 2
+        pres = family_presentation(m, family, I, L, **{flag: {key: value}})
+        other = family_presentation(m, family, I, L, **{flag: {transpose: value}})
+        assert pres.datum == other.datum, (m, I, L, key)
+        for d in (pres.datum, other.datum):
+            assert d.value(name, key) == d.value(name, transpose) == value
+        assert pres.datum.parameters_json() == other.datum.parameters_json()
+        assert pres.to_json_dict() == other.to_json_dict()
+        cases += 1
+    assert cases > 50
+
+
+_VANISH = "must vanish (delta guard / vanishing group factor)"
+
+
+@pytest.mark.parametrize(
+    "I, given, message",
+    [
+        ([(2, 3)], {"lam": {(2, 3, 2, 3): 1}}, f"lambda(2, 3, 2, 3) {_VANISH}"),
+        ([(1, 6)], {"gamma": {(1, 6, 1, 6): 1}}, f"gamma(1, 6, 1, 6) {_VANISH}"),
+        ([(2, 3)], {"theta": {(2, 3, 3): 1}}, f"theta(2, 3, 3) {_VANISH}"),
+        ([(1, 6), (5, 6)], {"lam": {(1, 6, 5, 6): 1, (5, 6, 1, 6): 2}},
+         "lambda(1, 6, 5, 6) violates the symmetry constraint"),
+        # a forced zero or a missing index is named by the key as given
+        ([(2, 3), (4, 3)], {"lam": {(4, 3, 2, 3): 1}}, f"lambda(4, 3, 2, 3) {_VANISH}"),
+        ([(1, 6), (5, 6)], {"lam": {(5, 6, 9, 6): 1}},
+         "lambda entry (5, 6, 9, 6) is not indexed by this family"),
+        # two faults of two kinds: an unindexed key before a forced zero,
+        # a forced zero before a symmetry violation, whatever the item order
+        ([(2, 3)], {"lam": {(2, 3, 2, 3): 1, (2, 3, 4, 3): 1}},
+         "lambda entry (2, 3, 4, 3) is not indexed by this family"),
+        ([(1, 6), (5, 6)], {"gamma": {(1, 6, 5, 6): 1, (5, 6, 1, 6): 2, (5, 6, 5, 6): 1}},
+         f"gamma(5, 6, 5, 6) {_VANISH}"),
+        # two symmetry violations: the least free key is named
+        ([(1, 6), (3, 6), (5, 6)],
+         {"lam": {(3, 6, 5, 6): 1, (5, 6, 3, 6): 2, (5, 6, 1, 6): 1, (1, 6, 5, 6): 2}},
+         "lambda(1, 6, 5, 6) violates the symmetry constraint"),
+    ],
+)
+def test_datum_guard_violation_messages(I, given, message):
+    L = [3] if "theta" in given else []
+    with pytest.raises(DomainError) as err:
+        LiftingDatum.build(12, I, L, **given)
+    assert str(err.value) == message
