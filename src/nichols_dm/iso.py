@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .classify import Pair, in_J
 from .errors import DomainError
 from .cyclo import CycloNumber, format_scalar
-from .lifting import (FAMILIES, LiftingDatum, _scalar, _transpose, family_members,
+from .lifting import (FAMILIES, LiftingDatum, _canonical, _scalar, family_members,
                       free_parameter_keys, parameters_json)
 
 __all__ = [
@@ -98,8 +98,9 @@ def _slots(unit: UnitModM, keys: Sequence, target_keys: Sequence) -> list[Option
 
     name[(p,q,i,k)] lands on l.(p,q) + l.(i,k) and name[(p,q,r)] on
     l.(p,q) + (l.r,), lambda/gamma (theta/mu) crossing over when the two
-    indices fold to opposite sides of n.  A tied image takes the position of
-    its transpose; a forced-zero image has none (None).
+    indices fold to opposite sides of n.  An image is looked up under its
+    canonical key (`lifting._canonical`), the one key its entry is stored
+    under; a forced-zero image has no position (None).
     """
     m, n = unit.m, unit.m // 2
     position = {key: pos for pos, key in enumerate(target_keys)}
@@ -113,10 +114,7 @@ def _slots(unit: UnitModM, keys: Sequence, target_keys: Sequence) -> list[Option
             img = act_pair(unit, key[:2]) + (act_ell(unit, key[2]),)
             same_side = p_low == ((unit.inverse * key[2]) % m < n)
         name = name if same_side else _CROSSED[name]
-        # a forced-zero image has a forced-zero transpose (the guards are
-        # symmetric), so misses both
-        tied = (name, _transpose(img)) if len(img) == 4 else None
-        slots.append(position.get((name, img), position.get(tied)))
+        slots.append(position.get((name, _canonical(img))))
     return slots
 
 

@@ -4,8 +4,10 @@ A presentation is T(V)#kD_m, V spanned by x/y per J-pair and z/w per odd
 l, modulo the delta-guarded quadratic relations.  A lifting datum is one
 table of deformation parameters keyed by (name, key), name one of lambda,
 gamma, theta, mu; a guard that never fires (or a vanishing group factor
-1 - h^0) forces an entry to zero, and the symmetry lambda_{p,m-k,i,k} =
-lambda_{i,k,p,m-k}, gamma_{p,k,i,k} = gamma_{i,k,p,k} ties transposed keys.
+1 - h^0) forces an entry to zero.  The symmetry lambda_{p,m-k,i,k} =
+lambda_{i,k,p,m-k}, gamma_{p,k,i,k} = gamma_{i,k,p,k} makes a key and its
+transpose one entry, stored once under its canonical key, the lesser of
+the two (`_canonical`); a theta/mu key is its own canonical key.
 
 `_build` writes each x/z generator and each displayed relation family
 (xx, xy, zz, zw, xz, xw) once; conjugation by g (x <-> y, z <-> w,
@@ -22,7 +24,9 @@ other I, and (d) is (I, L) in the K-family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterator, Mapping, Sequence
 
 from .classify import (
@@ -94,28 +98,20 @@ def _transpose(key: LambdaKey) -> LambdaKey:
     return (i, k, p, q)
 
 
+def _canonical(key: tuple) -> tuple:
+    """The key an entry is stored under: the lesser of a lambda/gamma key and
+    its transpose, a theta/mu key itself."""
+    return min(key, _transpose(key)) if len(key) == 4 else key
+
+
 def parameter_shape(m: int, I: Sequence[Pair], L: Sequence[int] = ()) -> dict:
-    """Classify every parameter entry as free, forced zero, or tied by symmetry."""
-    I = tuple(sorted(I))
-    L = tuple(sorted(L))
+    """Each canonical parameter key, "free" or forced "zero" by its guard."""
     values_I = sorted(set(I))
     shape: dict[str, dict] = {name: {} for name in _NAMES}
-    single = len(I) == 1
-    for a in values_I:
-        for b in values_I:
-            key = a + b
-            for name, guard in (("lambda", _lambda_guard), ("gamma", _gamma_guard)):
-                if name == "gamma" and single:
-                    shape[name][key] = "zero"
-                    continue
-                if not guard(m, key):
-                    shape[name][key] = "zero"
-                    continue
-                tkey = _transpose(key)
-                if tkey < key:
-                    shape[name][key] = ("tied", tkey)
-                else:
-                    shape[name][key] = "free"
+    for a, b in combinations_with_replacement(values_I, 2):
+        key = a + b
+        shape["lambda"][key] = "free" if _lambda_guard(m, key) else "zero"
+        shape["gamma"][key] = "free" if _gamma_guard(m, key) else "zero"
     for a in values_I:
         for ell in sorted(set(L)):
             key = a + (ell,)
@@ -136,7 +132,7 @@ def free_parameter_keys(m: int, I: Sequence[Pair], L: Sequence[int] = ()) -> lis
 
 @dataclass(frozen=True)
 class LiftingDatum:
-    """Validated parameters: ((name, key), value) per nonzero entry, a tied one under both keys."""
+    """Validated parameters: ((name, key), value) per nonzero entry, under its canonical key."""
 
     m: int
     I: tuple[Pair, ...]
@@ -167,8 +163,13 @@ class LiftingDatum:
     def zero(m: int, I: Sequence[Pair], L: Sequence[int] = ()) -> "LiftingDatum":
         return LiftingDatum.build(m, I, L)
 
+    @cached_property
+    def _values(self) -> dict:
+        return dict(self.params)
+
     def value(self, name: str, key: tuple) -> CycloNumber:
-        return dict(self.params).get((name, key), CycloNumber.zero(self.m))
+        """The entry at `key` or at its transpose."""
+        return self._values.get((name, _canonical(key)), CycloNumber.zero(self.m))
 
     def parameters_json(self) -> dict:
         return parameters_json((entry, format_scalar(v)) for entry, v in self.params)
@@ -185,41 +186,30 @@ def parameters_json(entries) -> dict:
 
 
 def _normalize_family(m: int, name: str, given, shape: Mapping) -> dict:
-    """Expand scalar broadcast / explicit dicts into a full validated key map."""
-    explicit: dict = {}
+    """The nonzero entries of one name by canonical key: a broadcast value
+    fills the free keys, a keyed value goes under its key's canonical key."""
     if given is None:
-        pass
-    elif isinstance(given, Mapping):
-        for key, value in given.items():
-            key = tuple(int(x) for x in key)
-            if key not in shape:
-                raise DomainError(f"{name} entry {key} is not indexed by this family")
-            explicit[key] = _scalar(m, value)
-    else:
-        broadcast = _scalar(m, given)
-        for key, status in shape.items():
-            if status == "free":
-                explicit[key] = broadcast
+        return {}
+    if not isinstance(given, Mapping):
+        value = _scalar(m, given)
+        return {key: value for key, status in shape.items() if status == "free" and value}
+    explicit: dict = {}
+    for key, value in given.items():
+        key = tuple(int(x) for x in key)
+        if _canonical(key) not in shape:
+            raise DomainError(f"{name} entry {key} is not indexed by this family")
+        explicit[key] = _scalar(m, value)
     for key, value in explicit.items():
-        if shape[key] == "zero" and value:
+        if shape[_canonical(key)] == "zero" and value:
             raise DomainError(
                 f"{name}{key} must vanish (delta guard / vanishing group factor)"
             )
     out: dict = {}
-    for key, status in shape.items():
-        if status != "free":
-            continue
-        tkey = _transpose(key) if len(key) == 4 else key
-        sources = [k for k in ([key] if tkey == key else [key, tkey]) if k in explicit]
-        vals = [explicit[k] for k in sources]
-        if len(vals) == 2 and vals[0] != vals[1]:
-            raise DomainError(f"{name}{key} violates the symmetry constraint")
-        value = vals[0] if vals else CycloNumber.zero(m)
-        if value:
-            out[key] = value
-            if tkey != key:
-                out[tkey] = value
-    return out
+    for key in sorted(explicit, key=_canonical):
+        canonical = _canonical(key)
+        if out.setdefault(canonical, explicit[key]) != explicit[key]:
+            raise DomainError(f"{name}{canonical} violates the symmetry constraint")
+    return {key: value for key, value in out.items() if value}
 
 
 @dataclass(frozen=True)
@@ -441,8 +431,13 @@ def family_presentation(
     theta=None,
     mu=None,
 ) -> Presentation:
-    """The presentation of (I, L) in family (a)-(d); DomainError if it is not a member."""
-    if family in ("a", "b") and (lam or gamma or theta or mu):
+    """The presentation of (I, L) in family (a)-(d); DomainError if it is not a member.
+
+    A parameter is given unless it is None or an empty mapping; a family
+    without that parameter rejects it even when its value is zero.
+    """
+    given = {name for name, v in zip(_NAMES, (lam, gamma, theta, mu)) if v is not None and v != {}}
+    if family in ("a", "b") and given:
         raise DomainError(f"family ({family}) bosonizations carry no parameters")
     if family == "a":
         if len(I) != 1 or L:
@@ -455,7 +450,7 @@ def family_presentation(
             raise DomainError("family (b) needs an L part and no I part")
         return presentation_L(m, L)
     if family == "c":
-        if theta or mu:
+        if given & {"theta", "mu"}:
             raise DomainError("family (c) has no theta/mu parameters")
         if not I or L:
             raise DomainError("family (c) needs an I part and no L part")

@@ -119,6 +119,25 @@ def test_verify_beyond_the_listing_limit(capsys):
 
 
 @pytest.mark.parametrize("command", ["liftings", "verify"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "a", "--I", "(2,3)", "--lambda", "0"], "family (a) bosonizations"),
+        (["--family", "a", "--I", "(2,3)", "--lambda", "2,3,2,3=0"], "family (a) bosonizations"),
+        (["--family", "b", "--L", "1", "--mu", "0"], "family (b) bosonizations"),
+        (["--family", "c", "--I", "(1,6)", "--theta", "0"], "family (c) has no theta/mu"),
+        (["--family", "c", "--I", "(1,6)", "--theta", "1,6,1=0"], "family (c) has no theta/mu"),
+    ],
+)
+def test_family_rejects_a_zero_flag_it_has_no_parameter_for(capsys, command, argv, message):
+    # the scalar 0 used to pass where the keyed 0 failed
+    code, doc = run_cli(capsys, command, "--m", "12", *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "validation"
+    assert message in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["liftings", "verify"])
 def test_family_c_rejects_single_pair_with_k_not_n(capsys, command):
     # I = {(2,3)} is family (a); family (c) used to accept it as well
     code, doc = run_cli(capsys, command, "--m", "12", "--family", "c", "--I", "(2,3)")

@@ -244,7 +244,7 @@ def _parent_act_datum(unit: UnitModM, datum: LiftingDatum) -> Optional[LiftingDa
         else:
             img = act_pair(unit, key[:2]) + (act_ell(unit, key[2]),)
             same_side = p_low == ((unit.inverse * key[2]) % m < n)
-        moved[name if same_side else other[name], img] = value
+        moved[name if same_side else other[name], lifting._canonical(img)] = value
     if moved:
         shape = parameter_shape(m, I, L)
         if any(shape[name][key] == "zero" for name, key in moved):

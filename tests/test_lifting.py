@@ -9,6 +9,7 @@ from nichols_dm.errors import DomainError
 from nichols_dm.lifting import (
     FAMILIES,
     LiftingDatum,
+    _canonical,
     family_members,
     family_presentation,
     free_parameter_keys,
@@ -66,7 +67,7 @@ def test_parameter_shape_single_k_not_n():
 def test_parameter_shape_pair():
     shape = parameter_shape(12, [(1, 6), (5, 6)])
     assert shape["lambda"][(1, 6, 5, 6)] == "free"
-    assert shape["lambda"][(5, 6, 1, 6)] == ("tied", (1, 6, 5, 6))
+    assert (5, 6, 1, 6) not in shape["lambda"]  # stored under its transpose (1, 6, 5, 6)
     assert shape["gamma"][(1, 6, 5, 6)] == "free"
     assert shape["gamma"][(1, 6, 1, 6)] == "zero"  # vanishing group factor h^0
     free = free_parameter_keys(12, [(1, 6), (5, 6)])
@@ -134,6 +135,15 @@ def test_parameters_json_round_trips_through_keyed_flags():
         assert again == datum, (m, I, L, flags)
         cases += 1
     assert cases > 100
+
+
+def test_datum_stores_each_entry_once_under_its_canonical_key():
+    for m, I, L, given in _round_trip_cases():
+        datum = LiftingDatum.build(m, I, L, **given)
+        shape = parameter_shape(m, I, L)
+        for (name, key), value in datum.params:
+            assert key == _canonical(key), (m, I, L, name, key)
+            assert shape[name][key] == "free" and value, (m, I, L, name, key)
 
 
 def test_tied_entry_given_under_its_transpose_fills_both_keys():
@@ -419,3 +429,25 @@ def test_datum_guard_violation_messages(I, given, message):
     with pytest.raises(DomainError) as err:
         LiftingDatum.build(12, I, L, **given)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "family, I, L, flag, keyed, message",
+    [
+        ("a", [(2, 3)], [], "lam", (2, 3, 2, 3), "family (a) bosonizations carry no parameters"),
+        ("a", [(2, 3)], [], "gamma", (2, 3, 2, 3), "family (a) bosonizations carry no parameters"),
+        ("b", [], [1], "theta", (1, 6, 1), "family (b) bosonizations carry no parameters"),
+        ("b", [], [1], "mu", (1, 6, 1), "family (b) bosonizations carry no parameters"),
+        ("c", [(1, 6)], [], "theta", (1, 6, 1), "family (c) has no theta/mu parameters"),
+        ("c", [(1, 6)], [], "mu", (1, 6, 1), "family (c) has no theta/mu parameters"),
+    ],
+)
+def test_family_without_a_parameter_rejects_it_even_when_zero(family, I, L, flag, keyed, message):
+    # a zero broadcast used to pass and a zero keyed value to fail
+    for value in (0, "0", {keyed: 0}, {keyed: 1}):
+        with pytest.raises(DomainError) as err:
+            family_presentation(12, family, I, L, **{flag: value})
+        assert str(err.value) == message
+    # None and an empty mapping set no entry
+    for value in (None, {}):
+        assert family_presentation(12, family, I, L, **{flag: value}).datum.params == ()
