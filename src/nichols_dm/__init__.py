@@ -53,7 +53,6 @@ from .rewrite import (
     dimension,
     hopf_check,
     normal_basis,
-    skew_primitives,
 )
 from .ydmod import (
     Finite,
@@ -63,7 +62,6 @@ from .ydmod import (
     direct_sum,
     induce,
     nichols_dimension,
-    yang_baxter_holds,
 )
 
 __all__ = [
@@ -109,10 +107,8 @@ __all__ = [
     "normal_basis",
     "presentation_A",
     "presentation_B",
-    "skew_primitives",
     "support_J",
     "theorem_A_report",
-    "yang_baxter_holds",
 ]
 
 __version__ = "0.1.0"

@@ -175,7 +175,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     certificate = rewrite_mod.certificate_json(system)
     dim = certificate["dimension"]
     expected = 4 ** (len(pres.I) + len(pres.L)) * 2 * args.m
-    hopf = rewrite_mod.hopf_check(pres, system)
+    hopf = rewrite_mod.hopf_check(system)
     payload = {
         "command": "verify",
         "m": args.m,

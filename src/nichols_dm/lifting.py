@@ -196,6 +196,8 @@ def _normalize_family(m: int, name: str, given, shape: Mapping) -> dict:
     explicit: dict = {}
     for key, value in given.items():
         key = tuple(int(x) for x in key)
+        if key in explicit:
+            raise DomainError(f"{name} parameter key {','.join(map(str, key))} is given twice")
         if _canonical(key) not in shape:
             raise DomainError(f"{name} entry {key} is not indexed by this family")
         explicit[key] = _scalar(m, value)

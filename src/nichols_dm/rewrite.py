@@ -43,20 +43,20 @@ _skew_primitive_residue's: each term is s c w^e, c normalised to a sign
 without a scalar product: on a family, the Andruskiewitsch-Schneider
 condition chi_b chi_c(g_a) = 1 for T_bc != 0.
 
-hopf_check applies Delta and the antipode S to each relation's element in
-T(V)#kD_m, the monomial model without rewriting, and reduces the image
-once (reduction onto normal words is an algebra map).  Delta and S of a
-monomial are written in closed form on integer exponents of w and of the
-int code of D_m, one scalar product per term.  S is antimultiplicative
-on the model when the letters form a Yetter-Drinfeld module, which
-hopf_check checks letter by letter.
+hopf_check(R) checks Delta, the counit and the antipode S on the element
+of each relation that compile kept, in T(V)#kD_m, the monomial model
+without rewriting; each of them reduces to zero in R.  Delta(v) =
+v (x) 1 + h^cop_exp(v) (x) v on a letter and Delta(gamma) = gamma (x) gamma.
+S of a monomial is written in closed form on integer exponents of w and
+of the int code of D_m, one scalar product per term.  S is
+antimultiplicative on the model when the letters form a Yetter-Drinfeld
+module, which hopf_check checks letter by letter.
 
 The Hopf check of a family relation, r = x_a x_b - q x_b x_a - T with T
-in kD_m, needs no reduction when R was compiled from its presentation.
-Write r = r_2 + r_1 + r_0 by word length, and let every term c (x_a x_b,
-gamma) of r_2 sit at one gamma0 with one coproduct degree
-c_a + c_b = c (c_v = cop_exp(v), h_v = h_exp(v)); put G = h^c gamma0.  By
-the subset formula of _delta, Delta(x_a x_b, gamma) is
+in kD_m, needs no reduction.  Write r = r_2 + r_1 + r_0 by word length,
+and let every term c (x_a x_b, gamma) of r_2 sit at one gamma0 with one
+coproduct degree c_a + c_b = c (c_v = cop_exp(v), h_v = h_exp(v)); put
+G = h^c gamma0.  Expanding Delta over the letters, Delta(x_a x_b, gamma) is
 
     (x_a x_b, gamma) (x) gamma + (h^c gamma) (x) (x_a x_b, gamma)
       + (x_a, h^c_b gamma) (x) (x_b, gamma)
@@ -74,7 +74,7 @@ element, which is normal while no rule has a left side shorter than 2.
 compile has shown that r reduces to zero, so r (x) gamma0 + G (x) r does
 too, and this tensor is the reduced Delta(r): the fully-left and
 fully-right legs of r_2 are never reduced.  _skew_primitive_residue writes
-it down, and hopf_check prints it as _delta would.
+it down, and hopf_check prints it.
 
 When the tensor is zero, Delta(r) = r (x) gamma0 + G (x) r holds in
 T(V)#kD_m before any reduction.  If the letter metadata passes, the model
@@ -86,19 +86,19 @@ turns each rewrite into a rewrite, so S(r) reduces to zero and hopf_check
 skips that reduction.  Every family relation is fixed by G; the
 condition is still checked because compile does not check that the ideal
 is stable under the group, and left multiplication by G^-1 need not keep
-an element that reduces to zero reducing to zero.  Any other relation,
-and every relation of a presentation that R was not compiled from, takes
-_delta and _antipode: those need not reduce to zero.
+an element that reduces to zero reducing to zero; otherwise S(r) is
+reduced.  hopf_check has no other route: a relation of another shape, or
+a rule whose left side is shorter than 2, raises CompletionError naming it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .cyclo import CycloNumber
-from .dihedral import GroupElement, g_element, g_encode, g_inv, g_mul
+from .dihedral import g_element, g_encode, g_inv, g_mul
 from .errors import CompletionError, DomainError
 from .lifting import Presentation, Relation
 
@@ -109,7 +109,6 @@ __all__ = [
     "dimension",
     "hopf_check",
     "normal_basis",
-    "skew_primitives",
 ]
 
 Word = tuple[int, ...]
@@ -156,7 +155,6 @@ class RewriteSystem:
     """A checked rewriting system for one presentation."""
 
     def __init__(self, presentation: Presentation):
-        self.presentation = presentation
         self.m = presentation.m
         self.letters = tuple(v.name for v in presentation.skew_generators)
         self.letter_index = {name: i for i, name in enumerate(self.letters)}
@@ -181,11 +179,6 @@ class RewriteSystem:
             exp += self.h_exp[letter] * rot
             out.append(self.partner[letter] if eps else letter)
         return exp % self.m, tuple(out)
-
-    # -- element arithmetic ------------------------------------------------
-
-    def monomial(self, word: Iterable, eps: int = 0, rot: int = 0) -> Element:
-        return {(tuple(word), g_encode(self.m, eps, rot)): CycloNumber.one(self.m)}
 
     # -- reduction ---------------------------------------------------------
 
@@ -518,42 +511,6 @@ def dimension(R: RewriteSystem) -> DimensionResult:
 Tensor = dict  # (Monomial, Monomial) -> CycloNumber
 
 
-def _delta(R: RewriteSystem, el: Element) -> Tensor:
-    """Delta(el) with both legs in normal form.
-
-    Delta is computed in T(V)#kD_m: Delta(v) = v (x) 1 + h^cop_exp(v) (x) v
-    on a letter and Delta(gamma) = gamma (x) gamma on a group element.  For
-    a monomial (v_1...v_k, gamma) this gives, over the subsets S of [k],
-    w^e_S (v_S, h^a_S gamma) (x) (v_[k]-S, gamma) with a_S the sum of
-    cop_exp(v_j) over j not in S and e_S the sum of cop_exp(v_j) h_exp(v_i)
-    over j < i, j not in S, i in S.  The terms are built letter by letter on
-    ints, and each leg is then reduced once.  This is the general route:
-    skew_primitives takes it, and so does hopf_check for a relation that
-    _skew_primitive_residue cannot write down.
-    """
-    m, one = R.m, CycloNumber.one(R.m)
-    out: Tensor = {}
-    for (word, g), coeff in el.items():
-        states = [((), 0, (), 0)]  # (left word, left rotation, right word, exponent)
-        for v in word:
-            hv, cv = R.h_exp[v], R.cop_exp[v]
-            states = [
-                new
-                for left, a, right, e in states
-                for new in ((left + (v,), a, right, e + hv * a), (left, a + cv, right + (v,), e))
-            ]
-        t: Tensor = {}
-        for left, a, right, e in states:
-            c = coeff * CycloNumber.root(m, e) if e % m else coeff
-            _add(t, ((left, g_mul(m, a % m, g)), (right, g)), c)
-        for (m1, m2), c in t.items():
-            right = R.reduce({m2: one})
-            for n1, d1 in R.reduce({m1: c}).items():
-                for n2, d2 in right.items():
-                    _add(out, (n1, n2), d1 * d2)
-    return out
-
-
 def _antipode(R: RewriteSystem, el: Element) -> Element:
     """S(el) in the monomial model, not reduced.
 
@@ -641,31 +598,28 @@ def _conjugation_fixes(R: RewriteSystem, el: Element, G: int) -> bool:
     return True
 
 
-def hopf_check(P: Presentation, R: RewriteSystem) -> HopfReport:
+def hopf_check(R: RewriteSystem) -> HopfReport:
     """Verify that Delta, the counit and the antipode descend to the quotient.
 
-    Delta, the counit and S are applied to the element of each relation in
-    the monomial model; a relation is respected when the image reduces to
-    zero.  The counit kills every letter and sends each group element to 1.
-
-    When R was compiled from P (P is R.presentation), the relations are
-    the elements compile kept, each reducing to zero.  Then, while no rule
-    has a left side shorter than 2, Delta of a relation of words of length
-    <= 2 whose degree-2 terms share one group element and one coproduct
-    degree is written down (_skew_primitive_residue), and a relation it
-    shows to be (G, gamma0)-skew-primitive and fixed by G skips the
-    antipode reduction when the letter metadata passes (module docstring).
-    Any other relation, and every relation of a P that R was not compiled
-    from, takes _delta and _antipode.
+    Reads the element of each relation that compile kept, each reducing to
+    zero in R.  Delta of a relation of words of length <= 2 whose degree-2
+    terms share one group element and one coproduct degree is written down
+    (_skew_primitive_residue); a relation it shows to be
+    (G, gamma0)-skew-primitive and fixed by G skips the antipode reduction
+    when the letter metadata passes (module docstring), and any other
+    relation has S reduced.  The counit kills every letter and sends each
+    group element to 1.  A rule whose left side is shorter than 2, or a
+    relation of another shape, raises CompletionError naming it.
     """
     if R.certificate is None:
         raise CompletionError("hopf_check needs a certified system")
-    if P is R.presentation:
-        elements = R.quadratic_relations
-        closed = not R.lhs_lengths or R.lhs_lengths[-1] >= 2
-    else:
-        elements = [(rel.label, _relation_element(R, rel)) for rel in P.relations]
-        closed = False
+    for lhs in R.rules:
+        if len(lhs) < 2:
+            raise CompletionError(
+                f"the left side {_word_str(R, lhs)} of a rule is shorter than 2, so hopf_check "
+                "cannot write the coproduct of a relation down in normal form",
+                ambiguity=lhs,
+            )
     # S(ab) = S(b) S(a) in the model iff g swaps each letter with one of opposite degree
     metadata = [
         name
@@ -673,16 +627,22 @@ def hopf_check(P: Presentation, R: RewriteSystem) -> HopfReport:
         if R.partner[R.partner[v]] != v or (R.cop_exp[R.partner[v]] + R.cop_exp[v]) % R.m
     ]
     deltas, counits, antipodes = [], [], []
-    for label, el in elements:
-        found = _skew_primitive_residue(R, el) if closed else None
-        residue = _delta(R, el) if found is None else found[0]
+    for label, el in R.quadratic_relations:
+        found = _skew_primitive_residue(R, el)
+        if found is None:
+            raise CompletionError(
+                f"the relation {label} is not of the shape hopf_check writes down: words of "
+                "length <= 2, the degree-2 terms at one group element and one coproduct degree",
+                ambiguity=label,
+            )
+        residue, G = found
         if residue:
             deltas.append(f"delta:{label}:{_tensor_str(R, residue)}")
         counit = sum((c for (word, _), c in el.items() if not word), CycloNumber.zero(R.m))
         if counit:
             counits.append(f"counit:{label}:{counit}")
         # S(el) is known to reduce to zero when el is skew-primitive and fixed by G
-        if found is None or residue or metadata or not _conjugation_fixes(R, el, found[1]):
+        if residue or metadata or not _conjugation_fixes(R, el, G):
             image = R.reduce(_antipode(R, el))
             if image:
                 antipodes.append(f"antipode:{label}:{_element_str(R, image)}")
@@ -707,72 +667,6 @@ def _tensor_str(R: RewriteSystem, t: Tensor) -> str:
     for (m1, m2), coeff in sorted(t.items()):
         parts.append(f"({coeff})*[{m1}(x){m2}]")
     return " + ".join(parts)
-
-
-def skew_primitives(R: RewriteSystem, degree: GroupElement) -> list[Element]:
-    """Basis of the (degree, 1)-skew-primitive space on words of length <= 2.
-
-    The trivial line k(1 - degree) and all pure-group monomials are
-    quotiented away, so the group algebra alone yields the zero space.
-    """
-    if R.certificate is None:
-        raise CompletionError("skew_primitives needs a certified system")
-    if degree.m != R.m:
-        raise DomainError("elements of different dihedral groups")
-    letters = [(a,) for a in range(len(R.letters))]
-    words = letters + [a + b for a in letters for b in letters]
-    d_enc = g_encode(R.m, degree.eps, degree.rot)
-    unit = ((), g_encode(R.m, 0, 0))
-    d_mono = ((), d_enc)
-    unknowns = [  # irreducible words in the order normal_basis lists them
-        (word, g) for word in sorted(words) if R._find_redex(word) is None for g in range(2 * R.m)
-    ]
-    columns: dict[Monomial, Tensor] = {}
-    one = CycloNumber.one(R.m)
-    for mono in unknowns:
-        t = _delta(R, {mono: one})
-        # subtract mono (x) 1 and degree (x) mono
-        _add(t, (mono, unit), -one)
-        _add(t, (d_mono, mono), -one)
-        columns[mono] = t
-    coords = sorted({key for t in columns.values() for key in t})
-    rows = [{mono: t[coord] for mono, t in columns.items() if coord in t} for coord in coords]
-    return _nullspace(R.m, unknowns, rows)
-
-
-def _nullspace(m: int, unknowns: list, rows: list[dict]) -> list[Element]:
-    position = {u: i for i, u in enumerate(unknowns)}
-    pivots: dict = {}  # pivot unknown -> normalized row
-    for row in rows:
-        row = dict(row)
-        for pivot, prow in pivots.items():
-            if pivot in row:
-                factor = row.pop(pivot)
-                for u, c in prow.items():
-                    if u != pivot:
-                        _add(row, u, -(factor * c))
-        if not row:
-            continue
-        pivot = min(row, key=position.__getitem__)
-        inv = row[pivot].inverse()
-        row = {u: c * inv for u, c in row.items()}
-        # eliminate the new pivot from previous rows
-        for prev_pivot, prow in list(pivots.items()):
-            if pivot in prow:
-                factor = prow.pop(pivot)
-                for u, c in row.items():
-                    if u != pivot:
-                        _add(prow, u, -(factor * c))
-        pivots[pivot] = row
-    free = [u for u in unknowns if u not in pivots]
-    out = []
-    for f in free:
-        vec: Element = {f: CycloNumber.one(m)}
-        for pivot, prow in pivots.items():
-            if f in prow:
-                vec[pivot] = -prow[f]
-        out.append(vec)
-    return out
 
 
 def certificate_json(R: RewriteSystem) -> dict:

@@ -36,7 +36,6 @@ __all__ = [
     "direct_sum",
     "induce",
     "nichols_dimension",
-    "yang_baxter_holds",
 ]
 
 
@@ -182,30 +181,6 @@ def braiding(M: YDModule) -> BraidingData:
             row.append(coeff)
         rows.append(tuple(row))
     return BraidingData(M, diagonal, tuple(rows) if diagonal else None)
-
-
-def yang_baxter_holds(M: YDModule) -> bool:
-    """Exact check of c1 c2 c1 = c2 c1 c2 on M (x) M (x) M."""
-    d = M.dim
-
-    def c12(state):
-        (a, b, c), coeff = state
-        (b2, a2), k = M.braid(a, b)
-        return (b2, a2, c), coeff * k
-
-    def c23(state):
-        (a, b, c), coeff = state
-        (c2, b2), k = M.braid(b, c)
-        return (a, c2, b2), coeff * k
-
-    one = CycloNumber.one(M.group.m)
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                start = ((a, b, c), one)
-                if c12(c23(c12(start))) != c23(c12(c23(start))):
-                    return False
-    return True
 
 
 @dataclass(frozen=True)

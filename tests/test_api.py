@@ -48,8 +48,8 @@ PUBLIC = """
     centralizer class_of conjugacy_classes conjugation_rack
     cyclotomic_polynomial dimension direct_sum enumerate_I enumerate_K enumerate_L
     hopf_check induce irreps is_isomorphic_A is_isomorphic_B is_type_D iso_classes
-    nichols_dimension normal_basis presentation_A presentation_B skew_primitives
-    support_J theorem_A_report yang_baxter_holds
+    nichols_dimension normal_basis presentation_A presentation_B support_J
+    theorem_A_report
 """.split()
 
 

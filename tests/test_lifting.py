@@ -5,7 +5,7 @@ import pytest
 
 from nichols_dm.cli import _parse_param
 from nichols_dm.cyclo import CycloNumber, parse_scalar
-from nichols_dm.errors import DomainError
+from nichols_dm.errors import CompletionError, DomainError
 from nichols_dm.lifting import (
     FAMILIES,
     LiftingDatum,
@@ -19,6 +19,8 @@ from nichols_dm.lifting import (
     presentation_L,
 )
 from nichols_dm.rewrite import compile, hopf_check
+
+from oracles import general_hopf_check
 
 
 def one(m=12):
@@ -286,16 +288,28 @@ def _counit_corruptions(pres):
 
 
 def test_hopf_check_counit_matches_the_relation_terms():
-    # hopf_check reads the counit off each relation's element in the monomial
-    # model; the oracle sums the relation's pure-group terms as written
+    # the counit lines against an oracle that sums each relation's
+    # pure-group terms as written: the general route's on every copy,
+    # against the uncorrupted system, and hopf_check's on every copy that
+    # compiles; each added term breaks an overlap, so only the 141
+    # uncorrupted presentations compile
+    library = general = 0
     for pres in _closure_cases():
         R = compile(pres)
         for P in _counit_corruptions(pres):
-            report = hopf_check(P, R)
             residues = [(rel.label, counit_residue(P, rel)) for rel in P.relations]
             expected = [f"counit:{label}:{c}" for label, c in residues if c]
-            assert [f for f in report.failures if f.startswith("counit:")] == expected
-            assert report.counit_ok == (not expected)
+            reports = [general_hopf_check(P, R)]
+            general += 1
+            try:
+                reports.append(hopf_check(compile(P)))
+                library += 1
+            except CompletionError:
+                pass
+            for report in reports:
+                assert [f for f in report.failures if f.startswith("counit:")] == expected
+                assert report.counit_ok == (not expected)
+    assert (library, general) == (141, 564)
 
 
 @pytest.mark.parametrize("m", [12, 16, 20])
@@ -451,3 +465,19 @@ def test_family_without_a_parameter_rejects_it_even_when_zero(family, I, L, flag
     # None and an empty mapping set no entry
     for value in (None, {}):
         assert family_presentation(12, family, I, L, **{flag: value}).datum.params == ()
+
+
+def test_a_key_given_twice_in_two_spellings_is_rejected():
+    # int and str spellings of one key used to keep the last value silently
+    for values in ((1, 2), (1, 1)):
+        lam = {(1, 6, 1, 6): values[0], ("1", "6", "1", "6"): values[1]}
+        with pytest.raises(DomainError) as err:
+            LiftingDatum.build(12, [(1, 6)], lam=lam)
+        assert str(err.value) == "lambda parameter key 1,6,1,6 is given twice"
+    # a key and its transpose are two keys: equal values agree, unequal ones
+    # break the symmetry
+    I = [(1, 6), (5, 6)]
+    datum = LiftingDatum.build(12, I, lam={(1, 6, 5, 6): 1, (5, 6, 1, 6): 1})
+    assert datum == LiftingDatum.build(12, I, lam={(1, 6, 5, 6): 1})
+    with pytest.raises(DomainError, match="violates the symmetry constraint"):
+        LiftingDatum.build(12, I, lam={(1, 6, 5, 6): 1, ("5", "6", "1", "6"): 2})

@@ -24,8 +24,9 @@ from nichols_dm.ydmod import (
     direct_sum,
     induce,
     nichols_dimension,
-    yang_baxter_holds,
 )
+
+from oracles import yang_baxter_holds
 
 
 def M_ik(G, i, k):
