@@ -18,9 +18,10 @@ from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 from .dihedral import CyclicCharacter, DihedralGroup, Irrep, class_of
+from .dihedral import centralizer_representations, conjugacy_classes
 from .errors import DomainError
 from .rack import TypeDWitness
-from .ydmod import Finite, YDModule, direct_sum, induce, nichols_dimension
+from .ydmod import YDModule, direct_sum, induce, irreducible_verdict
 
 __all__ = [
     "N_i",
@@ -144,27 +145,23 @@ def module_of(G: DihedralGroup, I: Sequence[Pair], L: Sequence[int]) -> YDModule
 
 
 def irreducible_survey(m: int) -> list[dict]:
-    """Finite/infinite verdict for every irreducible M(O, rho) over D_m."""
-    from .dihedral import centralizer_representations, conjugacy_classes
-
+    """Every irreducible M(O, rho) over D_m with its irreducible_verdict; builds no module."""
     G = DihedralGroup(m).require_classification_modulus()
     rows = []
     for cls in conjugacy_classes(G):
         for rep in centralizer_representations(G, cls):
-            result = nichols_dimension(induce(G, cls, rep))
+            result = irreducible_verdict(G, cls, rep)
             row = {
                 "class": cls.name,
                 "class_size": cls.size,
                 "rep": rep.name,
                 "rep_degree": rep.degree,
             }
-            if isinstance(result, Finite):
-                row["verdict"] = "finite"
-                row["dimension"] = result.dimension
+            if result.is_finite:
+                row.update(verdict="finite", dimension=result.dimension)
             else:
-                row["verdict"] = "infinite"
-                row["certificate"] = result.rule
-                row["witness"] = _witness_str(result.witness)
+                witness = _witness_str(result.witness)
+                row.update(verdict="infinite", certificate=result.rule, witness=witness)
             rows.append(row)
     return rows
 

@@ -9,7 +9,7 @@ coaction sends the i-th block to sigma_i = g_i sigma g_i^-1, and the group
 acts through the coset factorization g g_i = g_j gamma.  The braiding is
 c(u (x) v) = deg(u).v (x) u.  A module keeps its summands, each a class and
 a representation; the basis, its indices and the coset transversal are
-built on first use, since the class scalar decides most survey rows first.
+built on first use, by the braiding, which irreducible_verdict never needs.
 
 Every centralizer representation used here is monomial, so group actions
 and braidings are scaled permutations of the basis; every coefficient is a
@@ -35,6 +35,7 @@ __all__ = [
     "braiding",
     "direct_sum",
     "induce",
+    "irreducible_verdict",
     "nichols_dimension",
 ]
 
@@ -117,29 +118,20 @@ class YDModule:
         b2, coeff = self.act(self.degree(a), b)
         return (b2, a), coeff
 
-    def summand_scalar(self, si: int) -> CycloNumber:
-        """The scalar by which sigma acts on its own block (Schur's lemma)."""
-        summand = self.summands[si]
-        action = summand.rep.monomial_action(summand.cls.representative)
-        if any(row != col for col, (row, _) in enumerate(action)):
-            raise DomainError(
-                f"{summand.label}: sigma does not act diagonally on the block"
-            )
-        first = action[0][1]
-        if any(scalar != first for _, scalar in action[1:]):
-            raise DomainError(f"{summand.label}: sigma does not act by a scalar")
-        return first
-
     def __repr__(self):
         return f"YDModule(D_{self.group.m}, {self.label}, dim={self.dim})"
 
 
 def induce(G: DihedralGroup, cls: ConjugacyClass, rep) -> YDModule:
     """The irreducible module M(O, rho); rho must represent the centralizer of O."""
+    return YDModule(G, (_summand(G, cls, rep),))
+
+
+def _summand(G: DihedralGroup, cls: ConjugacyClass, rep) -> YDSummand:
     sigma = cls.representative
     if not hasattr(rep, "represents") or not rep.represents(G, sigma):
         raise DomainError(f"{rep!r} is not a representation of the centralizer of {sigma}")
-    return YDModule(G, (YDSummand(cls, rep),))
+    return YDSummand(cls, rep)
 
 
 def _coset_rep(G: DihedralGroup, sigma: GroupElement, target: GroupElement) -> GroupElement:
@@ -203,33 +195,48 @@ class Infinite:
         return False
 
 
+def irreducible_verdict(G: DihedralGroup, cls: ConjugacyClass, rep) -> Finite | Infinite:
+    """Decide dim B(M(O, rho)), m = 4t >= 12, with no module and no braiding.
+
+    A reflection class is of type D.  Otherwise sigma acts by a scalar c; every
+    class of D_m is real (Andruskiewitsch-Zhang, Proc. AMS 135, 2007), so B is
+    finite, of dimension 2^(|O| deg rho), exactly when c = -1.
+    """
+    G.require_classification_modulus()
+    label = _summand(G, cls, rep).label
+    if cls.is_reflection_class:
+        verdict, witness = is_type_D(G, cls)
+        if not verdict:
+            raise RuntimeError(f"reflection class {cls.name} unexpectedly not of type D")
+        return Infinite("TypeD", (label,), witness)
+    action = rep.monomial_action(cls.representative)
+    if any(row != col for col, (row, _) in enumerate(action)):
+        raise DomainError(f"{label}: sigma does not act diagonally on the block")
+    scalar = action[0][1]
+    if any(other != scalar for _, other in action[1:]):
+        raise DomainError(f"{label}: sigma does not act by a scalar")
+    if scalar != -1:
+        return Infinite("RealClassScalar", (label,), scalar)
+    return Finite(2 ** (cls.size * rep.degree))
+
+
 def nichols_dimension(M: YDModule) -> Finite | Infinite:
     """Decide dim B(M) for M over D_m, m = 4t >= 12.
 
-    Finite(2^dim M) exactly when the braiding is -flip; otherwise the
-    certificate names the rule that forces infinite dimension: a type-D
-    class, a real-class scalar different from -1, or an edge in the
-    generalized Dynkin diagram (a 4-cycle of the excluded shape).
+    irreducible_verdict decides each summand, reflection classes first (TypeD,
+    then RealClassScalar).  A sum of two or more summands of scalar -1 is
+    Finite(2^dim M) exactly when its braiding is -flip; otherwise RomboDiagram
+    names an edge of the generalized Dynkin diagram (a 4-cycle).
     """
     G = M.group
     G.require_classification_modulus()
     if not M.summands:
         raise DomainError("empty module")
 
-    for si, summand in enumerate(M.summands):
-        if summand.cls.is_reflection_class:
-            verdict, witness = is_type_D(G, summand.cls)
-            if not verdict:
-                raise RuntimeError(
-                    f"reflection class {summand.cls.name} unexpectedly not of type D"
-                )
-            return Infinite("TypeD", (summand.label,), witness)
-
-    for si, summand in enumerate(M.summands):
-        scalar = M.summand_scalar(si)
-        # every conjugacy class of D_m is real, so the scalar must be -1
-        if scalar != -1:
-            return Infinite("RealClassScalar", (summand.label,), scalar)
+    for summand in sorted(M.summands, key=lambda s: not s.cls.is_reflection_class):
+        verdict = irreducible_verdict(G, summand.cls, summand.rep)
+        if not verdict.is_finite or len(M.summands) == 1:
+            return verdict
 
     data = braiding(M)
     if not data.is_diagonal:
@@ -239,10 +246,6 @@ def nichols_dimension(M: YDModule) -> Finite | Infinite:
         for j in range(i + 1, M.dim):
             label = Q[i][j] * Q[j][i]
             if label != 1:
-                si, sj = M.basis[i][0], M.basis[j][0]
-                return Infinite(
-                    "RomboDiagram",
-                    (M.summands[si].label, M.summands[sj].label),
-                    label,
-                )
+                pair = (M.summands[M.basis[i][0]].label, M.summands[M.basis[j][0]].label)
+                return Infinite("RomboDiagram", pair, label)
     return Finite(2**M.dim)

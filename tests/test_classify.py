@@ -255,3 +255,65 @@ def test_irreducible_survey_matches_class_and_scalar_oracle(m):
     for row, (cls, rep) in zip(rows, pairs):
         head = {"class": cls.name, "class_size": cls.size, "rep": rep.name, "rep_degree": rep.degree}
         assert row == {**head, **_survey_oracle(G, cls, rep)}
+
+
+def _braiding_row(G, cls, rep) -> dict:
+    """The verdict of one survey row, computed from the braiding of the induced module."""
+    from nichols_dm.rack import is_type_D
+    from nichols_dm.ydmod import braiding, induce
+
+    M = induce(G, cls, rep)
+    data = braiding(M)
+    head = {"class": cls.name, "class_size": cls.size, "rep": rep.name, "rep_degree": rep.degree}
+    if cls.is_reflection_class:
+        assert not data.is_diagonal
+        verdict, witness = is_type_D(G, cls)
+        assert verdict
+        witness = f"({witness.first}, {witness.second})"
+        return {**head, "verdict": "infinite", "certificate": "TypeD", "witness": witness}
+    assert data.is_diagonal
+    Q, d = data.matrix, M.dim
+    minus_flip = all(Q[i][i] == -1 for i in range(d)) and all(
+        Q[i][j] * Q[j][i] == 1 for i in range(d) for j in range(i + 1, d)
+    )
+    if minus_flip:
+        return {**head, "verdict": "finite", "dimension": 2**d}
+    return {**head, "verdict": "infinite", "certificate": "RealClassScalar", "witness": str(Q[0][0])}
+
+
+def _survey_pairs(G):
+    from nichols_dm.dihedral import centralizer_representations, conjugacy_classes
+
+    return [(cls, rep) for cls in conjugacy_classes(G) for rep in centralizer_representations(G, cls)]
+
+
+@pytest.mark.parametrize("m", range(12, 49, 4))
+def test_irreducible_survey_matches_the_braiding_of_each_induced_module(m):
+    from nichols_dm.classify import irreducible_survey
+
+    G = DihedralGroup(m)
+    expected = [_braiding_row(G, cls, rep) for cls, rep in _survey_pairs(G)]
+    assert irreducible_survey(m) == expected
+
+
+@pytest.mark.parametrize("m", [12, 20])
+def test_irreducible_survey_builds_no_module(m, monkeypatch):
+    from nichols_dm import classify, ydmod
+    from nichols_dm.classify import irreducible_survey
+
+    G = DihedralGroup(m)
+    pairs = _survey_pairs(G)
+    expected = [_braiding_row(G, cls, rep) for cls, rep in pairs]
+    modules = [ydmod.induce(G, cls, rep) for cls, rep in pairs]
+    results = [ydmod.nichols_dimension(M) for M in modules]
+
+    def refuse(*args):
+        raise AssertionError("a module, its braiding or its transversal was built")
+
+    monkeypatch.setattr(ydmod, "induce", refuse)
+    monkeypatch.setattr(classify, "induce", refuse)
+    monkeypatch.setattr(ydmod, "braiding", refuse)
+    monkeypatch.setattr(ydmod, "_coset_rep", refuse)
+    assert irreducible_survey(m) == expected
+    # a module of one summand takes the same verdict, with no braiding
+    assert [ydmod.nichols_dimension(M) for M in modules] == results

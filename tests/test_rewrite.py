@@ -834,9 +834,13 @@ def test_skew_primitives_bosonization():
 
 
 def test_skew_primitives_do_not_list_the_normal_basis(monkeypatch):
-    # only words of length 1 and 2 enter, so the normal word limit does not bind
+    # only words of length 1 and 2 enter, so the normal basis is never listed
     R = compile(presentation_A(12, [(1, 6), (5, 6)]))
-    monkeypatch.setattr(rewrite, "NORMAL_WORD_LIMIT", 10)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the normal basis was listed")
+
+    monkeypatch.setattr(rewrite, "normal_basis", refuse)
     assert len(skew_primitives(R, GroupElement(12, 0, 1))) == 1
 
 

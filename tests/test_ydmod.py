@@ -18,11 +18,10 @@ from nichols_dm.rack import TypeDWitness
 from nichols_dm.ydmod import (
     Finite,
     Infinite,
-    YDModule,
-    YDSummand,
     braiding,
     direct_sum,
     induce,
+    irreducible_verdict,
     nichols_dimension,
 )
 
@@ -198,9 +197,11 @@ def test_reflection_class_braiding_not_diagonal(d12):
 
 
 def test_schur_scalar_position(d12):
-    M = M_ik(d12, 1, 6)
-    data = braiding(M)
-    assert data.matrix[0][0] == M.summand_scalar(0) == CycloNumber.root(12, 6)
+    # the scalar irreducible_verdict reads is the diagonal entry of the braiding
+    assert braiding(M_ik(d12, 1, 6)).matrix[0][0] == CycloNumber.root(12, 6)
+    M = M_ik(d12, 1, 3)
+    result = irreducible_verdict(d12, class_of(d12, d12.r(1)), CyclicCharacter(d12, 3))
+    assert braiding(M).matrix[0][0] == result.witness == CycloNumber.root(12, 3)
 
 
 def _dynkin_edges(Q):
@@ -315,6 +316,9 @@ class _FixedAction:
     def __init__(self, columns):
         self.columns = columns
 
+    def represents(self, G, sigma):
+        return True
+
     def monomial_action(self, a):
         return self.columns
 
@@ -329,6 +333,5 @@ class _FixedAction:
 def test_summand_scalar_rejects_a_non_scalar_action(d12, columns, message):
     one = CycloNumber.one(12)
     columns = tuple((row, one if c == 1 else -one) for row, c in columns)
-    M = YDModule(d12, (YDSummand(class_of(d12, d12.r(6)), _FixedAction(columns)),))
     with pytest.raises(DomainError, match=f"M\\(r\\^6, stub\\): sigma {message}"):
-        M.summand_scalar(0)
+        irreducible_verdict(d12, class_of(d12, d12.r(6)), _FixedAction(columns))
