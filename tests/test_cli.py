@@ -192,6 +192,33 @@ def test_verify_rejects_negative_overlap_budget(capsys):
     assert doc["error"]["type"] == "internal_check"
 
 
+def _budget_error(budget, l1, l2):
+    """The bytes of verify's error when the overlap after `budget` is ("overlap", l1, l2, 1)."""
+    pair = '[\n        {},\n        {}\n      ]'
+    return (
+        '{\n  "error": {\n    "ambiguity": [\n      "overlap",\n      '
+        f'{pair.format(*l1)},\n      {pair.format(*l2)},\n      1\n    ],\n'
+        f'    "message": "overlap budget of {budget} exceeded; the overlap check did not finish",\n'
+        '    "type": "internal_check"\n  },\n  "schema": 1\n}\n'
+    )
+
+
+def test_verify_overlap_budget_below_the_count_names_the_next_overlap(capsys):
+    # I = (1,6)+(5,6) has 20 overlaps, which compile counts without reducing
+    # them; a smaller budget sweeps them in order and stops at the one after
+    # it, with the bytes of the sweep, and a budget of 20 certifies
+    _, _, golden = _golden("verify_m12_c_budget0")
+    assert _budget_error(0, (0, 0), (0, 0)) == golden
+    argv = ["verify", "--m", "12", "--family", "c", "--I", "(1,6)+(5,6)", "--lambda", "1",
+            "--overlap-budget"]
+    for budget, l1, l2 in ((3, (1, 1), (1, 1)), (19, (3, 3), (3, 3))):
+        assert main([*argv, str(budget)]) == 1
+        assert capsys.readouterr().out == _budget_error(budget, l1, l2)
+    code, doc = run_cli(capsys, *argv, "20")
+    assert code == 0
+    assert doc["certificate"]["ambiguities_checked"] == 20
+
+
 def test_rack_command(capsys):
     code, doc = run_cli(capsys, "rack", "--m", "12", "--class", "s")
     assert code == 0

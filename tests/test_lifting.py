@@ -271,6 +271,8 @@ def _counit_corruptions(pres):
 
     The added terms change the counit of a relation, or cancel under it
     (c at the identity against c at g h^i), or sit on the left as g h.
+    The last copy adds 3/2 at the identity to each quadratic relation,
+    which commutes with every letter, so that copy still compiles.
     """
     yield pres
     for k, text in enumerate(("1", "3/2", "w^3 - 2")):
@@ -285,15 +287,22 @@ def _counit_corruptions(pres):
                 rel = dataclasses.replace(rel, lhs=rel.lhs + ((c, ("g", "h")),))
             relations.append(rel)
         yield dataclasses.replace(pres, relations=tuple(relations))
+    c = parse_scalar(pres.m, "3/2")
+    yield dataclasses.replace(pres, relations=tuple(
+        dataclasses.replace(rel, rhs=rel.rhs + ((c, (0, 0)),)) if rel.label.startswith("quad:")
+        else rel
+        for rel in pres.relations
+    ))
 
 
 def test_hopf_check_counit_matches_the_relation_terms():
     # the counit lines against an oracle that sums each relation's
     # pure-group terms as written: the general route's on every copy,
     # against the uncorrupted system, and hopf_check's on every copy that
-    # compiles; each added term breaks an overlap, so only the 141
-    # uncorrupted presentations compile
-    library = general = 0
+    # compiles; the first three corrupted copies each break an overlap, so
+    # the 141 uncorrupted presentations and their 141 copies with 3/2 at
+    # the identity compile, and the library reports counit lines on the copies
+    library = general = counits = 0
     for pres in _closure_cases():
         R = compile(pres)
         for P in _counit_corruptions(pres):
@@ -304,12 +313,13 @@ def test_hopf_check_counit_matches_the_relation_terms():
             try:
                 reports.append(hopf_check(compile(P)))
                 library += 1
+                counits += bool(expected)
             except CompletionError:
                 pass
             for report in reports:
                 assert [f for f in report.failures if f.startswith("counit:")] == expected
                 assert report.counit_ok == (not expected)
-    assert (library, general) == (141, 564)
+    assert (library, general, counits) == (282, 705, 141)
 
 
 @pytest.mark.parametrize("m", [12, 16, 20])

@@ -395,6 +395,80 @@ def test_closed_form_residue_equals_the_reduction_on_corrupted_systems(m):
     assert nonzero["coefficient"] == 0 and nonzero["q"] and nonzero["tail"], nonzero
 
 
+def _outcome(check, R):
+    """check(R, None), or the message and ambiguity of the CompletionError it raises."""
+    try:
+        return check(R, None)
+    except CompletionError as exc:
+        return str(exc), exc.ambiguity
+
+
+@pytest.mark.parametrize("m", [12, 24, 36, 48])
+def test_counted_overlaps_agree_with_the_sweep(m):
+    # where every q is -1 and every tail commutes with every letter, the
+    # overlaps are counted, and the sweep certifies the same count; elsewhere
+    # the check raises what the sweep raises, in message and in ambiguity
+    counted = dict.fromkeys(("family", "coefficient", "q", "tail"), 0)
+
+    def agree(kind, R):
+        sweep = _outcome(rewrite._overlap_sweep, R)
+        count = rewrite._commuting_overlaps(R)
+        assert count in (None, sweep), (kind, count, sweep)
+        assert _outcome(rewrite._overlap_check, R) == sweep, kind
+        counted[kind] += count is not None
+
+    families = 0
+    for values in ((0,), ("3/2", "w^5", "w^2 - 1")):
+        for P in _quadratic_families(m, values):
+            R = compile(P)
+            assert R.certificate.ambiguities_checked == rewrite._overlap_sweep(R, None)
+            agree("family", R)
+            families += 1
+    for kind, R, lhs, rhs in _corrupted_tailed_systems(m):
+        R._add_rule(lhs, rhs)
+        agree(kind, R)
+    # a scaled tail coefficient still commutes; no q of 2 or w^e (1 + w), and
+    # no tail entry w^(n+1) h^(n+1), does
+    assert counted["family"] == families and counted["coefficient"], counted
+    assert counted["q"] == counted["tail"] == 0, counted
+
+
+def test_a_q_of_plus_one_is_swept():
+    # q = 1 is a root, which the q-corruptions above (non-roots) do not
+    # cover: every tail still commutes, but the identity needs every q = -1
+    m = 12
+    R = compile(presentation_A(m, [(1, 6), (5, 6)], lam=1))
+    assert (R.letters[2], R.letters[0]) == ("x(5,6)", "x(1,6)")
+    R._add_rule((2, 0), {**R.rules[(2, 0)], ((0, 2), 0): CycloNumber.one(m)})
+    assert (2, 0) in R._quadratic
+    assert rewrite._commuting_overlaps(R) is None
+    with pytest.raises(CompletionError) as info:
+        rewrite._overlap_check(R, None)
+    assert (str(info.value), info.value.ambiguity) == (
+        "the overlap x(5,6)*x(1,6)*x(1,6) of x(5,6)*x(1,6) and x(1,6)*x(1,6) leaves the "
+        "residue (2)*x(1,6)*e + (-2)*x(1,6)*r^6; the rules are not confluent",
+        ("overlap", (2, 0), (0, 0), 1),
+    )
+
+
+@pytest.mark.parametrize("m", range(12, 49, 4))
+def test_compile_counts_the_overlaps_of_every_family(monkeypatch, m):
+    # families a-d up to size 2, zero and broadcast nonzero data: compile
+    # reduces no overlap and counts C(n+2, 3) of them for n letters
+    def residue(*args):
+        raise AssertionError("an overlap was reduced")
+
+    monkeypatch.setattr(rewrite, "_ambiguity_residue", residue)
+    names = {"a": (), "b": (), "c": ("lam", "gamma"), "d": ("lam", "gamma", "theta", "mu")}
+    for family in FAMILIES:
+        for I, L in family_members(m, family, 2):
+            for value in (None, 1, "w^3 - 2") if names[family] else (None,):
+                data = dict.fromkeys(names[family] if value is not None else (), value)
+                R = compile(family_presentation(m, family, I, L, **data))
+                n = len(R.letters)
+                assert R.certificate.ambiguities_checked == n * (n + 1) * (n + 2) // 6
+
+
 def _random_elements(R, rng, count):
     """count elements of up to 4 terms: words of up to 6 letters, any group element."""
     m = R.m
