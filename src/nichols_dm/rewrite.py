@@ -67,8 +67,8 @@ of the int code of D_m, one scalar product per term.  S is
 antimultiplicative on the model when the letters form a Yetter-Drinfeld
 module, which hopf_check checks letter by letter.
 
-The Hopf check of a family relation, r = x_a x_b - q x_b x_a - T with T
-in kD_m, needs no reduction.  Write r = r_2 + r_1 + r_0 by word length,
+The coproduct of a relation like r = x_a x_b - q x_b x_a - T with T in
+kD_m needs no reduction.  Write r = r_2 + r_1 + r_0 by word length,
 and let every term c (x_a x_b, gamma) of r_2 sit at one gamma0 with one
 coproduct degree c_a + c_b = c (c_v = cop_exp(v), h_v = h_exp(v)); put
 G = h^c gamma0.  Expanding Delta over the letters, Delta(x_a x_b, gamma) is
@@ -92,17 +92,28 @@ fully-right legs of r_2 are never reduced.  _skew_primitive_residue writes
 it down, and hopf_check prints it.
 
 When the tensor is zero, Delta(r) = r (x) gamma0 + G (x) r holds in
-T(V)#kD_m before any reduction.  If the letter metadata passes, the model
-is a Hopf algebra, so (eps (x) id) Delta(r) = r gives eps(r) = 0, and
-S(r_(1)) r_(2) = eps(r) gives S(r) gamma0 + G^-1 r = 0, that is
-S(r) = -G^-1 r gamma0^-1.  If also G r G^-1 = r in the model, then
-S(r) = -r G^-1 gamma0^-1, and multiplying by a group element on the right
-turns each rewrite into a rewrite, so S(r) reduces to zero and hopf_check
-skips that reduction.  Every family relation is fixed by G; the
-condition is still checked because compile does not check that the ideal
-is stable under the group, and left multiplication by G^-1 need not keep
-an element that reduces to zero reducing to zero; otherwise S(r) is
-reduced.  hopf_check has no other route: a relation of another shape, or
+T(V)#kD_m.  If the letter metadata passes, the model is a Hopf algebra, so
+eps(r) = 0 and S(r) = -G^-1 r gamma0^-1.  compile does not check that the
+ideal is stable under the group, so left multiplication by G^-1 need not
+keep r reducing to zero; but if G r G^-1 = r, then S(r) = -r G^-1 gamma0^-1,
+which reduces to zero, since multiplying by a group element on the right
+turns each rewrite into a rewrite.
+
+A family relation is decided on integers (_family_relation_holds): r is
+x_a x_b + x_b x_a (a != b) or x_a x_a, each coefficient 1 at the identity,
+plus nothing or -v + v h^c with c = c_a + c_b != 0, so gamma0 = 1 and
+G = h^c.  Mod m:
+
+    h_b c_a = h_a c_b = m/2: the cross terms (x_a, h^c_b) (x) x_b and
+      (x_b, h^c_a) (x) x_a carry 1 + w^(h_a c_b) and 1 + w^(h_b c_a), and
+      the tail gives v h^c (x) 1 - v h^c (x) 1, so the tensor is zero;
+    the counit of r is -v + v = 0;
+    c (h_a + h_b) = 0: h^c fixes x_a x_b, x_b x_a and the tail, so S(r)
+      reduces to zero.
+
+When the metadata passes and the three hold, hopf_check forms nothing for
+r.  Any other relation, and every relation when the metadata fails, has
+its tensor written down and S(r) reduced.  A relation of another shape, or
 a rule whose left side is shorter than 2, raises CompletionError naming it.
 """
 
@@ -594,8 +605,8 @@ class HopfReport:
         return self.delta_ok and self.counit_ok and self.antipode_ok
 
 
-def _skew_primitive_residue(R: RewriteSystem, el: Element) -> Optional[tuple[Tensor, int]]:
-    """(Delta(el) - el (x) gamma0 - G (x) el, G), written down; None for another shape.
+def _skew_primitive_residue(R: RewriteSystem, el: Element) -> Optional[Tensor]:
+    """Delta(el) - el (x) gamma0 - G (x) el, written down; None for another shape.
 
     el must have words of length <= 2, its degree-2 terms at one group
     element gamma0 with one coproduct degree c, and G = h^c gamma0.  The
@@ -631,35 +642,45 @@ def _skew_primitive_residue(R: RewriteSystem, el: Element) -> Optional[tuple[Ten
                 terms.append(((((), g_mul(m, R.cop_exp[word[0]], g)), (word, g)), coeff, e, s))
             terms.append((((word, g), ((), gamma0)), coeff, e, -s))
             terms.append(((((), G), (word, g)), coeff, e, -s))
-    return _settle(m, terms), G
+    return _settle(m, terms)
 
 
-def _conjugation_fixes(R: RewriteSystem, el: Element, G: int) -> bool:
-    """Whether G el G^-1 = el in the monomial model."""
-    m = R.m
-    G_inv = g_inv(m, G)
-    for (word, g), coeff in el.items():
-        exp, moved = R.conj_word(G, word)
-        image = (moved, g_mul(m, g_mul(m, G, g), G_inv))
-        if exp:
-            coeff = coeff * CycloNumber.root(m, exp)
-        if image not in el or el[image] != coeff:
+def _family_relation_holds(R: RewriteSystem, el: Element) -> bool:
+    """True when el is a family relation whose three congruences hold; False declines.
+
+    The shape and the congruences are those of the module docstring.
+    False says nothing about el: hopf_check then writes its checks down.
+    """
+    m, h, cop = R.m, R.h_exp, R.cop_exp
+    word = next(iter(el), ((), 0))[0]  # _relation_element puts a relation's first word first
+    if len(word) != 2:
+        return False
+    a, b = word
+    one = CycloNumber.one(m)
+    if el.get((word, 0)) != one or el.get(((b, a), 0)) != one:
+        return False
+    c = (cop[a] + cop[b]) % m
+    tail = len(el) - (1 if a == b else 2)  # the terms not yet read
+    if tail:
+        u, v = el.get(((), 0)), el.get(((), c))
+        if tail != 2 or not c or u is None or v is None or v != -u:
             return False
-    return True
+    return (m % 2 == 0 and h[b] * cop[a] % m == h[a] * cop[b] % m == m // 2
+            and c * (h[a] + h[b]) % m == 0)
 
 
 def hopf_check(R: RewriteSystem) -> HopfReport:
     """Verify that Delta, the counit and the antipode descend to the quotient.
 
     Reads the element of each relation that compile kept, each reducing to
-    zero in R.  Delta of a relation of words of length <= 2 whose degree-2
-    terms share one group element and one coproduct degree is written down
-    (_skew_primitive_residue); a relation it shows to be
-    (G, gamma0)-skew-primitive and fixed by G skips the antipode reduction
-    when the letter metadata passes (module docstring), and any other
-    relation has S reduced.  The counit kills every letter and sends each
-    group element to 1.  A rule whose left side is shorter than 2, or a
-    relation of another shape, raises CompletionError naming it.
+    zero in R.  When the letter metadata passes, a family relation whose
+    three congruences hold needs nothing more (module docstring).  Any
+    other relation of words of length <= 2, whose degree-2 terms share one
+    group element and one coproduct degree, has Delta written down
+    (_skew_primitive_residue) and S reduced; the counit kills every letter
+    and sends each group element to 1.  A rule whose left side is shorter
+    than 2, or a relation of another shape, raises CompletionError naming
+    it.
     """
     if R.certificate is None:
         raise CompletionError("hopf_check needs a certified system")
@@ -678,24 +699,23 @@ def hopf_check(R: RewriteSystem) -> HopfReport:
     ]
     deltas, counits, antipodes = [], [], []
     for label, el in R.quadratic_relations:
-        found = _skew_primitive_residue(R, el)
-        if found is None:
+        if not metadata and _family_relation_holds(R, el):
+            continue
+        residue = _skew_primitive_residue(R, el)
+        if residue is None:
             raise CompletionError(
                 f"the relation {label} is not of the shape hopf_check writes down: words of "
                 "length <= 2, the degree-2 terms at one group element and one coproduct degree",
                 ambiguity=label,
             )
-        residue, G = found
         if residue:
             deltas.append(f"delta:{label}:{_tensor_str(R, residue)}")
         counit = sum((c for (word, _), c in el.items() if not word), CycloNumber.zero(R.m))
         if counit:
             counits.append(f"counit:{label}:{counit}")
-        # S(el) is known to reduce to zero when el is skew-primitive and fixed by G
-        if residue or metadata or not _conjugation_fixes(R, el, G):
-            image = R.reduce(_antipode(R, el))
-            if image:
-                antipodes.append(f"antipode:{label}:{_element_str(R, image)}")
+        image = R.reduce(_antipode(R, el))
+        if image:
+            antipodes.append(f"antipode:{label}:{_element_str(R, image)}")
     antipodes.extend(f"antipode:metadata:{name}" for name in metadata)
     return HopfReport(not deltas, not counits, not antipodes, tuple(deltas + counits + antipodes))
 

@@ -451,6 +451,16 @@ def test_a_q_of_plus_one_is_swept():
     )
 
 
+def _every_family(m):
+    """Families a-d up to size 2 at m, with the zero datum and the data 1 and w^3 - 2 broadcast."""
+    names = {"a": (), "b": (), "c": ("lam", "gamma"), "d": ("lam", "gamma", "theta", "mu")}
+    for family in FAMILIES:
+        for I, L in family_members(m, family, 2):
+            for value in (None, 1, "w^3 - 2") if names[family] else (None,):
+                data = dict.fromkeys(names[family] if value is not None else (), value)
+                yield family_presentation(m, family, I, L, **data)
+
+
 @pytest.mark.parametrize("m", range(12, 49, 4))
 def test_compile_counts_the_overlaps_of_every_family(monkeypatch, m):
     # families a-d up to size 2, zero and broadcast nonzero data: compile
@@ -459,14 +469,10 @@ def test_compile_counts_the_overlaps_of_every_family(monkeypatch, m):
         raise AssertionError("an overlap was reduced")
 
     monkeypatch.setattr(rewrite, "_ambiguity_residue", residue)
-    names = {"a": (), "b": (), "c": ("lam", "gamma"), "d": ("lam", "gamma", "theta", "mu")}
-    for family in FAMILIES:
-        for I, L in family_members(m, family, 2):
-            for value in (None, 1, "w^3 - 2") if names[family] else (None,):
-                data = dict.fromkeys(names[family] if value is not None else (), value)
-                R = compile(family_presentation(m, family, I, L, **data))
-                n = len(R.letters)
-                assert R.certificate.ambiguities_checked == n * (n + 1) * (n + 2) // 6
+    for P in _every_family(m):
+        R = compile(P)
+        n = len(R.letters)
+        assert R.certificate.ambiguities_checked == n * (n + 1) * (n + 2) // 6
 
 
 def _random_elements(R, rng, count):
@@ -785,6 +791,21 @@ def _with_rhs(P, prefix, rhs):
     return dataclasses.replace(P, relations=relations)
 
 
+def _integer_corrupted_presentations():
+    # A = presentation_A(12, [(1, 6)], lam=1) with: the h-exponent of x(1,6)
+    # shifted from 6 to 0; both terms of xy + yx scaled to 2; the tail of
+    # x^2 = 1 - h^2 made 1 - 2h^2
+    one = CycloNumber.one(12)
+    A = presentation_A(12, [(1, 6)], lam=1)
+    yield _with_letter(A, "x(1,6)", h_exp=0)
+    yield dataclasses.replace(A, relations=tuple(
+        dataclasses.replace(rel, lhs=tuple((one + one, word) for _, word in rel.lhs))
+        if rel.label.startswith("quad:xy") else rel
+        for rel in A.relations
+    ))
+    yield _with_rhs(A, "quad:xx", ((one, (0, 0)), (-(one + one), (0, 2))))
+
+
 def test_hopf_check_reports_corrupted_relations():
     # each corrupted relation still compiles; the report is pinned line by line
     one = CycloNumber.one(12)
@@ -821,10 +842,30 @@ def test_hopf_check_reports_corrupted_relations():
             )),
         ),
     ]
-    for P, expected in cases:
+    # corruptions that break only a congruence or a coefficient of the
+    # family shape, in the order of _integer_corrupted_presentations
+    expected = [
+        # h_exp(x) = 0 instead of 6: w^(h_x c_x) = 1 and w^(h_x c_y) = 1, not -1
+        (False, True, False, (
+            "delta:quad:xx:x(1,6)|x(1,6):(2)*[((0,), 1)(x)((0,), 0)]",
+            "delta:quad:xy:x(1,6)|y(1,6):(2)*[((0,), 11)(x)((1,), 0)]",
+            "antipode:quad:xx:x(1,6)|x(1,6):(-2)*1*e + (2)*1*r^10",
+            "antipode:quad:xy:x(1,6)|y(1,6):(2)*x(1,6)*y(1,6)*e",
+        )),
+        # 2xy + 2yx = 0 is not of the family shape, but it holds
+        (True, True, True, ()),
+        # x^2 = 1 - 2h^2: the tail is -1 + 2h^2, not -v + v h^2
+        (False, False, False, (
+            "delta:quad:xx:x(1,6)|x(1,6):(-1)*[((), 2)(x)((), 0)]",
+            "counit:quad:xx:x(1,6)|x(1,6):1",
+            "antipode:quad:xx:x(1,6)|x(1,6):(1)*1*e + (1)*1*r^10",
+        )),
+    ]
+    cases += zip(_integer_corrupted_presentations(), expected)
+    for P, pinned in cases:
         report = hopf_check(compile(P))
-        assert (report.delta_ok, report.counit_ok, report.antipode_ok, report.failures) == expected
-        assert not report.all_ok
+        assert (report.delta_ok, report.counit_ok, report.antipode_ok, report.failures) == pinned
+        assert report.all_ok == (not pinned[3])
 
 
 def test_hopf_check_lists_failures_by_kind_then_by_relation():
@@ -1318,7 +1359,7 @@ def test_closed_form_delta_equals_the_general_route(monkeypatch):
         general.clear()
         hopf_check(R)
         for label, el in R.quadratic_relations:
-            residue, G = rewrite._skew_primitive_residue(R, el)
+            residue = rewrite._skew_primitive_residue(R, el)
             assert residue == delta(R, el), (P.I, P.L, label)
             if any(el is seen for seen in general):
                 reduced += 1
@@ -1330,6 +1371,29 @@ def test_closed_form_delta_equals_the_general_route(monkeypatch):
     # presentation with a letter of wrong degree, 3 shifts x (2 letters x 3
     # relations + 4 x 10 + 2 x 3)
     assert (skipped, reduced) == (20365, 3 + 3 * (2 * 3 + 4 * 10 + 2 * 3))
+
+
+@pytest.mark.parametrize("m", (12, 24, 36, 48))
+def test_hopf_check_decides_every_family_on_integers(monkeypatch, m):
+    # every relation of _every_family is decided by _family_relation_holds:
+    # no residue is written down and no antipode formed; the reports equal
+    # the written-down route's, taken with the integer test declining, and
+    # so do those of the corrupted presentations
+    def written(*args):
+        raise AssertionError("a relation took the written-down route")
+
+    systems = [compile(P) for P in _every_family(m)]
+    with monkeypatch.context() as patch:
+        patch.setattr(rewrite, "_skew_primitive_residue", written)
+        patch.setattr(rewrite, "_antipode", written)
+        reports = [hopf_check(R) for R in systems]
+    assert all(report.all_ok for report in reports)
+    if m == 12:
+        corrupted = itertools.chain(_corrupted_presentations(), _integer_corrupted_presentations())
+        systems += [compile(P) for P in corrupted]
+        reports += [hopf_check(R) for R in systems[len(reports):]]
+    monkeypatch.setattr(rewrite, "_family_relation_holds", lambda R, el: False)
+    assert [hopf_check(R) for R in systems] == reports
 
 
 def test_closed_form_delta_with_a_letter_term():
@@ -1346,7 +1410,7 @@ def test_closed_form_delta_with_a_letter_term():
     for gamma in (0, 1, m, 2 * m - 1):
         el = {(word, g_mul(m, g, gamma)): c for (word, g), c in rel.items()}
         assert R.reduce(el) == {}
-        residue, _ = rewrite._skew_primitive_residue(R, el)
+        residue = rewrite._skew_primitive_residue(R, el)
         assert residue and residue == delta(R, el), gamma
 
 
@@ -1378,16 +1442,39 @@ def test_a_relation_not_fixed_by_G_takes_the_general_antipode():
         Relation("quad:y", ((one, ("y1", "y2")), (-q, ("y2", "y1"))), ((one, (0, 0)), (-one, (0, 2)))),
     ))
     R = compile(P)
+    h10 = g_encode(12, 0, 10)
     for _, el in R.quadratic_relations:
-        residue, G = rewrite._skew_primitive_residue(R, el)
-        assert residue == delta(R, el) == {}
-        assert not rewrite._conjugation_fixes(R, el, G)
+        assert rewrite._skew_primitive_residue(R, el) == delta(R, el) == {}
+        # h^10 el h^-10: the letters pick up w^(10 h_exp), the group elements commute
+        image = {}
+        for (word, g), coeff in el.items():
+            exp, moved = R.conj_word(h10, word)
+            rewrite._add(image, (moved, g), coeff * CycloNumber.root(12, exp))
+        assert image != el
     report = hopf_check(R)
     assert (report.delta_ok, report.counit_ok, report.antipode_ok, report.failures) == (
         True, True, False, (
             "antipode:quad:x:(-2)*1*e + (2)*1*r^2",
             "antipode:quad:y:(-2)*1*e + (2)*1*r^10",
         ),
+    )
+    # x1 x2 + x2 x1 = 1 - h^8 on letters of (h_exp, cop_exp) (1, 2) and
+    # (3, 6) has the family shape, and 3*2 = 1*6 = m/2 makes Delta and the
+    # counit hold; but 8*(1 + 3) = 8 (mod 12), so h^8 does not fix it, the
+    # integer test declines and S(r) does not reduce to zero
+    from nichols_dm.lifting import SkewGenerator
+
+    gens = (
+        SkewGenerator("x1", "y1", 1, 2), SkewGenerator("y1", "x1", 11, 10),
+        SkewGenerator("x2", "y2", 3, 6), SkewGenerator("y2", "x2", 9, 6),
+    )
+    relation = Relation(
+        "quad:x", ((one, ("x1", "x2")), (one, ("x2", "x1"))), ((one, (0, 0)), (-one, (0, 8))))
+    R = compile(dataclasses.replace(_hand_built((relation,)), skew_generators=gens))
+    assert not rewrite._family_relation_holds(R, R.quadratic_relations[0][1])
+    report = hopf_check(R)
+    assert (report.delta_ok, report.counit_ok, report.antipode_ok, report.failures) == (
+        True, True, False, ("antipode:quad:x:(w^2 - 2)*1*e + (-w^2 + 2)*1*r^4",),
     )
 
 
