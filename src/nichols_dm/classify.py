@@ -58,13 +58,18 @@ def N_i(m: int, i: int) -> set[int]:
     return {k for k in range(m) if (i * k) % m == n}
 
 
+def _related(m: int, p1: Pair, p2: Pair) -> bool:
+    """(i,k) ~ (p,q) iff iq + pk = 0 mod m, for pairs already known to lie in J."""
+    (i, k), (p, q) = p1, p2
+    return (i * q + p * k) % m == 0
+
+
 def are_equivalent(p1: Pair, p2: Pair, m: int) -> bool:
     """(i,k) ~ (p,q) iff iq + pk = 0 mod m; both pairs must lie in J."""
     for p in (p1, p2):
         if not in_J(m, p):
             raise DomainError(f"{p} is not in J for m = {m}")
-    (i, k), (p, q) = p1, p2
-    return (i * q + p * k) % m == 0
+    return _related(m, p1, p2)
 
 
 def _sorted_multisets(items, compatible, size):
@@ -89,7 +94,7 @@ def enumerate_I(m: int, r_max: int) -> Iterator[tuple[Pair, ...]]:
     if r_max < 1:
         raise DomainError(f"r_max must be >= 1, got {r_max}")
     pairs = support_J(m)
-    compatible = {p: {q for q in pairs if are_equivalent(p, q, m)} for p in pairs}
+    compatible = {p: {q for q in pairs if _related(m, p, q)} for p in pairs}
     for size in range(1, r_max + 1):
         yield from _sorted_multisets(pairs, compatible, size)
 
@@ -119,7 +124,7 @@ def enumerate_K(m: int, r_max: int) -> Iterator[tuple[tuple[Pair, ...], tuple[in
 def is_valid_I(m: int, I: Sequence[Pair]) -> bool:
     pairs = list(I)
     return bool(pairs) and all(in_J(m, p) for p in pairs) and all(
-        are_equivalent(a, b, m) for a in pairs for b in pairs
+        _related(m, a, b) for a in pairs for b in pairs
     )
 
 

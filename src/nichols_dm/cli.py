@@ -5,7 +5,8 @@ is a single JSON document on stdout: the bytes of
 ``json.dumps(doc, sort_keys=True, indent=2, default=str)`` plus a newline,
 so sorted keys, a two-space indent, ASCII with ``\\uXXXX`` escapes, and exact
 scalars rendered as strings ("3/2", "w^5 - 1").  Every command rejects
-``--m`` above ``M_MAX``.  Exit codes: 0 success, 2 flag / domain validation
+``--m`` above ``M_MAX``, and ``classify`` and ``iso`` reject ``--max-size``
+above ``MAX_SIZE``.  Exit codes: 0 success, 2 flag / domain validation
 errors, 1 internal check failures (non-confluence, dimension mismatch,
 failed Hopf axioms).
 """
@@ -31,6 +32,9 @@ from .ydmod import Finite, nichols_dimension
 SCHEMA = 1
 # the largest --m any command accepts; `rack`'s table has (m/2)^2 entries
 M_MAX = 1024
+# the largest --max-size of classify and iso; `iso --m 12 --max-size 6` already
+# writes 12.7 MB, and the family count grows about as |J|^size
+MAX_SIZE = 6
 
 
 def _list_grammar(item: str, sep: str) -> re.Pattern:
@@ -423,6 +427,8 @@ def main(argv=None) -> int:
     try:
         if args.m > M_MAX:
             raise DomainError(f"m = {args.m} exceeds the ceiling {M_MAX}")
+        if getattr(args, "max_size", 0) > MAX_SIZE:
+            raise DomainError(f"max-size = {args.max_size} exceeds the ceiling {MAX_SIZE}")
         payload, code = args.func(args)
     except DomainError as exc:
         payload, code = {"error": {"type": "validation", "message": str(exc)}}, 2

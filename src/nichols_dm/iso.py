@@ -6,14 +6,21 @@ through l^-1 with the same folding.  On parameters it acts by slot maps
 (`_slots`, `_image`), which both `iso_classes` and the `is_isomorphic_*`
 checks use.  Orbits are the images under the units; a member's witness is
 the least unit reaching it.
+
+Within one `iso_classes` call each thing is computed once: a pair's image
+under a unit (`_PairImages`, filled by `act_pair`, which alone holds the
+fold with `act_ell`), a member's free keys and their positions
+(`_positions`), and the image member and slot map of a (unit, member) that
+a representative reaches.  A unit's inverse is computed once per `UnitModM`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import gcd
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .classify import Pair, in_J
 from .errors import DomainError
@@ -43,7 +50,7 @@ class UnitModM:
         if gcd(self.value, self.m) != 1:
             raise DomainError(f"{self.value} is not a unit mod {self.m}")
 
-    @property
+    @cached_property
     def inverse(self) -> int:
         return pow(self.value, -1, self.m)
 
@@ -93,8 +100,26 @@ def act_L(unit: UnitModM, L: Sequence[int]) -> tuple[int, ...]:
 _CROSSED = {"lambda": "gamma", "gamma": "lambda", "theta": "mu", "mu": "theta"}
 
 
-def _slots(unit: UnitModM, keys: Sequence, target_keys: Sequence) -> list[Optional[int]]:
-    """Each free key's position among `target_keys`, the image member's free keys.
+class _PairImages(dict):
+    """pair -> act_pair(unit, pair) for one unit, each image computed on first use."""
+
+    def __init__(self, unit: UnitModM):
+        super().__init__()
+        self.unit = unit
+
+    def __missing__(self, pair: Pair) -> Pair:
+        image = self[pair] = act_pair(self.unit, pair)
+        return image
+
+
+def _positions(keys: Sequence) -> dict:
+    """Each free key's position among `keys`."""
+    return {key: pos for pos, key in enumerate(keys)}
+
+
+def _slots(images: _PairImages, keys: Sequence, position: Mapping) -> list[Optional[int]]:
+    """Each free key's position in the image member, `position` being
+    `_positions` of that member's free keys and `images` the unit's pair images.
 
     name[(p,q,i,k)] lands on l.(p,q) + l.(i,k) and name[(p,q,r)] on
     l.(p,q) + (l.r,), lambda/gamma (theta/mu) crossing over when the two
@@ -102,16 +127,16 @@ def _slots(unit: UnitModM, keys: Sequence, target_keys: Sequence) -> list[Option
     canonical key (`lifting._canonical`), the one key its entry is stored
     under; a forced-zero image has no position (None).
     """
+    unit = images.unit
     m, n = unit.m, unit.m // 2
-    position = {key: pos for pos, key in enumerate(target_keys)}
     slots = []
     for name, key in keys:
         p_low = (unit.value * key[0]) % m < n
         if len(key) == 4:
-            img = act_pair(unit, key[:2]) + act_pair(unit, key[2:])
+            img = images[key[:2]] + images[key[2:]]
             same_side = p_low == ((unit.value * key[2]) % m < n)
         else:
-            img = act_pair(unit, key[:2]) + (act_ell(unit, key[2]),)
+            img = images[key[:2]] + (act_ell(unit, key[2]),)
             same_side = p_low == ((unit.inverse * key[2]) % m < n)
         name = name if same_side else _CROSSED[name]
         slots.append(position.get((name, _canonical(img))))
@@ -135,10 +160,12 @@ def _first_unit(d1: LiftingDatum, d2: LiftingDatum) -> tuple[bool, Optional[Unit
     keys1, keys2 = (free_parameter_keys(d.m, d.I, d.L) for d in (d1, d2))
     values1 = [d1.value(*key) for key in keys1]
     values2 = tuple(d2.value(*key) for key in keys2)
+    position = _positions(keys2)
     zero = CycloNumber.zero(d1.m)
     for unit in units(d1.m):
         if (d1.m, act_I(unit, d1.I), act_L(unit, d1.L)) == (d2.m, d2.I, d2.L) and (
-            _image(values1, _slots(unit, keys1, keys2), len(keys2), zero) == values2
+            _image(values1, _slots(_PairImages(unit), keys1, position), len(keys2), zero)
+            == values2
         ):
             return True, unit
     return False, None
@@ -192,7 +219,8 @@ def iso_classes(
     the member); equal grid values share the index of their first
     occurrence, so repeated grid values give repeated, equal instances.
     The image member and the `_slots` are computed once per (unit, member)
-    that a representative reaches.
+    that a representative reaches, a pair's image once per unit, and a
+    member's key positions once.
 
     The first instance not yet placed is a representative; its images under
     the units, in ascending order, claim the unplaced instances they hit, so
@@ -207,21 +235,22 @@ def iso_classes(
     first = [grid.index(value) for value in grid]
     zero = next((j for j, value in enumerate(grid) if not value), None)
     texts = [format_scalar(value) for value in grid]
-    members = []  # (family, I, L, free keys)
+    members = []  # (family, I, L, free keys, their _positions)
     index: dict[tuple, int] = {}
     for fam in FAMILIES:
         if fam in families:
             for I, L in family_members(m, fam, r_max):
                 index.setdefault((fam, I, L), len(members))
-                members.append((fam, I, L, free_parameter_keys(m, I, L)))
+                keys = free_parameter_keys(m, I, L)
+                members.append((fam, I, L, keys, _positions(keys)))
     instances = [
         (index[fam, I, L], values)
-        for fam, I, L, keys in members
+        for fam, I, L, keys, _ in members
         for values in product(first, repeat=len(keys))
     ]
 
     def entry(instance: tuple) -> dict:
-        _, I, L, keys = members[instance[0]]
+        _, I, L, keys, _ = members[instance[0]]
         params = parameters_json((key, texts[v]) for key, v in zip(keys, instance[1]) if v != zero)
         return {"I": [list(p) for p in I], "L": list(L), "parameters": params}
 
@@ -231,16 +260,18 @@ def iso_classes(
     actions: dict[tuple[int, int], tuple[int, list]] = {}
     witness: list[Optional[UnitModM]] = [None] * len(instances)
     orbits: list[dict] = []
-    unit_list = units(m)
+    unit_images = [_PairImages(unit) for unit in units(m)]
     for idx, (source, values) in enumerate(instances):
         if witness[idx] is not None:
             continue
         claimed = []
-        for unit in unit_list:
+        for images in unit_images:
+            unit = images.unit
             if (unit.value, source) not in actions:
-                fam, I, L, keys = members[source]
-                target = index[fam, act_I(unit, I), act_L(unit, L)]
-                actions[unit.value, source] = target, _slots(unit, keys, members[target][3])
+                fam, I, L, keys, _ = members[source]
+                I2 = tuple(sorted(images[pair] for pair in I))
+                target = index[fam, I2, act_L(unit, L)]
+                actions[unit.value, source] = target, _slots(images, keys, members[target][4])
             target, slots = actions[unit.value, source]
             # a grid without zero leaves None in an unfilled slot: no instance
             image = _image(values, slots, len(members[target][3]), zero)

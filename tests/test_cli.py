@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import nichols_dm
 from nichols_dm import cli
-from nichols_dm.cli import M_MAX, _parse_module, _parse_param, encode, main
+from nichols_dm.cli import M_MAX, MAX_SIZE, _parse_module, _parse_param, encode, main
 from nichols_dm.cyclo import cyclotomic_polynomial, parse_scalar
 from nichols_dm.dihedral import DihedralGroup
 from nichols_dm.errors import DomainError
@@ -179,6 +179,17 @@ def test_iso_family_a_rejects_max_size_below_one(capsys, max_size):
     code, doc = run_cli(capsys, "iso", "--m", "12", "--max-size", max_size, "--family", "a")
     assert code == 2
     assert doc["error"] == {"type": "validation", "message": f"r_max must be >= 1, got {max_size}"}
+
+
+@pytest.mark.parametrize("command", ["classify", "iso"])
+def test_max_size_above_the_ceiling_is_rejected(capsys, command):
+    # `iso --m 12 --max-size 99` used to run past 15 s with no output
+    code, doc = run_cli(capsys, command, "--m", "12", "--max-size", str(MAX_SIZE + 1))
+    assert code == 2
+    assert doc["error"] == {
+        "type": "validation",
+        "message": f"max-size = {MAX_SIZE + 1} exceeds the ceiling {MAX_SIZE}",
+    }
 
 
 def test_verify_rejects_negative_overlap_budget(capsys):

@@ -17,7 +17,9 @@ from nichols_dm.cyclo import CycloNumber
 from nichols_dm.errors import DomainError
 from nichols_dm.iso import (
     UnitModM,
+    _PairImages,
     _image,
+    _positions,
     _slots,
     act_I,
     act_L,
@@ -406,6 +408,24 @@ def test_iso_classes_work_per_member_not_per_grid_point(monkeypatch):
     assert calls[0] == calls[1] > 0
 
 
+def test_iso_classes_act_once_per_unit_and_pair(monkeypatch):
+    # each pair's image under a unit is computed once per call, and each
+    # member's slot positions once, not once per (unit, member) reaching it
+    counts: Counter = Counter()
+    pairs: Counter = Counter()
+
+    def act(unit, pair):
+        pairs[unit.value, pair] += 1
+        return act_pair(unit, pair)
+
+    monkeypatch.setattr(iso, "act_pair", act)
+    monkeypatch.setattr(iso, "_positions", _counting(counts, "positions", iso._positions))
+    assert iso_classes(20, 2, ("0", "1"))
+    members = sum(1 for fam in FAMILIES for _ in family_members(20, fam, 2))
+    assert pairs and max(pairs.values()) == 1
+    assert counts["positions"] == members
+
+
 @pytest.mark.parametrize(
     "m, grid, members",
     [(12, ("0", "1"), 89), (20, ("0", "1"), 252), (20, ("0", "w^3", "-1"), 928)],
@@ -465,7 +485,8 @@ def _slot_act(u: UnitModM, x: tuple) -> Optional[tuple]:
     I, L, values = x
     target = (act_I(u, I), act_L(u, L))
     keys, target_keys = free_parameter_keys(u.m, I, L), free_parameter_keys(u.m, *target)
-    image = _image(values, _slots(u, keys, target_keys), len(target_keys), CycloNumber.zero(u.m))
+    slots = _slots(_PairImages(u), keys, _positions(target_keys))
+    image = _image(values, slots, len(target_keys), CycloNumber.zero(u.m))
     return None if image is None else (*target, image)
 
 

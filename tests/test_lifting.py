@@ -4,7 +4,7 @@ import re
 import pytest
 
 from nichols_dm.cli import _parse_param
-from nichols_dm.cyclo import CycloNumber, parse_scalar
+from nichols_dm.cyclo import CycloNumber, format_scalar, parse_scalar
 from nichols_dm.errors import CompletionError, DomainError
 from nichols_dm.lifting import (
     FAMILIES,
@@ -152,6 +152,29 @@ def test_tied_entry_given_under_its_transpose_fills_both_keys():
     datum = LiftingDatum.build(12, [(1, 6), (5, 6)], gamma={(5, 6, 1, 6): "w^3"})
     assert datum.parameters_json()["gamma"] == {"1,6,5,6": "w^3", "5,6,1,6": "w^3"}
     assert datum == LiftingDatum.build(12, [(1, 6), (5, 6)], gamma={(1, 6, 5, 6): "w^3"})
+
+
+@pytest.mark.parametrize(
+    "I, L, given, printed",
+    [
+        (
+            [(1, 24), (23, 24)],
+            (),
+            {"lam": {(23, 24, 1, 24): "w^5"}},
+            {"lambda": {"1,24,23,24": "w^5", "23,24,1,24": "w^5"}},
+        ),
+        ([(8, 45)], (3,), {"theta": {(8, 45, 3): -1}}, {"theta": {"8,45,3": "-1"}}),
+    ],
+)
+def test_parameters_json_prints_keys_as_joined_ints(I, L, given, printed):
+    # multi-digit entries at m = 48: a key and a lambda key's transpose are
+    # printed as ",".join(map(str, key)) prints them
+    datum = LiftingDatum.build(48, I, L, **given)
+    joined: dict = {}
+    for (name, key), value in datum.params:
+        for k in (key, key[2:] + key[:2]) if len(key) == 4 else (key,):
+            joined.setdefault(name, {})[",".join(map(str, k))] = format_scalar(value)
+    assert datum.parameters_json() == joined == printed
 
 
 def test_theta_without_an_L_part_is_not_indexed():
