@@ -108,7 +108,10 @@ def _parse_param(m: int, text):
         chunk = chunk.strip()
         if not chunk:
             continue
-        key_text, _, value_text = chunk.partition("=")
+        key_text, sep, value_text = chunk.partition("=")
+        if not sep or not value_text.strip():
+            raise DomainError(f"parameter entry {chunk!r} in {text!r} has no value; "
+                              "expected p,q,i,k=value")
         key = tuple(_numbers(_KEY_RE, key_text, "parameter key", "p,q,i,k=value"))
         if key in out:
             raise DomainError(f"parameter key {','.join(map(str, key))} is given twice in {text!r}")

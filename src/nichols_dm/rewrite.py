@@ -23,6 +23,15 @@ failed check raises CompletionError naming the pair or the ambiguity; no
 rule is ever added to mend it.  _add_rule, the only writer of the rules,
 also keeps lhs_lengths, the index that redex search and the count read.
 
+A family relation is read from its integers (_family_rule), not
+multiplied out, reduced and oriented: x_a x_b + x_b x_a (a != b) or x_a x_a,
+each coefficient the shared 1, equal to nothing or to v - v h^e with v != 0
+and e != 0 (mod m).  While every left side has length 2 and neither word is
+one, reduce's redex test fails on both words and on the group terms, so
+reduce would return the element unchanged; that is the guard.  The rule is
+x_max x_min -> -x_min x_max + v - v h^e (no q-term when a = b), each
+distinct scalar signed once.  Any other relation takes the general route.
+
 Every rule of a family presentation reads x_a x_b -> q_ab x_b x_a + T_ab
 with a >= b, the q-term at the identity group element (absent when
 a = b; put q_aa = 0) and T_ab in kD_m.  When all rules have that shape and
@@ -270,10 +279,11 @@ class RewriteSystem:
             _add(rhs, (w, g_mul(self.m, g, inv_gamma)), -(c * inv_coeff))
         return lead, rhs
 
-    def _add_rule(self, lhs: Word, rhs: Element) -> None:
-        """Install the rule lhs -> rhs."""
+    def _add_rule(self, lhs: Word, rhs: Element, split: Optional[tuple] = None) -> None:
+        """Install the rule lhs -> rhs, with its _quadratic_split unless the caller has it."""
         self.rules[lhs] = rhs
-        split = _quadratic_split(lhs, rhs)
+        if split is None:
+            split = _quadratic_split(lhs, rhs)
         if split is None:
             self._quadratic.pop(lhs, None)
         else:
@@ -319,6 +329,55 @@ def _relation_element(sys: RewriteSystem, rel: Relation) -> Element:
     for coeff, (eps, rot) in rel.rhs:
         _add(el, ((), g_encode(m, eps, rot)), -coeff)
     return el
+
+
+def _negation(scalars: dict, v: CycloNumber) -> tuple[CycloNumber, tuple]:
+    """-v and _signed(-v), formed once per distinct v and kept in scalars."""
+    key = (v.num, v.den)
+    entry = scalars.get(key)
+    if entry is None:
+        neg = -v
+        entry = scalars[key] = (neg, _signed(neg))
+    return entry
+
+
+def _family_rule(sys: RewriteSystem, rel: Relation, index: dict, scalars: dict):
+    """(element, lhs, rhs, split) of a family relation, read from its integers; else None.
+
+    Each is what _relation_element, reduce, _orient and _quadratic_split
+    give, keys in the same order; the shape and the guard are in the module
+    docstring.  index maps the letter names to their ints.
+    """
+    m, one = sys.m, CycloNumber.one(sys.m)
+    words = [names for c, names in rel.lhs if c is one]
+    if not words or len(words) != len(rel.lhs) or len(words[0]) != 2:
+        return None
+    x, y = words[0]
+    a, b = index.get(x), index.get(y)
+    if a is None or b is None or words != ([(x, y)] if x == y else [(x, y), (y, x)]):
+        return None
+    if sys.lhs_lengths not in ((), (2,)) or (a, b) in sys.rules or (b, a) in sys.rules:
+        return None  # reduce would rewrite, or might
+    lhs = (max(a, b), min(a, b))
+    el, rhs, q, tail = {((a, b), 0): one}, {}, None, ()
+    if a != b:
+        minus_one, q = _negation(scalars, one)
+        el[((b, a), 0)], rhs[((lhs[1], lhs[0]), 0)] = one, minus_one
+    if rel.rhs:
+        if len(rel.rhs) != 2:
+            return None
+        (v, g0), (nv, (eps, e)) = rel.rhs
+        e = e % m
+        if g0 != (0, 0) or eps != 0 or not e or v.m != m or not v:
+            return None
+        neg, s_neg = _negation(scalars, v)
+        if nv != neg:
+            return None
+        pos, s_pos = _negation(scalars, nv)
+        el[((), 0)], el[((), e)] = neg, pos
+        rhs[((), 0)], rhs[((), e)] = pos, neg
+        tail = ((0, *s_pos), (e, *s_neg))
+    return el, lhs, rhs, (q, tail)
 
 
 def _ambiguities(rules: dict) -> Iterator[tuple]:
@@ -445,7 +504,16 @@ def compile(P: Presentation, overlap_budget: Optional[int] = None) -> RewriteSys
     if overlap_budget is not None and overlap_budget < 0:
         raise DomainError(f"overlap budget must be >= 0, got {overlap_budget}")
     sys = RewriteSystem(P)
+    index = {name: i for name, i in sys.letter_index.items() if name not in ("g", "h")}
+    scalars: dict = {}  # for _negation, in this call only
     for rel in P.relations:
+        family = _family_rule(sys, rel, index, scalars)
+        if family is not None:
+            el, lhs, rhs, split = family
+            sys.quadratic_relations.append((rel.label, el))
+            sys._add_rule(lhs, rhs, split)
+            continue
+        scalars.clear()  # the general route may build a root, which _signed looks up
         el = _relation_element(sys, rel)
         sys.quadratic_relations.append((rel.label, el))
         el = sys.reduce(el)
@@ -652,7 +720,8 @@ def _family_relation_holds(R: RewriteSystem, el: Element) -> bool:
     False says nothing about el: hopf_check then writes its checks down.
     """
     m, h, cop = R.m, R.h_exp, R.cop_exp
-    word = next(iter(el), ((), 0))[0]  # _relation_element puts a relation's first word first
+    # _relation_element and _family_rule, the two writers of el, put its first word first
+    word = next(iter(el), ((), 0))[0]
     if len(word) != 2:
         return False
     a, b = word
@@ -744,16 +813,14 @@ def certificate_json(R: RewriteSystem) -> dict:
     from .cyclo import format_scalar
 
     words = _count_normal_words(R)
-    rules = []
+    rules, texts = [], {}  # texts: (num, den) -> format_scalar's text, once per coefficient
     for lhs in sorted(R.rules, key=lambda w: (len(w), w)):
-        rhs = [
-            [
-                format_scalar(coeff),
-                [R.letters[l] for l in word],
-                [g // R.m, g % R.m],
-            ]
-            for (word, g), coeff in sorted(R.rules[lhs].items())
-        ]
+        rhs = []
+        for (word, g), coeff in sorted(R.rules[lhs].items()):
+            text = texts.get((coeff.num, coeff.den))
+            if text is None:
+                text = texts[coeff.num, coeff.den] = format_scalar(coeff)
+            rhs.append([text, [R.letters[l] for l in word], [g // R.m, g % R.m]])
         rules.append({"lhs": [R.letters[l] for l in lhs], "rhs": rhs})
     cert = R.certificate
     return {

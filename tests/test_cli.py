@@ -435,6 +435,21 @@ def test_repeated_parameter_key_is_rejected(capsys):
         _parse_param(12, "1,6,1,6=1; 1, 6,1,6 =1")
 
 
+@pytest.mark.parametrize(
+    "flag", ["1,6,1,6=1;1,6,1,6", "1,6,1,6=1;5,6,1,6", "1,6,1,6=1;5,6,1,6="]
+)
+def test_a_keyed_entry_without_a_value_is_named(capsys, flag):
+    # the first used to say "given twice", the others "cannot parse scalar ''"
+    code, doc = run_cli(capsys, "liftings", "--m", "12", "--family", "c", "--I", "(1,6)+(5,6)",
+                        "--lambda", flag)
+    entry = flag.split(";")[1]
+    assert code == 2
+    assert doc["error"] == {
+        "type": "validation",
+        "message": f"parameter entry {entry!r} in {flag!r} has no value; expected p,q,i,k=value",
+    }
+
+
 def _canonical(kind, pairs, ells):
     text = "+".join(f"({i},{k})" for i, k in pairs)
     if kind == "K":

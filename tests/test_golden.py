@@ -22,7 +22,10 @@ from pathlib import Path
 
 import pytest
 
+from nichols_dm import rewrite
+from nichols_dm.classify import enumerate_I, enumerate_K
 from nichols_dm.cli import M_MAX, MAX_SIZE, main
+from nichols_dm.lifting import family_members, free_parameter_keys
 
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
@@ -56,6 +59,21 @@ def test_manifest_output():
     assert not changed, f"{len(changed)} of {len(entries)} commands changed:\n" + "\n".join(changed)
 
 
+def test_verify_compiles_every_family_relation_from_its_integers(monkeypatch):
+    # no verify command of the manifest multiplies a relation out, reduces
+    # it, orients it or splits its rule, and none changes its bytes
+    def general(*args):
+        raise AssertionError("a relation took the general route")
+
+    monkeypatch.setattr(rewrite, "_relation_element", general)
+    monkeypatch.setattr(rewrite, "_quadratic_split", general)
+    monkeypatch.setattr(rewrite.RewriteSystem, "_orient", general)
+    monkeypatch.setattr(rewrite.RewriteSystem, "reduce", general)
+    entries = [e for e in json.loads(MANIFEST.read_text()) if e["argv"][0] == "verify"]
+    assert len(entries) > 600
+    assert [e["argv"] for e in entries if digest(e["argv"]) != e["sha256"]] == []
+
+
 def _pairs(I) -> str:
     return "+".join(f"({i},{k})" for i, k in I)
 
@@ -68,11 +86,8 @@ def _spread(items, count):
 
 
 def _verify_argvs(m):
-    """Families a-d up to size 2 (eight members each), zero data; c and d also with
-    --lambda 1, w^3 - 2 on every parameter and a keyed value on the first free key."""
-    from nichols_dm.lifting import family_members, free_parameter_keys
-
-    flags = {"lambda": "--lambda", "gamma": "--gamma", "theta": "--theta", "mu": "--mu"}
+    """Families a-d up to size 2, eight members each, with the zero datum; c and d also
+    with --lambda 1, with w^3 - 2 on every parameter and with a value on the first free key."""
     for family in "abcd":
         for I, L in _spread(list(family_members(m, family, 2)), 8):
             argv = ["verify", "--m", str(m), "--family", family]
@@ -83,28 +98,23 @@ def _verify_argvs(m):
                 continue
             yield argv + ["--lambda", "1"]
             names = ("lambda", "gamma") + (("theta", "mu") if family == "d" else ())
-            yield argv + [f"{flags[name]}=w^3 - 2" for name in names]
+            yield argv + [f"--{name}=w^3 - 2" for name in names]
             free = free_parameter_keys(m, I, L)
             if free:
                 name, key = free[0]
-                yield argv + [flags[name], ",".join(map(str, key)) + "=2*w - 1/2"]
+                yield argv + [f"--{name}", ",".join(map(str, key)) + "=2*w - 1/2"]
 
 
 def manifest_argvs():
     """The fixed job set of the manifest, in order."""
-    from nichols_dm.classify import enumerate_I, enumerate_K
-
-    moduli = range(12, 49, 4)
     jobs = []
-    for m in moduli:
+    for m in range(12, 49, 4):
         jobs += [["classify", "--m", str(m), "--max-size", str(s)] for s in (1, 2)]
         jobs.append(["reps", "--m", str(m)])
         n = m // 2
         for cls in ("e", "s", "sr", "r^1", f"r^{n}", f"r^{n - 1}", f"r^{m}"):
             jobs.append(["rack", "--m", str(m), "--class", cls])
         for family in "abcd":
-            from nichols_dm.lifting import family_members
-
             for I, L in _spread(list(family_members(m, family, 2)), 3):
                 argv = ["liftings", "--m", str(m), "--family", family]
                 argv += ["--I", _pairs(I)] if I else []
@@ -131,11 +141,12 @@ def manifest_argvs():
         jobs.append(["verify", "--m", str(m), "--family", "c",
                      "--I", _pairs([next(enumerate_I(m, 1))[0]] * 6)])
     jobs += [
-        # out of range, malformed and refused input; each is exit 2 or 1
+        # out of range, malformed and refused input, and overlap budgets
         ["classify", "--m", "8"], ["classify", "--m", "13"], ["classify", "--m", "30"],
         ["classify", "--m", "12", "--max-size", str(MAX_SIZE + 1)],
         ["iso", "--m", "12", "--max-size", str(MAX_SIZE + 1)],
-        ["reps", "--m", str(M_MAX + 1)], ["reps", "--m", "15"], ["rack", "--m", "7", "--class", "s"],
+        ["reps", "--m", str(M_MAX + 1)], ["reps", "--m", "15"],
+        ["rack", "--m", "7", "--class", "s"],
         ["rack", "--m", "12", "--class", "r^x"], ["rack", "--m", "12", "--class", "t"],
         ["nichols", "--m", "12", "--module", "(1,6)"],
         ["nichols", "--m", "12", "--module", "I:(9,6)"],

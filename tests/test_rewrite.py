@@ -1396,6 +1396,57 @@ def test_hopf_check_decides_every_family_on_integers(monkeypatch, m):
     assert [hopf_check(R) for R in systems] == reports
 
 
+def _compiled(P):
+    """Everything compile writes, each dict in its order, or the CompletionError it raises."""
+    try:
+        R = compile(P)
+    except CompletionError as exc:
+        return str(exc), exc.ambiguity
+    return ([(lhs, list(rhs.items())) for lhs, rhs in R.rules.items()],
+            list(R._quadratic.items()),
+            [(label, list(el.items())) for label, el in R.quadratic_relations],
+            R.lhs_lengths, R.certificate, certificate_json(R))
+
+
+def _near_misses():
+    """(label, P): P with its relation `label` just outside the family shape or guard."""
+    A = presentation_A(12, [(1, 6), (5, 6)], lam=1, gamma="w^3 - 2")
+    xx, xy = (next(r for r in A.relations if r.label.startswith(kind) and r.rhs)
+              for kind in ("quad:xx", "quad:xy"))
+    (v, _), (nv, _) = xy.rhs
+    again = dataclasses.replace(xy, label="again")
+    yield "again", dataclasses.replace(A, relations=A.relations + (again,))  # a repeated left side
+    one = CycloNumber(12, [1])  # equal to the shared 1, not the same object
+    yield xy.label, _with_relation(A, xy.label, tuple((one, w) for _, w in xy.lhs), xy.rhs)
+    yield xx.label, _with_relation(A, xx.label, xx.lhs, ((v, (0, 0)), (nv, (0, 12))))  # e = 0
+    yield xy.label, _with_relation(A, xy.label, xy.lhs, xy.rhs + ((v, (0, 4)),))  # three terms
+
+
+@pytest.mark.parametrize("m", range(12, 49, 4))
+def test_family_rules_equal_the_general_route(monkeypatch, m):
+    # compile reads every relation of _every_family from its integers, and
+    # writes the rules, splits, kept elements, lengths and certificate that
+    # the general route writes, in the same order; each near miss declines
+    # and agrees too
+    declined, family_rule = [], rewrite._family_rule
+
+    def spy(R, rel, *args):
+        out = family_rule(R, rel, *args)
+        if out is None:
+            declined.append(rel.label)
+        return out
+
+    monkeypatch.setattr(rewrite, "_family_rule", spy)
+    cases = [(None, P) for P in _every_family(m)] + (list(_near_misses()) if m == 12 else [])
+    for label, P in cases:
+        declined.clear()
+        integer = _compiled(P)
+        assert declined == ([label] if label else []), (P.I, P.L, label)
+        with monkeypatch.context() as patch:
+            patch.setattr(rewrite, "_family_rule", lambda *args: None)
+            assert _compiled(P) == integer, (P.I, P.L, label)
+
+
 def test_closed_form_delta_with_a_letter_term():
     # the rule y x -> -x y + 2 x h^3 + w^5 (1 - h^2) makes el = yx + xy - 2 x h^3
     # - w^5 (1 - h^2), times any group element, reduce to zero in one step;
