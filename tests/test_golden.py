@@ -140,6 +140,10 @@ def manifest_argvs():
     for m in (24, 36, 48):  # the certify-deep shape: |I| + |L| = 6, zero data
         jobs.append(["verify", "--m", str(m), "--family", "c",
                      "--I", _pairs([next(enumerate_I(m, 1))[0]] * 6)])
+    # the irreducible survey above m = 48, where a witness has up to phi(m) = 64 terms
+    jobs += [["classify", "--m", "64", "--max-size", "3"],
+             ["classify", "--m", "100", "--max-size", "1"],
+             ["classify", "--m", "128", "--max-size", "1"]]
     jobs += [
         # out of range, malformed and refused input, and overlap budgets
         ["classify", "--m", "8"], ["classify", "--m", "13"], ["classify", "--m", "30"],
