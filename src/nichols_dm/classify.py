@@ -17,11 +17,11 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
+from .cyclo import CycloNumber
 from .dihedral import CyclicCharacter, DihedralGroup, Irrep, class_of
-from .dihedral import centralizer_representations, conjugacy_classes
 from .errors import DomainError
-from .rack import TypeDWitness
-from .ydmod import YDModule, direct_sum, induce, irreducible_verdict
+from .rack import is_type_D
+from .ydmod import YDModule, direct_sum, induce, real_class_dimension
 
 __all__ = [
     "N_i",
@@ -110,14 +110,21 @@ def enumerate_L(m: int, r_max: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_K(m: int, r_max: int) -> Iterator[tuple[tuple[Pair, ...], tuple[int, ...]]]:
-    """All (I, L) with |I|, |L| >= 1 and |I| + |L| <= r_max satisfying the K conditions."""
+    """All (I, L) with |I|, |L| >= 1 and |I| + |L| <= r_max satisfying the K conditions.
+
+    For each I with every k odd, the admissible ells (odd l with (i, l) in J
+    for every i of I) are found once; the L are their sorted multisets, by
+    size, which is the order of the L-families they are filtered from.
+    """
     if r_max < 2:
         return
+    odd = [ell for ell in range(1, m // 2) if ell % 2]
     for I in enumerate_I(m, r_max - 1):
         if any(k % 2 == 0 for _, k in I):
             continue
-        for L in enumerate_L(m, r_max - len(I)):
-            if all(in_J(m, (i, ell)) for i, _ in I for ell in L):
+        ells = [ell for ell in odd if all(in_J(m, (i, ell)) for i, _ in I)]
+        for size in range(1, r_max - len(I) + 1):
+            for L in combinations_with_replacement(ells, size):
                 yield I, L
 
 
@@ -150,31 +157,62 @@ def module_of(G: DihedralGroup, I: Sequence[Pair], L: Sequence[int]) -> YDModule
 
 
 def irreducible_survey(m: int) -> list[dict]:
-    """Every irreducible M(O, rho) over D_m with its irreducible_verdict; builds no module."""
+    """Every irreducible M(O, rho) over D_m with its verdict; builds no module and no rep.
+
+    The rows follow conjugacy_classes and centralizer_representations, and
+    are written from integers.  On a rotation class sigma acts by a scalar
+    w^a, and real_class_dimension decides: finite exactly when w^a = -1, i.e.
+    a = n (mod m), n = m/2.  The exponent a of each row, in closed form:
+
+      e          chi_1..chi_4 and rho_l: a = 0, as every rep is trivial at e.
+      r^i        chi_(k), k = 0..m-1, 1 <= i < n: a = ik mod m.
+      r^n        chi_1..chi_4: a = 0, since chi_3, chi_4 are -1 only on odd
+                 rotations and n = 2t is even; rho_l: a = nl mod m (its two
+                 diagonal entries w^(nl), w^(-nl) agree, as 2nl = 0 mod m).
+      s, sr      of type D: every Klein-four row shares the class's
+                 is_type_D witness.
+
+    A RealClassScalar witness str(w^a) is formatted once per a in a call.
+    """
     G = DihedralGroup(m).require_classification_modulus()
+    n = m // 2
+    witnesses: dict[int, str] = {}
     rows = []
-    for cls in conjugacy_classes(G):
-        for rep in centralizer_representations(G, cls):
-            result = irreducible_verdict(G, cls, rep)
-            row = {
-                "class": cls.name,
-                "class_size": cls.size,
-                "rep": rep.name,
-                "rep_degree": rep.degree,
-            }
-            if result.is_finite:
-                row.update(verdict="finite", dimension=result.dimension)
-            else:
-                witness = _witness_str(result.witness)
-                row.update(verdict="infinite", certificate=result.rule, witness=witness)
-            rows.append(row)
+
+    def add(cls_name: str, size: int, rep_name: str, degree: int, a: int):
+        dimension = real_class_dimension(size, degree, a == n)
+        if dimension is not None:
+            rows.append({"class": cls_name, "class_size": size, "rep": rep_name,
+                         "rep_degree": degree, "verdict": "finite", "dimension": dimension})
+            return
+        witness = witnesses.get(a)
+        if witness is None:
+            witness = witnesses[a] = str(CycloNumber.root(m, a))
+        rows.append({"class": cls_name, "class_size": size, "rep": rep_name,
+                     "rep_degree": degree, "verdict": "infinite",
+                     "certificate": "RealClassScalar", "witness": witness})
+
+    # the irreps of D_m as (name, degree, l), l = 0 for the linear characters
+    irreps = [(f"chi_{j}", 1, 0) for j in (1, 2, 3, 4)]
+    irreps += [(f"rho_{ell}", 2, ell) for ell in range(1, n)]
+    for name, degree, _ in irreps:
+        add("e", 1, name, degree, 0)
+    chis = [f"chi_({k})" for k in range(m)]
+    for i in range(1, n):
+        cls_name = f"r^{i}"
+        for k, name in enumerate(chis):
+            add(cls_name, 2, name, 1, i * k % m)
+    for name, degree, ell in irreps:
+        add(f"r^{n}", 1, name, degree, n * ell % m)
+    for b, cls_name in ((0, "s"), (1, "sr")):
+        verdict, pair = is_type_D(G, class_of(G, G.s(b)))
+        if not verdict:
+            raise RuntimeError(f"reflection class {cls_name} unexpectedly not of type D")
+        witness = f"({pair.first}, {pair.second})"
+        for name in ("exe", "exs", "sxe", "sxs"):
+            rows.append({"class": cls_name, "class_size": n, "rep": name, "rep_degree": 1,
+                         "verdict": "infinite", "certificate": "TypeD", "witness": witness})
     return rows
-
-
-def _witness_str(witness) -> str:
-    if isinstance(witness, TypeDWitness):
-        return f"({witness.first}, {witness.second})"
-    return str(witness)
 
 
 def theorem_A_report(m: int, r_max: int) -> dict:

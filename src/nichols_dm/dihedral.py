@@ -46,7 +46,6 @@ __all__ = [
     "Irrep",
     "KleinFourCharacter",
     "centralizer",
-    "centralizer_representations",
     "conjugacy_classes",
     "g_element",
     "g_encode",

@@ -28,7 +28,6 @@ from .errors import DomainError
 
 __all__ = [
     "Rack",
-    "TypeDWitness",
     "conjugation_rack",
     "is_type_D",
 ]

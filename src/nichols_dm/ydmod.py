@@ -10,6 +10,10 @@ acts through the coset factorization g g_i = g_j gamma.  The braiding is
 c(u (x) v) = deg(u).v (x) u.  A module keeps its summands, each a class and
 a representation; the basis, its indices and the coset transversal are
 built on first use, by the braiding, which irreducible_verdict never needs.
+irreducible_verdict decides one irreducible from its class and the scalar
+rho(sigma); the finite/infinite rule for that scalar is real_class_dimension,
+which classify.irreducible_survey applies to the exponents it computes in
+closed form, with no representation object.
 
 Every centralizer representation used here is monomial, so group actions
 and braidings are scaled permutations of the basis; every coefficient is a
@@ -35,8 +39,8 @@ __all__ = [
     "braiding",
     "direct_sum",
     "induce",
-    "irreducible_verdict",
     "nichols_dimension",
+    "real_class_dimension",
 ]
 
 
@@ -198,9 +202,8 @@ class Infinite:
 def irreducible_verdict(G: DihedralGroup, cls: ConjugacyClass, rep) -> Finite | Infinite:
     """Decide dim B(M(O, rho)), m = 4t >= 12, with no module and no braiding.
 
-    A reflection class is of type D.  Otherwise sigma acts by a scalar c; every
-    class of D_m is real (Andruskiewitsch-Zhang, Proc. AMS 135, 2007), so B is
-    finite, of dimension 2^(|O| deg rho), exactly when c = -1.
+    A reflection class is of type D.  Otherwise sigma acts by a scalar c, and
+    real_class_dimension decides: finite exactly when c = -1.
     """
     G.require_classification_modulus()
     label = _summand(G, cls, rep).label
@@ -215,9 +218,22 @@ def irreducible_verdict(G: DihedralGroup, cls: ConjugacyClass, rep) -> Finite | 
     scalar = action[0][1]
     if any(other != scalar for _, other in action[1:]):
         raise DomainError(f"{label}: sigma does not act by a scalar")
-    if scalar != -1:
+    dimension = real_class_dimension(cls.size, rep.degree, scalar == -1)
+    if dimension is None:
         return Infinite("RealClassScalar", (label,), scalar)
-    return Finite(2 ** (cls.size * rep.degree))
+    return Finite(dimension)
+
+
+def real_class_dimension(size: int, degree: int, minus_one: bool) -> int | None:
+    """dim B(M(O, rho)) for a rotation class O on which sigma acts by a scalar c.
+
+    Every class of D_m is real (Andruskiewitsch-Zhang, Proc. AMS 135, 2007),
+    so B is finite, of dimension 2^(|O| deg rho), exactly when c = -1
+    (`minus_one`); None means infinite, certified by RealClassScalar with
+    witness c.  irreducible_verdict and classify.irreducible_survey both
+    decide a rotation row by this rule.
+    """
+    return 2 ** (size * degree) if minus_one else None
 
 
 def nichols_dimension(M: YDModule) -> Finite | Infinite:

@@ -243,7 +243,11 @@ def _survey_oracle(G, cls, rep) -> dict:
     return {"verdict": "infinite", "certificate": "RealClassScalar", "witness": str(scalars[0])}
 
 
-@pytest.mark.parametrize("m", range(12, 49, 4))
+# m = 64, 100 and 128 reach witnesses of phi(m) = 32, 40 and 64 terms
+SURVEY_MODULI = [*range(12, 49, 4), 64, 100, 128]
+
+
+@pytest.mark.parametrize("m", SURVEY_MODULI)
 def test_irreducible_survey_matches_class_and_scalar_oracle(m):
     from nichols_dm.classify import irreducible_survey
     from nichols_dm.dihedral import centralizer_representations, conjugacy_classes
@@ -287,7 +291,7 @@ def _survey_pairs(G):
     return [(cls, rep) for cls in conjugacy_classes(G) for rep in centralizer_representations(G, cls)]
 
 
-@pytest.mark.parametrize("m", range(12, 49, 4))
+@pytest.mark.parametrize("m", SURVEY_MODULI)
 def test_irreducible_survey_matches_the_braiding_of_each_induced_module(m):
     from nichols_dm.classify import irreducible_survey
 
@@ -317,3 +321,58 @@ def test_irreducible_survey_builds_no_module(m, monkeypatch):
     assert irreducible_survey(m) == expected
     # a module of one summand takes the same verdict, with no braiding
     assert [ydmod.nichols_dimension(M) for M in modules] == results
+
+
+@pytest.mark.parametrize("m", [12, 20, 48, 100])
+def test_irreducible_survey_builds_no_rep_and_formats_each_witness_once(m, monkeypatch):
+    from nichols_dm import classify, cyclo, dihedral
+    from nichols_dm.classify import irreducible_survey
+
+    expected = irreducible_survey(m)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a representation object was built")
+
+    for name in ("CyclicCharacter", "Irrep", "KleinFourCharacter"):
+        monkeypatch.setattr(dihedral, name, refuse)
+        monkeypatch.setattr(classify, name, refuse, raising=False)
+    formatted = []
+    format_scalar = cyclo.format_scalar
+
+    def counting(a):
+        formatted.append(a)
+        return format_scalar(a)
+
+    monkeypatch.setattr(cyclo, "format_scalar", counting)
+    assert irreducible_survey(m) == expected
+    assert 0 < len(formatted) <= m
+
+
+def test_irreducible_survey_row_count():
+    # e and r^n: 4 linear + (n-1) two-dimensional irreps; r^i, 0 < i < n: m
+    # characters of <r>; s and sr: 4 Klein-four characters
+    from nichols_dm.classify import irreducible_survey
+
+    for m in range(12, 257, 4):
+        n = m // 2
+        assert len(irreducible_survey(m)) == 2 * (n + 3) + (n - 1) * m + 8
+
+
+def _enumerate_K_by_filter(m, r_max):
+    """Every L-family filtered by the K conditions, for each I with every k odd."""
+    from nichols_dm.classify import in_J
+
+    if r_max < 2:
+        return
+    for I in enumerate_I(m, r_max - 1):
+        if any(k % 2 == 0 for _, k in I):
+            continue
+        for L in enumerate_L(m, r_max - len(I)):
+            if all(in_J(m, (i, ell)) for i, _ in I for ell in L):
+                yield I, L
+
+
+@pytest.mark.parametrize("m", range(12, 49, 4))
+def test_enumerate_K_matches_the_filtered_L_families(m):
+    for r_max in range(1, 5):
+        assert list(enumerate_K(m, r_max)) == list(_enumerate_K_by_filter(m, r_max))
