@@ -114,6 +114,29 @@ def test_enumerate_I_m12():
     assert ((1, 6), (1, 6)) in pairs
 
 
+def _enumerate_I_by_prefix_filter(m, r_max):
+    """Sorted multisets of J-pairs, each candidate tested against the whole prefix."""
+    pairs = support_J(m)
+
+    def grow(prefix, start, size):
+        if len(prefix) == size:
+            yield prefix
+            return
+        for idx in range(start, len(pairs)):
+            candidate = pairs[idx]
+            if all(are_equivalent(p, candidate, m) for p in prefix):
+                yield from grow(prefix + (candidate,), idx, size)
+
+    for size in range(1, r_max + 1):
+        yield from grow((), 0, size)
+
+
+@pytest.mark.parametrize("m", range(12, 49, 4))
+def test_enumerate_I_matches_the_prefix_filter(m):
+    for r_max in range(1, 5):
+        assert list(enumerate_I(m, r_max)) == list(_enumerate_I_by_prefix_filter(m, r_max))
+
+
 def test_enumerate_K_m12():
     ks = list(enumerate_K(12, 2))
     assert ks == [(((2, 3),), (3,)), (((2, 9),), (3,))]

@@ -551,6 +551,42 @@ def test_writer_matches_the_stdlib_encoder(doc):
     assert encode(doc) == _stdlib(doc)
 
 
+# keys from three letters: one key set recurs in other insertion orders, at
+# other depths, and both as a row of a list and as the value of a key
+_SHAPED = st.recursive(
+    _LEAVES | st.sampled_from([{}, [], ()]) | st.lists(_INTS, max_size=3),
+    lambda kids: (
+        st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(st.sampled_from("abc"), kids, max_size=3)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SHAPED)
+def test_writer_matches_the_stdlib_encoder_on_recurring_key_sets(doc):
+    assert encode(doc) == _stdlib(doc)
+
+
+def test_writer_keeps_nothing_between_calls():
+    def snapshot():
+        return {
+            name: value.copy() if isinstance(value, (dict, list, set)) else value
+            for name, value in vars(cli).items()
+        }
+
+    before = snapshot()
+    row = {"b": 1, "a": [2, 3], "c": {}}
+    first = {"a": row, "rows": [row, {"c": [], "a": (), "b": {"b": 1, "a": "x"}}]}
+    # the same key tuples, one and two levels deeper
+    second = [[{"b": 1, "a": [2, 3], "c": {}}], {"x": {"y": [{"b": 1, "a": "x"}]}}]
+    for doc in (first, second, first):
+        assert encode(doc) == _stdlib(doc)
+    assert snapshot() == before
+
+
 @pytest.mark.parametrize("case", COMMANDS, ids=[c["name"] for c in COMMANDS])
 def test_writer_matches_the_stdlib_encoder_on_golden_payloads(case, capsys, monkeypatch):
     docs = []
