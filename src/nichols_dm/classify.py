@@ -73,16 +73,19 @@ def are_equivalent(p1: Pair, p2: Pair, m: int) -> bool:
 
 
 def _sorted_multisets(items, compatible, size):
-    def grow(prefix: tuple, start: int):
-        if len(prefix) == size:
-            yield prefix
+    # `cands`: the items, from the prefix's last one on, compatible with every
+    # entry of the prefix.  A J-pair is related to itself (2ik = 2n = 0 mod m),
+    # so narrowing by a candidate keeps that candidate first.
+    def grow(prefix: tuple, cands: list):
+        if len(prefix) == size - 1:
+            yield from (prefix + (candidate,) for candidate in cands)
             return
-        for idx in range(start, len(items)):
-            candidate = items[idx]
-            if all(candidate in compatible[p] for p in prefix):
-                yield from grow(prefix + (candidate,), idx)
+        for idx, candidate in enumerate(cands):
+            yield from grow(
+                prefix + (candidate,), [d for d in cands[idx:] if d in compatible[candidate]]
+            )
 
-    yield from grow((), 0)
+    yield from grow((), list(items))
 
 
 def enumerate_I(m: int, r_max: int) -> Iterator[tuple[Pair, ...]]:

@@ -380,48 +380,73 @@ _encode_str = json.encoder.encode_basestring_ascii
 _SCALAR = {str: _encode_str, int: int.__repr__}
 
 
-def _emit(o, head: str, nl: str, put) -> None:
-    """Write `head`, then `o` at the indent `nl` ("\\n" + two spaces a level).
+def _emit(o, head: str, nl: str, put, heads: dict) -> None:
+    """Write `head`, then the nonempty container `o` at the indent `nl`.
 
-    The pieces are those of the indented stdlib encoder, but exact strings,
-    exact ints and flat lists of either are encoded in C.  Any other scalar
-    (bool, None, exact numbers, group elements) takes the compact encoder,
-    whose output for a scalar is the same.
+    `nl` is "\\n" and two spaces a level; the pieces are those of the
+    indented stdlib encoder.  `heads` lives for one `encode` call.  It maps a
+    dict's key tuple and indent to its keys, sorted once, each with the text
+    written before its value ("{" or ",", the indent, the key, ": "), so rows
+    of one shape sort and spell their keys once per call.  Items are written
+    in place: exact strings and exact ints by their C encoders, empty
+    containers as "{}" or "[]", and any other scalar (bool, None, exact
+    numbers, group elements) by the compact encoder, whose output for a
+    scalar is the same.  Only a nonempty container recurses, and a flat list
+    of exact strings or exact ints is one C join.
     """
-    scalar = _SCALAR.get(type(o))
-    if scalar is not None:
-        put(head + scalar(o))
-    elif not isinstance(o, (dict, list, tuple)):
-        # default=str prints exact scalars and group elements in their printed form
-        put(head + json.dumps(o, default=str))
-    elif not o:
-        put(head + ("{}" if isinstance(o, dict) else "[]"))
-    elif isinstance(o, dict):
-        inner = nl + "  "
-        sep = head + "{" + inner
-        # a non-str key makes _encode_str raise TypeError
-        for key, value in sorted(o.items()):
-            _emit(value, sep + _encode_str(key) + ": ", inner, put)
-            sep = "," + inner
+    inner = nl + "  "
+    if isinstance(o, dict):
+        keys = tuple(o)
+        keyed = heads.get((keys, nl))
+        if keyed is None:
+            # a non-str key makes sorted or _encode_str raise TypeError
+            keyed = heads[keys, nl] = [
+                (key, ("," if i else "{") + inner + _encode_str(key) + ": ")
+                for i, key in enumerate(sorted(keys))
+            ]
+        put(head)
+        for key, item_head in keyed:
+            value = o[key]
+            scalar = _SCALAR.get(type(value))
+            if scalar is not None:
+                put(item_head + scalar(value))
+            elif not isinstance(value, (dict, list, tuple)):
+                # default=str prints exact scalars and group elements in their printed form
+                put(item_head + json.dumps(value, default=str))
+            elif not value:
+                put(item_head + ("{}" if isinstance(value, dict) else "[]"))
+            else:
+                _emit(value, item_head, inner, put, heads)
         put(nl + "}")
-    else:
-        inner = nl + "  "
-        kinds = set(map(type, o))
-        scalar = _SCALAR.get(kinds.pop()) if len(kinds) == 1 else None
+        return
+    kinds = set(map(type, o))
+    scalar = _SCALAR.get(kinds.pop()) if len(kinds) == 1 else None
+    if scalar is not None:
+        put(head + "[" + inner + ("," + inner).join(map(scalar, o)) + nl + "]")
+        return
+    put(head + "[")
+    item_head, sep = inner, "," + inner
+    for item in o:
+        scalar = _SCALAR.get(type(item))
         if scalar is not None:
-            put(head + "[" + inner + ("," + inner).join(map(scalar, o)) + nl + "]")
-            return
-        sep = head + "[" + inner
-        for item in o:
-            _emit(item, sep, inner, put)
-            sep = "," + inner
-        put(nl + "]")
+            put(item_head + scalar(item))
+        elif not isinstance(item, (dict, list, tuple)):
+            put(item_head + json.dumps(item, default=str))
+        elif not item:
+            put(item_head + ("{}" if isinstance(item, dict) else "[]"))
+        else:
+            _emit(item, item_head, inner, put, heads)
+        item_head = sep
+    put(nl + "]")
 
 
 def encode(doc) -> str:
     """The text of `json.dumps(doc, sort_keys=True, indent=2, default=str)`."""
+    if not isinstance(doc, (dict, list, tuple)) or not doc:
+        # a scalar or an empty container has no indent
+        return json.dumps(doc, default=str)
     chunks: list[str] = []
-    _emit(doc, "", "\n", chunks.append)
+    _emit(doc, "", "\n", chunks.append, {})
     return "".join(chunks)
 
 
